@@ -21,17 +21,21 @@ exact harmonic values:
 Tables for other distributions load from CSV with header ``j,d,k_sq``,
 one row per part size starting at j = 2 with no gaps.  Values may be
 written as exact fractions ("5/4") or decimal literals ("1.25"); both
-parse exactly, never through a float.  C is always recomputed from d
+parse exactly, never through a float.  C is always derived from d
 and k_sq, so a stored C column, if present, is ignored.
+
+Where each check lives: ``CoefficientEntry`` requires d, k_sq > 0 and
+derives c itself; ``CoefficientTable`` requires parts contiguous from 2;
+``load_table`` checks only the CSV (header, columns, values, each row's
+j) and prefixes an entry's error with its ``row N:``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import IO, Union
 
 __all__ = [
@@ -53,12 +57,19 @@ class CoefficientTableError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientEntry:
-    """Constants for one part size."""
+    """Constants for one part size; ``c`` is derived at construction."""
 
     j: int
     d: Fraction      # expected standardized range, > 0
     k_sq: Fraction   # variance of the standardized range, > 0
-    c: Fraction      # efficiency d**2 / k_sq
+    c: Fraction = field(init=False)  # efficiency d**2 / k_sq
+
+    def __post_init__(self) -> None:
+        if self.d <= 0:
+            raise ValueError(f"non-positive expected range d = {self.d}")
+        if self.k_sq <= 0:
+            raise ValueError(f"non-positive variance k_sq = {self.k_sq}")
+        object.__setattr__(self, "c", self.d * self.d / self.k_sq)
 
 
 @dataclass(frozen=True)
@@ -71,23 +82,11 @@ class CoefficientTable:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("a coefficient table needs at least the j = 2 entry")
-        expected = 2
-        for entry in self.entries:
+        for expected, entry in enumerate(self.entries, start=2):
             if entry.j != expected:
                 raise ValueError(
                     f"part sizes must be contiguous from 2: expected {expected}, got {entry.j}"
                 )
-            if entry.d <= 0:
-                raise ValueError(f"j = {entry.j}: non-positive expected range d = {entry.d}")
-            if entry.k_sq <= 0:
-                raise ValueError(f"j = {entry.j}: non-positive variance k_sq = {entry.k_sq}")
-            if entry.c != entry.d * entry.d / entry.k_sq:
-                raise ValueError(f"j = {entry.j}: c must equal d**2 / k_sq")
-            expected += 1
-
-    @cached_property
-    def _by_part(self) -> dict[int, CoefficientEntry]:
-        return {entry.j: entry for entry in self.entries}
 
     @property
     def max_part(self) -> int:
@@ -97,12 +96,9 @@ class CoefficientTable:
         return 2 <= j <= self.max_part
 
     def entry(self, j: int) -> CoefficientEntry:
-        try:
-            return self._by_part[j]
-        except KeyError:
-            raise ValueError(
-                f"part size {j} not covered (table spans 2..{self.max_part})"
-            ) from None
+        if not self.covers(j):
+            raise ValueError(f"part size {j} not covered (table spans 2..{self.max_part})")
+        return self.entries[j - 2]
 
     def d(self, j: int) -> Fraction:
         return self.entry(j).d
@@ -124,7 +120,7 @@ def exponential_table(max_part: int) -> CoefficientTable:
     for j in range(2, max_part + 1):
         d = generalized_harmonic(j - 1, 1)
         k_sq = generalized_harmonic(j - 1, 2)
-        entries.append(CoefficientEntry(j, d, k_sq, d * d / k_sq))
+        entries.append(CoefficientEntry(j, d, k_sq))
     return CoefficientTable("exponential", tuple(entries))
 
 
@@ -185,11 +181,10 @@ def load_table(
             )
         d = _parse_rational(row[1], index, "d")
         k_sq = _parse_rational(row[2], index, "k_sq")
-        if d <= 0:
-            raise CoefficientTableError(f"row {index}: non-positive expected range d = {d}")
-        if k_sq <= 0:
-            raise CoefficientTableError(f"row {index}: non-positive variance k_sq = {k_sq}")
-        entries.append(CoefficientEntry(j, d, k_sq, d * d / k_sq))
+        try:
+            entries.append(CoefficientEntry(j, d, k_sq))
+        except ValueError as exc:
+            raise CoefficientTableError(f"row {index}: {exc}") from None
         expected_j += 1
 
     if not entries:

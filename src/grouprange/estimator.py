@@ -20,11 +20,13 @@ estimate is invariant under permutations within a block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .coefficients import CoefficientTable
+from .optimizer import partition_objective
 from .partitions import Partition
 
 __all__ = ["EstimatorPlan", "make_plan", "estimate", "theoretical_variance"]
@@ -47,9 +49,7 @@ class EstimatorPlan:
 
 def make_plan(partition: Partition, table: CoefficientTable) -> EstimatorPlan:
     """Exact estimator weights and variance factor for a partition."""
-    total = Fraction(0)
-    for j, mult in partition.frequencies:
-        total += table.c(j) * mult  # raises if j is not covered
+    total = partition_objective(partition, table)  # raises if a part is not covered
     weights = tuple((j, (table.d(j) / table.k_sq(j)) / total) for j in partition.parts)
     # unbiasedness is an algebraic identity; recheck it exactly
     assert sum(a * table.d(j) for j, a in weights) == 1
@@ -60,11 +60,14 @@ def estimate(sample: Sequence[float], plan: EstimatorPlan) -> float:
     """Weighted sum of block ranges over a sample of length plan.partition.n.
 
     Blocks are consumed contiguously in the plan's (descending) order;
-    the caller controls which observations land in which block.
+    the caller controls which observations land in which block.  NaN
+    or infinite observations raise ValueError (NaN ranges are order-dependent).
     """
     n = plan.partition.n
     if len(sample) != n:
         raise ValueError(f"sample has {len(sample)} observations, plan needs {n}")
+    if not all(math.isfinite(x) for x in sample):
+        raise ValueError("sample contains a non-finite observation")
     total = 0.0
     position = 0
     for size, weight in plan.weights:

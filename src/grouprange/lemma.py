@@ -84,7 +84,7 @@ def verify_lemma(n_max: int, table: CoefficientTable) -> LemmaReport:
 
     # exact layer: strict maximum location
     ratios = {n: ratio(n, table) for n in range(2, n_max + 1)}
-    max_ratio_at = min(n for n, r in ratios.items() if r == max(ratios.values()))
+    max_ratio_at = max(ratios, key=ratios.__getitem__)  # max keeps the first, smallest n
     max_ratio = ratios[max_ratio_at]
     exact_ok = all(r < max_ratio for n, r in ratios.items() if n != max_ratio_at)
 

@@ -16,7 +16,6 @@ partitions of n containing a 1 and partitions of n-1.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -123,48 +122,47 @@ def enumerate_admissible(n: int) -> Iterator[Partition]:
         yield Partition.from_parts(parts)
 
 
-_p_lock = threading.Lock()
-_p_table: list[int] = [1]  # p(0) = 1
+def _pentagonal_prefix(n: int) -> list[int]:
+    """[p(0), ..., p(n)] by Euler's pentagonal-number recurrence
+        p(m) = sum_{k>=1} (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)],
+    O(n**1.5) integer additions."""
+    p = [1]  # p(0) = 1
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - g1]
+            g2 = k * (3 * k + 1) // 2
+            if g2 <= m:
+                total += sign * p[m - g2]
+            k += 1
+        p.append(total)
+    return p
 
 
 def count_unrestricted(n: int) -> int:
-    """Exact unrestricted partition count p(n).
-
-    Uses Euler's pentagonal-number recurrence
-        p(n) = sum_{k>=1} (-1)^(k+1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)],
-    memoized as a prefix table, O(n**1.5) integer additions overall.
-    """
+    """Exact unrestricted partition count p(n)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    with _p_lock:
-        while len(_p_table) <= n:
-            m = len(_p_table)
-            total = 0
-            k = 1
-            while True:
-                g1 = k * (3 * k - 1) // 2
-                if g1 > m:
-                    break
-                sign = 1 if k % 2 else -1
-                total += sign * _p_table[m - g1]
-                g2 = k * (3 * k + 1) // 2
-                if g2 <= m:
-                    total += sign * _p_table[m - g2]
-                k += 1
-            _p_table.append(total)
-        return _p_table[n]
+    return _pentagonal_prefix(n)[n]
 
 
 def count_admissible(n: int) -> int:
     """Exact number of partitions of n with every part >= 2.
 
-    P(n) = p(n) - p(n-1); P(0) = 1 counts the empty partition.
+    P(n) = p(n) - p(n-1), both read from one prefix; P(0) = 1 counts
+    the empty partition.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 1
-    return count_unrestricted(n) - count_unrestricted(n - 1)
+    p = _pentagonal_prefix(n)
+    return p[n] - p[n - 1]
 
 
 def asymptotic_admissible(n: int) -> float:

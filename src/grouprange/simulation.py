@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimatorPlan
+from .estimator import EstimatorPlan, theoretical_variance
 from .partitions import Partition
 
 __all__ = [
@@ -124,6 +124,6 @@ def monte_carlo(
         mean_estimate=mean,
         variance_estimate=variance,
         mean_std_error=math.sqrt(variance / replicates),
-        theoretical_variance=float(plan.variance_factor) * float(theta) ** 2,
+        theoretical_variance=theoretical_variance(plan, theta),
         plan_partition=plan.partition,
     )

@@ -191,7 +191,7 @@ def test_export_load_round_trip_exponential():
 )
 def test_export_load_round_trip_random(rows):
     entries = tuple(
-        CoefficientEntry(j, d, k_sq, d * d / k_sq)
+        CoefficientEntry(j, d, k_sq)
         for j, (d, k_sq) in enumerate(rows, start=2)
     )
     table = CoefficientTable("custom", entries)
@@ -204,16 +204,26 @@ def test_export_load_round_trip_random(rows):
 
 
 def test_table_rejects_gap():
-    e2 = CoefficientEntry(2, Fraction(1), Fraction(1), Fraction(1))
-    e4 = CoefficientEntry(4, Fraction(1), Fraction(1), Fraction(1))
+    e2 = CoefficientEntry(2, Fraction(1), Fraction(1))
+    e4 = CoefficientEntry(4, Fraction(1), Fraction(1))
     with pytest.raises(ValueError, match="contiguous"):
         CoefficientTable("custom", (e2, e4))
 
 
-def test_table_rejects_inconsistent_c():
-    bad = CoefficientEntry(2, Fraction(2), Fraction(2), Fraction(7))
-    with pytest.raises(ValueError, match="d\\*\\*2"):
-        CoefficientTable("custom", (bad,))
+def test_entry_c_is_derived():
+    # c is not a constructor argument, so an inconsistent c cannot be built
+    entry = CoefficientEntry(2, Fraction(2), Fraction(3))
+    assert entry.c == Fraction(4, 3)
+    with pytest.raises(TypeError):
+        CoefficientEntry(2, Fraction(2), Fraction(2), Fraction(7))
+    for d, k_sq, message in [
+        (Fraction(0), Fraction(1), "non-positive expected range"),
+        (Fraction(-1), Fraction(1), "non-positive expected range"),
+        (Fraction(1), Fraction(0), "non-positive variance"),
+        (Fraction(1), Fraction(-2), "non-positive variance"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            CoefficientEntry(2, d, k_sq)
 
 
 def test_table_rejects_empty():

@@ -4,6 +4,7 @@ Weight values are rebuilt here from raw harmonic sums so the tests do
 not trust the coefficients module for the quantities under test.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,18 @@ def test_estimate_rejects_wrong_length(table40):
     plan = make_plan(Partition.from_parts([4, 3]), table40)
     with pytest.raises(ValueError, match="plan needs 7"):
         estimate([1.0] * 6, plan)
+
+
+def test_estimate_rejects_non_finite(table40):
+    # max/min over a block with NaN depend on where the NaN sits, so the
+    # estimate would depend on sample order; reject at every position
+    plan = make_plan(Partition.from_parts([3, 2]), table40)
+    sample = [4.0, 1.0, 7.0, 2.0, 9.0]
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(len(sample)):
+            corrupted = sample[:i] + [bad] + sample[i + 1 :]
+            with pytest.raises(ValueError, match="non-finite"):
+                estimate(corrupted, plan)
 
 
 def test_estimate_block_structure(table40):

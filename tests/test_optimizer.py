@@ -5,6 +5,10 @@ sums and maximizes over the full set of admissible partitions, so it
 shares no code with the solvers under test.
 """
 
+import functools
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -27,6 +31,7 @@ def harmonic_oracle(n: int, j: int) -> Fraction:
     return sum((Fraction(1, i**j) for i in range(1, n + 1)), Fraction(0))
 
 
+@functools.cache
 def efficiency_oracle(j: int) -> Fraction:
     d = harmonic_oracle(j - 1, 1)
     return d * d / harmonic_oracle(j - 1, 2)
@@ -66,6 +71,46 @@ def test_dp_matches_brute_force(table40):
         assert result.partition.parts in argmax
         if len(argmax) == 1:
             assert result.partition.parts == argmax[0]
+
+
+def test_dp_shared_cache_under_thread_contention():
+    # More threads than cores fill and read one table's DP cache in
+    # mixed n order, while others churn private tables through the
+    # weakref release; every answer must equal a serial solve.
+    shared = exponential_table(60)
+    ns = [60, 7, 33, 2, 48, 19, 41, 12, 55, 3, 27, 60]
+    serial_table = exponential_table(60)
+    serial = {n: solve_dp(n, serial_table) for n in ns}
+    workers = 2 * (os.cpu_count() or 1) + 2
+    barrier = threading.Barrier(workers)
+    results: dict[tuple[int, int], object] = {}
+    errors: list[BaseException] = []
+
+    def run(index: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            order = ns[index % len(ns):] + ns[: index % len(ns)]
+            for n in order:
+                table = shared if index % 2 == 0 else exponential_table(n)
+                results[index, n] = solve_dp(n, table)
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a solve_dp thread hung"
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(results) == workers * len(set(ns))
+    for (_, n), result in results.items():
+        assert result == serial[n]
 
 
 def test_dp_tie_prefers_fewer_parts():
