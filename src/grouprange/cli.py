@@ -151,31 +151,33 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     custom = args.table is not None
     if args.method == "closed" and custom:
         raise UsageError("the closed-form method applies only to the built-in exponential table")
-    table = _load_cli_table(args, n)
 
-    results: list[SolveResult] = []
     agreement = None
     cross_checked = False
-    if args.method == "dp":
-        results = [solve_dp(n, table)]
-    elif args.method == "closed":
+    if args.method == "closed":
         part = rule_of_fours(n)
+        # the closed form and its plan read C_j only for its own parts
+        table = exponential_table(max(part.parts))
         results = [SolveResult(part, partition_objective(part, table), "closed_form")]
-    elif args.method == "gr":
-        gr = solve_group_relaxation(n, table)
-        results = [gr]
-        cross_checked = True
-        if solve_dp(n, table).objective != gr.objective:
-            agreement = {"methods": ["group_relaxation", "dp"], "objectives_equal": False}
-    else:  # all
-        results = [solve_dp(n, table), solve_group_relaxation(n, table)]
-        methods = ["dp", "group_relaxation"]
-        if not custom:
-            part = rule_of_fours(n)
-            results.append(SolveResult(part, partition_objective(part, table), "closed_form"))
-            methods.append("closed_form")
-        objectives = {r.objective for r in results}
-        agreement = {"methods": methods, "objectives_equal": len(objectives) == 1}
+    else:
+        table = _load_cli_table(args, n)
+        if args.method == "dp":
+            results = [solve_dp(n, table)]
+        elif args.method == "gr":
+            gr = solve_group_relaxation(n, table)
+            results = [gr]
+            cross_checked = True
+            if solve_dp(n, table).objective != gr.objective:
+                agreement = {"methods": ["group_relaxation", "dp"], "objectives_equal": False}
+        else:  # all
+            results = [solve_dp(n, table), solve_group_relaxation(n, table)]
+            methods = ["dp", "group_relaxation"]
+            if not custom:
+                part = rule_of_fours(n)
+                results.append(SolveResult(part, partition_objective(part, table), "closed_form"))
+                methods.append("closed_form")
+            objectives = {r.objective for r in results}
+            agreement = {"methods": methods, "objectives_equal": len(objectives) == 1}
 
     payload: dict[str, Any] = {
         "n": n,

@@ -50,9 +50,11 @@ class EstimatorPlan:
 def make_plan(partition: Partition, table: CoefficientTable) -> EstimatorPlan:
     """Exact estimator weights and variance factor for a partition."""
     total = partition_objective(partition, table)  # raises if a part is not covered
-    weights = tuple((j, (table.d(j) / table.k_sq(j)) / total) for j in partition.parts)
+    # one weight per distinct size, shared by all its blocks
+    by_size = {j: (j, (table.d(j) / table.k_sq(j)) / total) for j, _ in partition.frequencies}
     # unbiasedness is an algebraic identity; recheck it exactly
-    assert sum(a * table.d(j) for j, a in weights) == 1
+    assert sum(m * by_size[j][1] * table.d(j) for j, m in partition.frequencies) == 1
+    weights = tuple(by_size[j] for j in partition.parts)
     return EstimatorPlan(partition, weights, 1 / total)
 
 

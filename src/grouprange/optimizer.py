@@ -14,9 +14,16 @@ Three independent solvers are provided; their objectives must agree.
 
 solve_dp
     Exact dynamic program over capacities 0..n.  Ties are broken by
-    fewer parts, then descending lexicographic part tuple.  Per-table
-    state is cached so ascending sweeps cost O(n**2) rational
-    operations overall instead of per call.
+    fewer parts, then descending lexicographic part tuple.  A float64
+    fill runs beside the exact one and filters the candidates: at each
+    capacity only the parts whose float value lies within a relative
+    1e-9 of the float best reach the exact Fraction comparison.  The
+    float error is a few units of 2**-53, far below that tolerance, so
+    every exact maximizer passes the filter and the answer, tie-break
+    included, is the exact DP's.  A fill costs O(n**2) float operations
+    and about one rational addition per capacity; tables whose C_j are
+    not normal floats take the plain exact fill.  Per-table state is
+    cached so ascending sweeps fill the table once.
 
 solve_group_relaxation
     Drop integrality of one variable.  Let b maximize C_j / j (the
@@ -31,7 +38,10 @@ solve_group_relaxation
     f_b = (n - sum of path parts) / b.  When f_b >= 0 the relaxation
     is tight and the result is exactly optimal; otherwise the solver
     falls back to solve_dp and the result is labeled "dp".  For the
-    exponential table the only fallback at n <= 400 is n = 6.
+    exponential table the only fallback at n <= 400 is n = 6.  The
+    best-part scan, the penalties and the per-class minima are cached
+    per table and grown with n, so a sweep n = 2..N costs O(N)
+    rational operations instead of O(N**2).
 
 rule_of_fours
     Closed form for the exponential table: all parts equal to 4, with
@@ -42,7 +52,11 @@ rule_of_fours
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import math
+import operator
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -119,45 +133,107 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
         raise ValueError(f"table spans parts 2..{table.max_part}, need 2..{n}")
 
 
-def _best_part(table: CoefficientTable, n: int) -> int:
-    # argmax of C_j / j over 2..n, smallest j on ties
-    best_j = 2
-    best = table.c(2) / 2
-    for j in range(3, n + 1):
+# Everything the solvers reuse for one table object lives in one
+# record, keyed by the table's identity and released through a weakref
+# finalizer, so ascending sweeps n = 2..N fill one DP and grow one
+# residue graph.
+class _TableState:
+    __slots__ = (
+        "values", "parts", "fv", "fc", "filtered",
+        "best", "best_ratio", "modulus", "penalized", "penalties", "records",
+    )
+
+    def __init__(self) -> None:
+        # DP by capacity: exact value and tie-broken parts (None when
+        # infeasible), the value's float image (-inf when infeasible),
+        # and fc[j] = float(C_j).  filtered turns off for good once a
+        # float would be inexact beyond the filter's error bound.
+        self.values: list[Fraction | None] = [Fraction(0), None]
+        self.parts: list[tuple[int, ...] | None] = [(), None]
+        self.fv: list[float] = [0.0, -math.inf]
+        self.fc: list[float] = [0.0, 0.0]
+        self.filtered = True
+        # Residue graph: best[n] is the argmax of C_j / j over 2..n
+        # (smallest j on ties), best_ratio the maximum scanned so far.
+        # For the current modulus b: penalties (j, w_j) for 2 <= j <=
+        # penalized, j != b, ascending; records[offset] lists the (j, w_j)
+        # at which the minimum of the class j = offset (mod b) drops.
+        self.best: list[int] = [0, 0]
+        self.best_ratio = Fraction(0)
+        self.modulus = 0
+        self.penalized = 1
+        self.penalties: list[tuple[int, Fraction]] = []
+        self.records: dict[int, list[tuple[int, Fraction]]] = {}
+
+
+_states: dict[int, _TableState] = {}
+_lock = threading.Lock()
+
+
+def _table_state(table: CoefficientTable) -> _TableState:
+    # the caller holds _lock
+    key = id(table)
+    state = _states.get(key)
+    if state is None:
+        state = _TableState()
+        _states[key] = state
+        weakref.finalize(table, _states.pop, key, None)
+    return state
+
+
+def _best_part(state: _TableState, table: CoefficientTable, n: int) -> int:
+    best = state.best
+    for j in range(len(best), n + 1):
         ratio = table.c(j) / j
-        if ratio > best:
-            best_j, best = j, ratio
-    return best_j
+        if ratio > state.best_ratio:
+            state.best_ratio = ratio
+            best.append(j)
+        else:
+            best.append(best[-1])
+    return best[n]
+
+
+def _grow_penalties(state: _TableState, table: CoefficientTable, b: int, n: int) -> None:
+    # b maximizes C_j / j over 2..n, so every w_j with j <= n is >= 0.
+    # The n with the same best part form one interval, so penalties
+    # kept for b stay valid until the modulus changes.
+    if state.modulus != b:
+        state.modulus, state.penalized, state.penalties, state.records = b, 1, [], {}
+    per_unit = table.c(b) / b
+    for j in range(state.penalized + 1, n + 1):
+        if j == b:
+            continue
+        w = j * per_unit - table.c(j)
+        state.penalties.append((j, w))
+        offset = j % b
+        if offset:  # self loops never help a shortest path
+            records = state.records.setdefault(offset, [])
+            if not records or w < records[-1][1]:  # smallest part on ties
+                records.append((j, w))
+    state.penalized = max(state.penalized, n)
 
 
 def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
     """Residue graph for allocating n observations under a table."""
     _require_coverage(table, n)
-    b = _best_part(table, n)
-    per_unit = table.c(b) / b
+    with _lock:
+        state = _table_state(table)
+        b = _best_part(state, table, n)
+        _grow_penalties(state, table, b, n)
+        part_weights = tuple(state.penalties[: n - 2])  # the j <= n; b <= n
+        class_best = []
+        for offset, records in sorted(state.records.items()):
+            i = bisect.bisect_right(records, n, key=operator.itemgetter(0))
+            if i:
+                class_best.append((offset, records[i - 1]))
 
-    part_weights: list[tuple[int, Fraction]] = []
-    class_best: dict[int, tuple[Fraction, int]] = {}  # offset -> (weight, part)
-    for j in range(2, n + 1):
-        if j == b:
-            continue
-        w = j * per_unit - table.c(j)
-        if w < 0:  # impossible by choice of b; guards a corrupted table
-            raise ValueError(f"negative penalty for part {j}; modulus {b} is not optimal")
-        part_weights.append((j, w))
-        offset = j % b
-        if offset == 0:
-            continue  # self loops never help a shortest path
-        incumbent = class_best.get(offset)
-        if incumbent is None or (w, j) < incumbent:
-            class_best[offset] = (w, j)
-
-    edges = []
-    for v in range(b):
-        for offset, (w, j) in sorted(class_best.items()):
-            edges.append(ResidueEdge(v, (v + offset) % b, j, w))
+    edges = [
+        ResidueEdge(v, (v + offset) % b, j, w)
+        for v in range(b)
+        for offset, (j, w) in class_best
+    ]
     edges.sort(key=lambda e: (e.source, e.target))
-    return ResidueGraph(b, tuple(part_weights), tuple(edges))
+    return ResidueGraph(b, part_weights, tuple(edges))
 
 
 def shortest_paths(
@@ -193,41 +269,51 @@ def shortest_paths(
     return {v: (d, parts) for v, (d, _, parts) in dist.items()}
 
 
-# DP state is cached per table object (keyed by identity, released via
-# weakref) so that ascending sweeps n = 2..N reuse one table fill.
-class _DpState:
-    __slots__ = ("values", "parts")
-
-    def __init__(self) -> None:
-        self.values: list[Fraction | None] = [Fraction(0), None]
-        self.parts: list[tuple[int, ...] | None] = [(), None]
+_FILTER = 1 - 1e-9  # candidates within this relative factor of the float best
 
 
-_dp_states: dict[int, _DpState] = {}
-_dp_lock = threading.Lock()
+def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
+    """Fill capacities len(state.values)..n.
 
-
-def _dp_state(table: CoefficientTable) -> _DpState:
-    key = id(table)
-    state = _dp_states.get(key)
-    if state is None:
-        state = _DpState()
-        _dp_states[key] = state
-        weakref.finalize(table, _dp_states.pop, key, None)
-    return state
-
-
-def _dp_extend(state: _DpState, n: int, table: CoefficientTable) -> None:
-    values, parts = state.values, state.parts
-    c = {j: table.c(j) for j in range(2, n + 1)}
+    Float filter: every float in the fill carries a relative error of
+    at most u = 2**-53 (fv[k] = float(values[k]) and fc[j] = float(C_j)
+    are correctly rounded, and one float addition of two nonnegative
+    terms follows), so a float candidate fv[w-j] + fc[j] lies within a
+    factor (1 +- u)**2 of its exact value.  An exact maximizer's float
+    is therefore at least (1 - 4u) times the float best, and the filter
+    keeps every candidate within 1e-9, about 10**7 times that bound:
+    all exact maximizers, ties included, reach the exact comparison,
+    and the result equals the plain exact fill's.  The bound needs
+    normal floats, so a C_j that overflows, underflows or is subnormal,
+    or a value or sum that overflows, switches the table to the plain
+    exact fill (every candidate compared exactly).
+    """
+    values, parts, fv, fc = state.values, state.parts, state.fv, state.fc
+    for j in range(len(fc), n + 1):
+        try:
+            f = float(table.c(j))
+        except OverflowError:
+            f = math.inf
+        if not sys.float_info.min <= f <= sys.float_info.max:
+            state.filtered = False
+        fc.append(f)
     for w in range(len(values), n + 1):
+        candidates: range | list[int] = range(2, w + 1)
+        if state.filtered:
+            floats = list(map(operator.add, fv[w - 2 :: -1], fc[2 : w + 1]))
+            top = max(floats)
+            if top <= sys.float_info.max:
+                floor = top * _FILTER
+                candidates = [j for j, f in enumerate(floats, 2) if f >= floor]
+            else:
+                state.filtered = False
         best_value: Fraction | None = None
         best_parts: tuple[int, ...] | None = None
-        for j in range(2, w + 1):
+        for j in candidates:
             prev = values[w - j]
             if prev is None:
                 continue
-            cand = prev + c[j]
+            cand = prev + table.c(j)
             if best_value is None or cand > best_value:
                 best_value = cand
                 best_parts = tuple(sorted(parts[w - j] + (j,), reverse=True))
@@ -238,13 +324,18 @@ def _dp_extend(state: _DpState, n: int, table: CoefficientTable) -> None:
                     best_parts = cand_parts
         values.append(best_value)
         parts.append(best_parts)
+        if state.filtered:
+            try:
+                fv.append(float(best_value))
+            except OverflowError:
+                state.filtered = False
 
 
 def solve_dp(n: int, table: CoefficientTable) -> SolveResult:
     """Exact optimum by dynamic programming over capacities 0..n."""
     _require_coverage(table, n)
-    with _dp_lock:
-        state = _dp_state(table)
+    with _lock:
+        state = _table_state(table)
         if len(state.values) <= n:
             _dp_extend(state, n, table)
         value = state.values[n]

@@ -1,6 +1,10 @@
 """Generalized harmonic numbers against a direct-summation oracle."""
 
+import itertools
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -74,6 +78,51 @@ def test_log_bounds_with_outward_rounding():
         assert generalized_harmonic(n, 1) < Fraction(upper)
         lower = math.nextafter(1 - 1 / (n + 1), -math.inf)
         assert generalized_harmonic(n, 2) > Fraction(lower)
+
+
+def test_memo_under_thread_contention():
+    # More threads than cores grow the shared prefix tables of powers no
+    # other test uses, each thread in its own rotated order of mixed n;
+    # every value must equal a serial running sum.
+    powers = (6, 8, 9)
+    n_max = 150
+    expected = {
+        j: list(itertools.accumulate((Fraction(1, i**j) for i in range(1, n_max + 1)),
+                                     initial=Fraction(0)))
+        for j in powers
+    }
+    queries = [(n, j) for n in (150, 3, 77, 0, 120, 41, 9, 101, 60, 150) for j in powers]
+    workers = 2 * (os.cpu_count() or 1) + 2
+    barrier = threading.Barrier(workers)
+    mismatches: list[tuple[int, int]] = []
+    errors: list[BaseException] = []
+
+    def run(index: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            shift = 7 * index % len(queries)
+            for n, j in queries[shift:] + queries[:shift]:
+                if generalized_harmonic(n, j) != expected[j][n]:
+                    mismatches.append((n, j))
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "a harmonic thread hung"
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert mismatches == []
+    for j in powers:
+        for n in range(n_max + 1):
+            assert generalized_harmonic(n, j) == expected[j][n]
 
 
 def test_rejects_bad_arguments():

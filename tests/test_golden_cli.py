@@ -79,6 +79,17 @@ ERROR_CASES = [
     "optimal 5 --table missing.csv",
 ]
 
+# Benchmark-scale cases, one format each: the default method's DP
+# cross-check at n = 731, the closed form at n = 2900, and the ascending
+# table and verify sweeps.  All three formats would multiply the run
+# time and, for json, the file size without pinning another code path.
+LARGE_CASES = [
+    "optimal 731 --format json",
+    "optimal 2900 --method closed --format text",
+    "table 2 290 --format csv",
+    "verify --lemma-max 440 --agree-max 220 --format json",
+]
+
 # (environment value, command) pairs for the format variable
 ENV_CASES = [
     ("json", "count 7"),
@@ -93,6 +104,7 @@ def _cases() -> list[tuple[str | None, list[str]]]:
     for command in OK_CASES:
         for fmt in ("text", "json", "csv"):
             cases.append((None, [*shlex.split(command), "--format", fmt]))
+    cases.extend((None, shlex.split(command)) for command in LARGE_CASES)
     cases.extend((None, shlex.split(command)) for command in ERROR_CASES)
     cases.extend((env, shlex.split(command)) for env, command in ENV_CASES)
     return cases

@@ -74,16 +74,19 @@ def test_dp_matches_brute_force(table40):
 
 
 def test_dp_shared_cache_under_thread_contention():
-    # More threads than cores fill and read one table's DP cache in
-    # mixed n order, while others churn private tables through the
-    # weakref release; every answer must equal a serial solve.
-    shared = exponential_table(60)
-    ns = [60, 7, 33, 2, 48, 19, 41, 12, 55, 3, 27, 60]
-    serial_table = exponential_table(60)
+    # More threads than cores fill and read three shared tables' DP and
+    # residue-graph memos in mixed n order, while others churn private
+    # tables through the weakref release; every answer must equal a
+    # serial solve.
+    shared = [exponential_table(200) for _ in range(3)]
+    ns = [200, 7, 133, 2, 170, 19, 41, 12, 185, 3, 97, 200]
+    serial_table = exponential_table(200)
     serial = {n: solve_dp(n, serial_table) for n in ns}
+    serial_gr = {n: solve_group_relaxation(n, serial_table) for n in ns}
     workers = 2 * (os.cpu_count() or 1) + 2
     barrier = threading.Barrier(workers)
-    results: dict[tuple[int, int], object] = {}
+    results: dict[tuple[int, int, int], object] = {}
+    gr_results: dict[tuple[int, int, int], object] = {}
     errors: list[BaseException] = []
 
     def run(index: int) -> None:
@@ -91,8 +94,11 @@ def test_dp_shared_cache_under_thread_contention():
             barrier.wait(timeout=30)
             order = ns[index % len(ns):] + ns[: index % len(ns)]
             for n in order:
-                table = shared if index % 2 == 0 else exponential_table(n)
-                results[index, n] = solve_dp(n, table)
+                tables = shared if index % 2 == 0 else [exponential_table(n)]
+                for k, table in enumerate(tables):
+                    if index % 4 < 2:
+                        gr_results[index, n, k] = solve_group_relaxation(n, table)
+                    results[index, n, k] = solve_dp(n, table)
         except BaseException as exc:  # surfaced by the main thread
             errors.append(exc)
 
@@ -104,13 +110,16 @@ def test_dp_shared_cache_under_thread_contention():
             t.start()
         for t in threads:
             t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads), "a solve_dp thread hung"
+        assert not any(t.is_alive() for t in threads), "a solver thread hung"
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
-    assert len(results) == workers * len(set(ns))
-    for (_, n), result in results.items():
+    assert len(results) == (workers + 1) // 2 * 3 * len(set(ns)) + workers // 2 * len(set(ns))
+    for (_, n, _), result in results.items():
         assert result == serial[n]
+    assert gr_results
+    for (_, n, _), result in gr_results.items():
+        assert result == serial_gr[n]
 
 
 def test_dp_tie_prefers_fewer_parts():
@@ -208,6 +217,40 @@ def test_shortest_paths_frozen(table40):
     assert paths[1] == (Fraction(305, 8036), (5,))
     assert paths[2] == (Fraction(610, 8036), (5, 5))
     assert paths[3] == (Fraction(51, 980), (3,))
+
+
+# ------------------------------------------------------------ sweep memo
+
+
+def shifting_best_part_table():
+    # C_j / j rises to a new maximum at j = 3, 7 and 12, so the modulus
+    # b of the residue graph changes three times as n grows
+    rows = ["j,d,k_sq"]
+    for j in range(2, 25):
+        c = Fraction(j, 2) * {3: Fraction(11, 10), 7: Fraction(6, 5), 12: Fraction(5, 4)}.get(
+            j, Fraction(1) - Fraction(1, j + 5))
+        rows.append(f"{j},{c},{c}")
+    return load_table("\n".join(rows) + "\n")
+
+
+def test_best_part_changes_on_shifting_table():
+    t = shifting_best_part_table()
+    moduli = [build_residue_graph(t, n).modulus for n in range(2, 25)]
+    assert moduli == [2] + [3] * 4 + [7] * 5 + [12] * 13
+
+
+@pytest.mark.parametrize("make", [lambda: exponential_table(120), shifting_best_part_table])
+def test_sweep_matches_fresh_tables(make):
+    # one table swept upward, then downward, then in mixed order, must
+    # give what a fresh table gives for every n
+    expected = {}
+    for n in range(2, make().max_part + 1):
+        fresh = make()
+        expected[n] = build_residue_graph(fresh, n), solve_group_relaxation(n, fresh)
+    swept = make()
+    order = list(expected)
+    for n in order + order[::-1] + order[1::7] + order[::5]:
+        assert (build_residue_graph(swept, n), solve_group_relaxation(n, swept)) == expected[n]
 
 
 # ------------------------------------------------------------ group relaxation
