@@ -43,13 +43,6 @@ from .partitions import (
     count_unrestricted,
     enumerate_admissible,
 )
-from .simulation import (
-    BLOCK_REPLICATES,
-    SimulationReport,
-    monte_carlo,
-    replicate_stream,
-    sample_exponential,
-)
 
 __version__ = "0.1.0"
 
@@ -92,3 +85,25 @@ __all__ = [
     "theoretical_variance",
     "verify_lemma",
 ]
+
+# Served by __getattr__ so that importing the package, and every CLI
+# command but `simulate`, never loads numpy.
+_SIMULATION_NAMES = frozenset({
+    "BLOCK_REPLICATES",
+    "SimulationReport",
+    "monte_carlo",
+    "replicate_stream",
+    "sample_exponential",
+})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATION_NAMES:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATION_NAMES)

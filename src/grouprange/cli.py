@@ -43,7 +43,6 @@ from .optimizer import (
     solve_group_relaxation,
 )
 from .partitions import Partition, asymptotic_admissible, count_admissible
-from .simulation import monte_carlo
 
 __all__ = ["main"]
 
@@ -314,6 +313,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         partition = solve_group_relaxation(n, table).partition
     plan = make_plan(partition, table)
+    # Imported here, after the usage checks, so that only a run that
+    # simulates loads numpy.
+    from .simulation import monte_carlo
+
     report = monte_carlo(plan, args.theta, args.reps, args.seed)
 
     payload = {

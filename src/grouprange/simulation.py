@@ -106,8 +106,8 @@ def monte_carlo(
     for b in range(blocks):
         low = b * BLOCK_REPLICATES
         high = min(low + BLOCK_REPLICATES, replicates)
-        u = replicate_stream(seed, b).random((high - low, n))
-        x = -theta * np.log1p(-u)
+        stream = replicate_stream(seed, b)
+        x = sample_exponential((high - low) * n, theta, stream).reshape(high - low, n)
         ranges = np.empty((high - low, len(sizes)))
         for i in range(len(sizes)):
             block = x[:, offsets[i] : offsets[i + 1]]

@@ -1,0 +1,121 @@
+"""Start-up cost: only `simulate` loads numpy.
+
+Every command but `simulate` is exact and needs no numpy, and numpy is
+most of the package's import time.  Each case runs one CLI command in
+a fresh interpreter and reports whether numpy was imported, so a stray
+top-level import of `grouprange.simulation` fails here.  The package
+still exports the simulation names, served on first access.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import grouprange
+from grouprange import simulation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import json, sys
+from grouprange.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+"""
+
+CUSTOM_TABLE = ("j,d,k_sq\n2,1,1\n3,3/2,5/4\n4,11/6,49/36\n5,25/12,205/144\n"
+                "6,2.2,1.5\n7,2.4,1.55\n8,2.6,1.6\n")
+
+LAZY_NAMES = ("BLOCK_REPLICATES", "SimulationReport", "monte_carlo",
+              "replicate_stream", "sample_exponential")
+
+
+def run_child(args: list[str], cwd: Path, code: str = CHILD) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env.pop("GROUPRANGE_FORMAT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def cli_in_child(argv: list[str], cwd: Path) -> dict:
+    proc = run_child([json.dumps(argv)], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+EXACT_CASES = [
+    ["optimal", "22"],
+    ["optimal", "22", "--method", "closed"],
+    ["optimal", "22", "--method", "all"],
+    ["optimal", "8", "--table", "custom.csv", "--method", "all"],
+    ["table", "2", "30"],
+    ["verify", "--lemma-max", "40", "--agree-max", "30"],
+    ["count", "50", "--asymptotic"],
+]
+
+SIMULATE_USAGE_ERRORS = [
+    ["simulate", "10", "--theta", "0"],
+    ["simulate", "10", "--reps", "0"],
+    ["simulate", "10", "--partition", "4,1,5"],
+]
+
+
+@pytest.fixture()
+def workdir(tmp_path):
+    (tmp_path / "custom.csv").write_text(CUSTOM_TABLE)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
+def test_exact_command_never_loads_numpy(argv, workdir):
+    assert cli_in_child(argv, workdir) == {"code": 0, "numpy": False}
+
+
+@pytest.mark.parametrize("argv", SIMULATE_USAGE_ERRORS, ids=" ".join)
+def test_simulate_usage_error_fails_before_numpy(argv, workdir):
+    assert cli_in_child(argv, workdir) == {"code": 2, "numpy": False}
+
+
+def test_simulate_loads_numpy(workdir):
+    assert cli_in_child(["simulate", "8", "--reps", "10"], workdir) == {"code": 0, "numpy": True}
+
+
+def test_bare_package_import_never_loads_numpy(workdir):
+    proc = run_child([], workdir, "import sys, grouprange; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_every_public_name_resolves():
+    for name in grouprange.__all__:
+        assert getattr(grouprange, name) is not None, name
+
+
+def test_lazy_names_are_the_simulation_objects():
+    from grouprange import (
+        BLOCK_REPLICATES,
+        SimulationReport,
+        monte_carlo,
+        replicate_stream,
+        sample_exponential,
+    )
+
+    assert BLOCK_REPLICATES == simulation.BLOCK_REPLICATES
+    assert SimulationReport is simulation.SimulationReport
+    assert monte_carlo is simulation.monte_carlo
+    assert replicate_stream is simulation.replicate_stream
+    assert sample_exponential is simulation.sample_exponential
+    assert set(LAZY_NAMES) <= set(dir(grouprange))
+    assert set(LAZY_NAMES) <= set(grouprange.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'grouprange' has no attribute 'no_such_name'"):
+        grouprange.no_such_name  # noqa: B018
