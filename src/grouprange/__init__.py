@@ -22,10 +22,9 @@ from .coefficients import (
     load_table,
 )
 from .estimator import EstimatorPlan, estimate, make_plan, theoretical_variance
-from .exactmath import Rational, generalized_harmonic
+from .exactmath import generalized_harmonic
 from .lemma import PEAK_RATIO, LemmaReport, envelope_h, ratio, verify_lemma
 from .optimizer import (
-    ResidueEdge,
     ResidueGraph,
     SolveResult,
     build_residue_graph,
@@ -55,8 +54,6 @@ __all__ = [
     "LemmaReport",
     "PEAK_RATIO",
     "Partition",
-    "Rational",
-    "ResidueEdge",
     "ResidueGraph",
     "SimulationReport",
     "SolveResult",

@@ -61,16 +61,25 @@ class InputError(Exception):
 # ---------------------------------------------------------------- rendering
 
 
-def _rational(x: Fraction) -> dict[str, Any]:
-    return {"exact": str(x), "float": float(x)}
+# Payloads hold values as they are computed: Fraction, Partition, int,
+# float, str.  Each form of output converts them only when it prints.
 
 
-def _partition_payload(p: Partition) -> dict[str, Any]:
-    return {
-        "n": p.n,
-        "parts": list(p.parts),
-        "frequencies": {str(j): m for j, m in p.frequencies},
-    }
+def _json_value(x: Any) -> Any:
+    """``json.dumps`` hook for the exact values in a payload."""
+    if isinstance(x, Fraction):
+        return {"exact": str(x), "float": float(x)}
+    if isinstance(x, Partition):
+        return {
+            "n": x.n,
+            "parts": list(x.parts),
+            "frequencies": {str(j): m for j, m in x.frequencies},
+        }
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _approx(x: Fraction) -> str:
+    return f"{x} (~ {float(x):.10g})"
 
 
 def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, Any]:
@@ -78,11 +87,11 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
     by_part = dict(plan.weights)  # weights depend only on the part size
     return {
         "method": result.method,
-        "partition": _partition_payload(result.partition),
-        "objective": _rational(result.objective),
-        "variance_factor": _rational(plan.variance_factor),
+        "partition": result.partition,
+        "objective": result.objective,
+        "variance_factor": plan.variance_factor,
         "weights": [
-            {"part": j, "weight": _rational(by_part[j])}
+            {"part": j, "weight": by_part[j]}
             for j in sorted(by_part, reverse=True)
         ],
     }
@@ -91,56 +100,49 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
 def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> None:
     if fmt == "json":
         envelope = {"command": command, "format": "json", "payload": payload}
-        print(json.dumps(envelope, indent=2))
+        print(json.dumps(envelope, indent=2, default=_json_value))
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        to_csv(writer, payload)
+        # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
+        csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
     else:
         to_text(payload)
+
+
+def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
+    return [list(payload), list(payload.values())]
 
 
 # ---------------------------------------------------------------- optimal
 
 
-def _weights_cell(result_payload: dict[str, Any]) -> str:
-    return " ".join(
-        f"{w['part']}:{w['weight']['exact']}" for w in result_payload["weights"]
-    )
-
-
 def _optimal_text(payload: dict[str, Any]) -> None:
     print(f"n = {payload['n']}, table = {payload['table']}")
     for res in payload["results"]:
-        parts = ",".join(str(p) for p in res["partition"]["parts"])
-        print(f"method {res['method']}: partition {parts}")
-        print(f"  objective        {res['objective']['exact']}"
-              f" (~ {res['objective']['float']:.10g})")
-        print(f"  variance factor  {res['variance_factor']['exact']}"
-              f" (~ {res['variance_factor']['float']:.10g})")
+        print(f"method {res['method']}: partition {res['partition']}")
+        print(f"  objective        {_approx(res['objective'])}")
+        print(f"  variance factor  {_approx(res['variance_factor'])}")
         for w in res["weights"]:
-            print(f"  weight, size {w['part']} blocks: {w['weight']['exact']}"
-                  f" (~ {w['weight']['float']:.10g})")
+            print(f"  weight, size {w['part']} blocks: {_approx(w['weight'])}")
     if "agreement" in payload:
         ok = payload["agreement"]["objectives_equal"]
         print(f"agreement ({'/'.join(payload['agreement']['methods'])}): "
               f"{'objectives equal' if ok else 'OBJECTIVES DIFFER'}")
 
 
-def _optimal_csv(writer, payload: dict[str, Any]) -> None:
-    writer.writerow([
+def _optimal_csv(payload: dict[str, Any]) -> list[list[Any]]:
+    header = [
         "method", "partition", "objective", "objective_float",
         "variance_factor", "variance_factor_float", "weights",
-    ])
-    for res in payload["results"]:
-        writer.writerow([
-            res["method"],
-            ",".join(str(p) for p in res["partition"]["parts"]),
-            res["objective"]["exact"],
-            repr(res["objective"]["float"]),
-            res["variance_factor"]["exact"],
-            repr(res["variance_factor"]["float"]),
-            _weights_cell(res),
-        ])
+    ]
+    return [header] + [
+        [
+            res["method"], res["partition"],
+            res["objective"], float(res["objective"]),
+            res["variance_factor"], float(res["variance_factor"]),
+            " ".join(f"{w['part']}:{w['weight']}" for w in res["weights"]),
+        ]
+        for res in payload["results"]
+    ]
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
@@ -202,25 +204,23 @@ def _table_text(payload: dict[str, Any]) -> None:
     print(f"optimal allocations, table = {payload['table']}")
     print(f"{'n':>5}  {'objective':>16}  {'variance_factor':>16}  partition")
     for row in payload["rows"]:
-        parts = ",".join(str(p) for p in row["partition"]["parts"])
-        print(f"{row['n']:>5}  {row['objective']['float']:>16.10g}"
-              f"  {row['variance_factor']['float']:>16.10g}  {parts}")
+        print(f"{row['n']:>5}  {float(row['objective']):>16.10g}"
+              f"  {float(row['variance_factor']):>16.10g}  {row['partition']}")
 
 
-def _table_csv(writer, payload: dict[str, Any]) -> None:
-    writer.writerow([
+def _table_csv(payload: dict[str, Any]) -> list[list[Any]]:
+    header = [
         "n", "partition", "objective", "objective_float",
         "variance_factor", "variance_factor_float",
-    ])
-    for row in payload["rows"]:
-        writer.writerow([
-            row["n"],
-            ",".join(str(p) for p in row["partition"]["parts"]),
-            row["objective"]["exact"],
-            repr(row["objective"]["float"]),
-            row["variance_factor"]["exact"],
-            repr(row["variance_factor"]["float"]),
-        ])
+    ]
+    return [header] + [
+        [
+            row["n"], row["partition"],
+            row["objective"], float(row["objective"]),
+            row["variance_factor"], float(row["variance_factor"]),
+        ]
+        for row in payload["rows"]
+    ]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -234,9 +234,9 @@ def cmd_table(args: argparse.Namespace) -> int:
         result = solve_group_relaxation(n, table)
         rows.append({
             "n": n,
-            "partition": _partition_payload(result.partition),
-            "objective": _rational(result.objective),
-            "variance_factor": _rational(1 / result.objective),
+            "partition": result.partition,
+            "objective": result.objective,
+            "variance_factor": 1 / result.objective,
         })
     payload = {
         "n_from": args.n_from,
@@ -252,33 +252,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _simulate_text(payload: dict[str, Any]) -> None:
-    parts = ",".join(str(p) for p in payload["partition"]["parts"])
-    print(f"n = {payload['n']}, partition {parts}, theta = {payload['theta']}")
+    print(f"n = {payload['n']}, partition {payload['partition']}, theta = {payload['theta']}")
     print(f"replicates = {payload['replicates']}, seed = {payload['seed']}")
     print(f"mean estimate        {payload['mean_estimate']:.10g}")
     print(f"mean std error       {payload['mean_std_error']:.10g}")
     print(f"empirical variance   {payload['variance_estimate']:.10g}")
     print(f"theoretical variance {payload['theoretical_variance']:.10g}"
-          f"  (factor {payload['variance_factor']['exact']})")
-
-
-def _simulate_csv(writer, payload: dict[str, Any]) -> None:
-    writer.writerow([
-        "n", "theta", "replicates", "seed", "partition", "variance_factor",
-        "mean_estimate", "variance_estimate", "mean_std_error", "theoretical_variance",
-    ])
-    writer.writerow([
-        payload["n"],
-        repr(payload["theta"]),
-        payload["replicates"],
-        payload["seed"],
-        ",".join(str(p) for p in payload["partition"]["parts"]),
-        payload["variance_factor"]["exact"],
-        repr(payload["mean_estimate"]),
-        repr(payload["variance_estimate"]),
-        repr(payload["mean_std_error"]),
-        repr(payload["theoretical_variance"]),
-    ])
+          f"  (factor {payload['variance_factor']})")
 
 
 def _parse_partition_spec(spec: str, n: int) -> Partition:
@@ -302,6 +282,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"n must be >= 2, got {n}")
     if args.theta <= 0:
         raise UsageError(f"--theta must be > 0, got {args.theta}")
+    # theta**2 scales every variance the run reports; keep it a normal float
+    if not 1e-100 <= args.theta <= 1e100:
+        raise UsageError(f"--theta must be finite and in [1e-100, 1e100], got {args.theta}")
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     if not 0 <= args.seed < 2**64:
@@ -324,14 +307,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "theta": report.theta,
         "replicates": report.replicates,
         "seed": report.seed,
-        "partition": _partition_payload(report.plan_partition),
-        "variance_factor": _rational(plan.variance_factor),
+        "partition": report.plan_partition,
+        "variance_factor": plan.variance_factor,
         "mean_estimate": report.mean_estimate,
         "variance_estimate": report.variance_estimate,
         "mean_std_error": report.mean_std_error,
         "theoretical_variance": report.theoretical_variance,
     }
-    _emit("simulate", args.format, payload, _simulate_text, _simulate_csv)
+    _emit("simulate", args.format, payload, _simulate_text, _single_row_csv)
     return 0
 
 
@@ -342,7 +325,7 @@ def _verify_text(payload: dict[str, Any]) -> None:
     lemma = payload["lemma"]
     status = "PASS" if lemma["holds"] else "FAIL"
     print(f"peak ratio: {status}  max C(n)/n at n = {lemma['max_ratio_at']}, "
-          f"value {lemma['max_ratio']['exact']}, checked 2..{lemma['checked_upper']}")
+          f"value {lemma['max_ratio']}, checked 2..{lemma['checked_upper']}")
     print(f"  envelope decreasing and dominating: "
           f"{'yes' if lemma['envelope_ok'] else 'NO'}; "
           f"crosses the peak at n = {lemma['tail_bound_start']}")
@@ -354,23 +337,25 @@ def _verify_text(payload: dict[str, Any]) -> None:
     print(f"overall: {'PASS' if payload['passed'] else 'FAIL'}")
 
 
-def _verify_csv(writer, payload: dict[str, Any]) -> None:
+def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
     lemma = payload["lemma"]
     agreement = payload["agreement"]
-    writer.writerow(["check", "status", "detail"])
-    writer.writerow([
-        "peak_ratio",
-        "PASS" if lemma["holds"] else "FAIL",
-        f"max at n={lemma['max_ratio_at']} value {lemma['max_ratio']['exact']} "
-        f"checked 2..{lemma['checked_upper']} tail from {lemma['tail_bound_start']}",
-    ])
-    writer.writerow([
-        "solver_agreement",
-        "PASS" if agreement["objectives_equal"] else "FAIL",
-        f"n=2..{agreement['n_max']} mismatches={len(agreement['mismatches'])} "
-        f"ties={len(agreement['ties'])}",
-    ])
-    writer.writerow(["overall", "PASS" if payload["passed"] else "FAIL", ""])
+    return [
+        ["check", "status", "detail"],
+        [
+            "peak_ratio",
+            "PASS" if lemma["holds"] else "FAIL",
+            f"max at n={lemma['max_ratio_at']} value {lemma['max_ratio']} "
+            f"checked 2..{lemma['checked_upper']} tail from {lemma['tail_bound_start']}",
+        ],
+        [
+            "solver_agreement",
+            "PASS" if agreement["objectives_equal"] else "FAIL",
+            f"n=2..{agreement['n_max']} mismatches={len(agreement['mismatches'])} "
+            f"ties={len(agreement['ties'])}",
+        ],
+        ["overall", "PASS" if payload["passed"] else "FAIL", ""],
+    ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -399,7 +384,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "lemma": {
             "checked_upper": report.checked_upper,
             "max_ratio_at": report.max_ratio_at,
-            "max_ratio": _rational(report.max_ratio),
+            "max_ratio": report.max_ratio,
             "tail_bound_start": report.tail_bound_start,
             "envelope_ok": report.envelope_ok,
             "exact_ok": report.exact_ok,
@@ -430,18 +415,6 @@ def _count_text(payload: dict[str, Any]) -> None:
         print(f"exact / asymptotic:  {payload['ratio']:.10g}")
 
 
-def _count_csv(writer, payload: dict[str, Any]) -> None:
-    if "asymptotic" in payload:
-        writer.writerow(["n", "admissible", "asymptotic", "ratio"])
-        writer.writerow([
-            payload["n"], payload["admissible"],
-            repr(payload["asymptotic"]), repr(payload["ratio"]),
-        ])
-    else:
-        writer.writerow(["n", "admissible"])
-        writer.writerow([payload["n"], payload["admissible"]])
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"n must be >= 0, got {args.n}")
@@ -456,7 +429,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         payload["asymptotic"] = approx
         # the ratio is O(1) even when the count overflows a float
         payload["ratio"] = float(Fraction(payload["admissible"]) / Fraction(approx))
-    _emit("count", args.format, payload, _count_text, _count_csv)
+    _emit("count", args.format, payload, _count_text, _single_row_csv)
     return 0
 
 

@@ -81,6 +81,6 @@ def estimate(sample: Sequence[float], plan: EstimatorPlan) -> float:
 
 def theoretical_variance(plan: EstimatorPlan, sigma: float) -> float:
     """Var(sigma_hat) = sigma**2 * variance_factor for true scale sigma."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
     return float(plan.variance_factor) * float(sigma) ** 2

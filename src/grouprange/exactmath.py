@@ -19,11 +19,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-__all__ = ["Rational", "generalized_harmonic"]
-
-# Exact rational type used across the package.  fractions.Fraction keeps
-# values normalized (reduced, positive denominator) and compares exactly.
-Rational = Fraction
+__all__ = ["generalized_harmonic"]
 
 _lock = threading.Lock()
 _prefix: dict[int, list[Fraction]] = {}  # j -> [H(0,j), H(1,j), ..., H(m,j)]

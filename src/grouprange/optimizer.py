@@ -39,7 +39,7 @@ solve_group_relaxation
     is tight and the result is exactly optimal; otherwise the solver
     falls back to solve_dp and the result is labeled "dp".  For the
     exponential table the only fallback at n <= 400 is n = 6.  The
-    best-part scan, the penalties and the per-class minima are cached
+    best-part scan and the per-class penalty minima are cached
     per table and grown with n, so a sweep n = 2..N costs O(N)
     rational operations instead of O(N**2).
 
@@ -66,7 +66,6 @@ from .coefficients import CoefficientTable
 from .partitions import Partition
 
 __all__ = [
-    "ResidueEdge",
     "ResidueGraph",
     "SolveResult",
     "build_residue_graph",
@@ -88,37 +87,19 @@ class SolveResult:
 
 
 @dataclass(frozen=True)
-class ResidueEdge:
-    source: int
-    target: int
-    part: int
-    weight: Fraction
-
-
-@dataclass(frozen=True)
 class ResidueGraph:
-    """Residue graph modulo the best part size b.
+    """Residue graph modulo the best part size b, held as its generators.
 
-    ``part_weights`` lists the penalty w_j for every candidate part
-    j != b (the full multigraph, including parts congruent to 0 that
-    would only form self loops).  ``edges`` is the reduced graph: for
-    each (source, target) pair only the minimum-weight part of the
-    congruence class is kept, smallest part on ties.
+    From every vertex v of Z_b a part j leads to (v + j) mod b at
+    penalty w_j, so the graph is the same seen from each vertex and only
+    the cheapest part of a congruence class can lie on a shortest path.
+    ``steps`` holds one (offset, part, penalty) per offset 1..b-1 that
+    some part j <= n reaches, ascending by offset: the class minimum of
+    w_j, smallest part on ties.
     """
 
     modulus: int
-    part_weights: tuple[tuple[int, Fraction], ...]
-    edges: tuple[ResidueEdge, ...]
-
-    @property
-    def vertices(self) -> range:
-        return range(self.modulus)
-
-    def weight(self, j: int) -> Fraction:
-        for part, w in self.part_weights:
-            if part == j:
-                return w
-        raise ValueError(f"no part of size {j} in this graph")
+    steps: tuple[tuple[int, int, Fraction], ...]
 
 
 def partition_objective(partition: Partition, table: CoefficientTable) -> Fraction:
@@ -140,7 +121,7 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 class _TableState:
     __slots__ = (
         "values", "parts", "fv", "fc", "filtered",
-        "best", "best_ratio", "modulus", "penalized", "penalties", "records",
+        "best", "best_ratio", "modulus", "penalized", "records",
     )
 
     def __init__(self) -> None:
@@ -155,14 +136,13 @@ class _TableState:
         self.filtered = True
         # Residue graph: best[n] is the argmax of C_j / j over 2..n
         # (smallest j on ties), best_ratio the maximum scanned so far.
-        # For the current modulus b: penalties (j, w_j) for 2 <= j <=
-        # penalized, j != b, ascending; records[offset] lists the (j, w_j)
-        # at which the minimum of the class j = offset (mod b) drops.
+        # For the current modulus b and the parts 2 <= j <= penalized:
+        # records[offset] lists the (j, w_j) at which the minimum of the
+        # class j = offset (mod b) drops.
         self.best: list[int] = [0, 0]
         self.best_ratio = Fraction(0)
         self.modulus = 0
         self.penalized = 1
-        self.penalties: list[tuple[int, Fraction]] = []
         self.records: dict[int, list[tuple[int, Fraction]]] = {}
 
 
@@ -193,23 +173,21 @@ def _best_part(state: _TableState, table: CoefficientTable, n: int) -> int:
     return best[n]
 
 
-def _grow_penalties(state: _TableState, table: CoefficientTable, b: int, n: int) -> None:
+def _grow_class_minima(state: _TableState, table: CoefficientTable, b: int, n: int) -> None:
     # b maximizes C_j / j over 2..n, so every w_j with j <= n is >= 0.
-    # The n with the same best part form one interval, so penalties
+    # The n with the same best part form one interval, so the minima
     # kept for b stay valid until the modulus changes.
     if state.modulus != b:
-        state.modulus, state.penalized, state.penalties, state.records = b, 1, [], {}
+        state.modulus, state.penalized, state.records = b, 1, {}
     per_unit = table.c(b) / b
     for j in range(state.penalized + 1, n + 1):
-        if j == b:
+        offset = j % b
+        if not offset:  # self loops never help a shortest path
             continue
         w = j * per_unit - table.c(j)
-        state.penalties.append((j, w))
-        offset = j % b
-        if offset:  # self loops never help a shortest path
-            records = state.records.setdefault(offset, [])
-            if not records or w < records[-1][1]:  # smallest part on ties
-                records.append((j, w))
+        records = state.records.setdefault(offset, [])
+        if not records or w < records[-1][1]:  # smallest part on ties
+            records.append((j, w))
     state.penalized = max(state.penalized, n)
 
 
@@ -219,21 +197,13 @@ def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
     with _lock:
         state = _table_state(table)
         b = _best_part(state, table, n)
-        _grow_penalties(state, table, b, n)
-        part_weights = tuple(state.penalties[: n - 2])  # the j <= n; b <= n
-        class_best = []
+        _grow_class_minima(state, table, b, n)
+        steps = []
         for offset, records in sorted(state.records.items()):
             i = bisect.bisect_right(records, n, key=operator.itemgetter(0))
             if i:
-                class_best.append((offset, records[i - 1]))
-
-    edges = [
-        ResidueEdge(v, (v + offset) % b, j, w)
-        for v in range(b)
-        for offset, (j, w) in class_best
-    ]
-    edges.sort(key=lambda e: (e.source, e.target))
-    return ResidueGraph(b, part_weights, tuple(edges))
+                steps.append((offset, *records[i - 1]))
+    return ResidueGraph(b, tuple(steps))
 
 
 def shortest_paths(
@@ -242,13 +212,8 @@ def shortest_paths(
     """Minimum-penalty paths from ``source`` to every reachable vertex.
 
     Returns target -> (total weight, parts used, descending).  Ties in
-    total weight prefer fewer edges, which matches the global
-    preference for fewer parts.
+    total weight prefer fewer parts, as the solvers' tie-break does.
     """
-    adjacency: dict[int, list[ResidueEdge]] = {v: [] for v in graph.vertices}
-    for edge in graph.edges:
-        adjacency[edge.source].append(edge)
-
     dist: dict[int, tuple[Fraction, int, tuple[int, ...]]] = {
         source: (Fraction(0), 0, ())
     }
@@ -259,13 +224,14 @@ def shortest_paths(
         if v in done:
             continue
         done.add(v)
-        for edge in adjacency[v]:
-            cand = (d + edge.weight, hops + 1)
-            known = dist.get(edge.target)
+        for offset, part, penalty in graph.steps:
+            target = (v + offset) % graph.modulus
+            cand = (d + penalty, hops + 1)
+            known = dist.get(target)
             if known is None or cand < known[:2]:
-                parts = tuple(sorted(dist[v][2] + (edge.part,), reverse=True))
-                dist[edge.target] = (cand[0], cand[1], parts)
-                heapq.heappush(heap, (cand[0], cand[1], edge.target))
+                parts = tuple(sorted(dist[v][2] + (part,), reverse=True))
+                dist[target] = (cand[0], cand[1], parts)
+                heapq.heappush(heap, (cand[0], cand[1], target))
     return {v: (d, parts) for v, (d, _, parts) in dist.items()}
 
 

@@ -79,20 +79,6 @@ class Partition:
             out.extend([part] * mult)
         return tuple(out)
 
-    @property
-    def length(self) -> int:
-        """Number of parts (subsamples), counted with multiplicity."""
-        return sum(mult for _, mult in self.frequencies)
-
-    def multiplicity(self, part: int) -> int:
-        for p, m in self.frequencies:
-            if p == part:
-                return m
-        return 0
-
-    def frequency_map(self) -> dict[int, int]:
-        return dict(self.frequencies)
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 

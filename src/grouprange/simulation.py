@@ -80,8 +80,8 @@ def sample_exponential(n: int, theta: float, stream: np.random.Generator) -> np.
     """n inverse-CDF draws x = -theta * ln(1 - U) from the stream."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if theta <= 0:
-        raise ValueError(f"theta must be > 0, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
     u = stream.random(n)
     return -theta * np.log1p(-u)
 
@@ -90,8 +90,8 @@ def monte_carlo(
     plan: EstimatorPlan, theta: float, replicates: int, seed: int
 ) -> SimulationReport:
     """Replicated estimates of sigma = theta under a fixed plan."""
-    if theta <= 0:
-        raise ValueError(f"theta must be > 0, got {theta}")
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be finite and > 0, got {theta}")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     _check_seed(seed)

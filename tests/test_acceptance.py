@@ -82,9 +82,12 @@ def test_criterion_2_exact_constants(table40):
     }
     ok = (
         ratio(4, table40) == Fraction(121, 196)
-        and graph.weight(5) == Fraction(305, 8036)
-        and graph.weight(2) == Fraction(23, 98)
-        and graph.weight(3) == Fraction(51, 980)
+        and graph.steps == (
+            (1, 5, Fraction(305, 8036)),
+            (2, 6, Fraction(73285, 516362)),
+            (3, 3, Fraction(51, 980)),
+        )
+        and 2 * table40.c(4) / 4 - table40.c(2) == Fraction(23, 98)
         and paths[1][0] == Fraction(305, 8036)
         and paths[2][0] == Fraction(610, 8036)
         and paths[3][0] == Fraction(51, 980)
@@ -93,7 +96,8 @@ def test_criterion_2_exact_constants(table40):
     _report(
         2,
         ok,
-        "C_4/4 = 121/196; part penalties 305/8036, 23/98, 51/980; "
+        "C_4/4 = 121/196; residue steps (+1: part 5, 305/8036), "
+        "(+2: part 6, 73285/516362), (+3: part 3, 51/980); w_2 = 23/98; "
         "path totals 305/8036, 610/8036, 51/980; n = 22 optimum (5,5,4,4,4); "
         "rational equality",
     )

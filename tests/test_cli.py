@@ -29,9 +29,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
+def loads_strict(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
-    envelope = json.loads(out)
+    envelope = loads_strict(out)
     jsonschema.validate(envelope, SCHEMA)
     return code, envelope, err
 
@@ -296,7 +304,7 @@ def test_custom_table_errors(tmp_path, capsys):
 def test_format_env_default(monkeypatch, capsys):
     monkeypatch.setenv("GROUPRANGE_FORMAT", "json")
     code, out, err = run(capsys, "count", "6")
-    envelope = json.loads(out)
+    envelope = loads_strict(out)
     assert code == 0
     assert envelope["format"] == "json"
 
@@ -339,6 +347,6 @@ def test_solver_disagreement_exits_4(monkeypatch, capsys):
 
     code, out, err = run(capsys, "optimal", "10", "--method", "all", "--format", "json")
     assert code == 4
-    envelope = json.loads(out)
+    envelope = loads_strict(out)
     jsonschema.validate(envelope, SCHEMA)
     assert envelope["payload"]["agreement"]["objectives_equal"] is False

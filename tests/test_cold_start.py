@@ -62,6 +62,7 @@ EXACT_CASES = [
 
 SIMULATE_USAGE_ERRORS = [
     ["simulate", "10", "--theta", "0"],
+    ["simulate", "10", "--theta", "nan"],
     ["simulate", "10", "--reps", "0"],
     ["simulate", "10", "--partition", "4,1,5"],
 ]

@@ -129,6 +129,9 @@ def test_theoretical_variance_values(table40):
         theoretical_variance(plan, 0.0)
     with pytest.raises(ValueError):
         theoretical_variance(plan, -1.0)
+    for sigma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            theoretical_variance(plan, sigma)
 
 
 # -------------------------------------------------------------------- estimate

@@ -77,6 +77,9 @@ ERROR_CASES = [
     "optimal 5 --table gap.csv",
     "optimal 5 --table short.csv",
     "optimal 5 --table missing.csv",
+    "simulate 10 --theta nan",
+    "simulate 10 --theta inf",
+    "simulate 10 --theta 1e200",
 ]
 
 # Benchmark-scale cases, one format each: the default method's DP

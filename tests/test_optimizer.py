@@ -151,57 +151,58 @@ def test_dp_requires_coverage(table40):
 def test_graph_shape_for_exponential(table40):
     g = build_residue_graph(table40, 22)
     assert g.modulus == 4
-    assert list(g.vertices) == [0, 1, 2, 3]
-    # reduced graph: one edge per ordered pair of distinct residues
-    assert len(g.edges) == 12
-    pairs = {(e.source, e.target) for e in g.edges}
-    assert len(pairs) == 12
-    # the graph is vertex transitive: same weights out of every vertex
-    by_source = {}
-    for e in g.edges:
-        by_source.setdefault(e.source, set()).add((((e.target - e.source) % 4), e.part, e.weight))
-    assert len(set(map(frozenset, by_source.values()))) == 1
+    # one generator per nonzero offset mod 4, ascending
+    assert [offset for offset, _, _ in g.steps] == [1, 2, 3]
 
 
 def test_graph_frozen_edge_weights(table40):
     g = build_residue_graph(table40, 22)
-    assert g.weight(5) == Fraction(305, 8036)
-    assert g.weight(2) == Fraction(23, 98)
-    assert g.weight(3) == Fraction(51, 980)
+    assert g.steps == (
+        (1, 5, Fraction(305, 8036)),
+        (2, 6, Fraction(73285, 516362)),
+        (3, 3, Fraction(51, 980)),
+    )
 
 
 def test_graph_weights_match_definition(table40):
-    g = build_residue_graph(table40, 22)
-    per_unit = efficiency_oracle(4) / 4
-    for j, w in g.part_weights:
-        assert w == j * per_unit - efficiency_oracle(j)
-        assert w >= 0
+    # each step is the cheapest part j <= n of its class, smallest part
+    # on ties, at penalty w_j = j * C_b / b - C_j >= 0
+    for n in range(2, 41):
+        b = max(range(2, n + 1), key=lambda j: (efficiency_oracle(j) / j, -j))
+        expected = []
+        for offset in range(1, b):
+            classmates = [
+                (j * efficiency_oracle(b) / b - efficiency_oracle(j), j)
+                for j in range(2, n + 1)
+                if j % b == offset
+            ]
+            if classmates:
+                w, j = min(classmates)
+                assert w >= 0
+                expected.append((offset, j, w))
+        g = build_residue_graph(table40, n)
+        assert (g.modulus, g.steps) == (b, tuple(expected))
 
 
 def test_graph_keeps_class_minimum(table40):
-    # part 6 undercuts part 2 on the +2 offset, so the reduced edge
-    # 0 -> 2 carries part 6, while w_2 = 23/98 stays visible per part
+    # part 6 undercuts part 2 on the +2 offset, so the step for offset 2
+    # carries part 6, not the smaller part 2
     g = build_residue_graph(table40, 22)
-    w6 = 6 * efficiency_oracle(4) / 4 - efficiency_oracle(6)
-    assert w6 < Fraction(23, 98)
-    edge = next(e for e in g.edges if e.source == 0 and e.target == 2)
-    assert edge.part == 6
-    assert edge.weight == w6
-    for e in g.edges:
-        offset = (e.target - e.source) % g.modulus
-        classmates = [w for j, w in g.part_weights if j % g.modulus == offset]
-        assert e.weight == min(classmates)
+    w2 = 2 * table40.c(4) / 4 - table40.c(2)
+    assert w2 == Fraction(23, 98)
+    offset, part, penalty = g.steps[1]
+    assert (offset, part) == (2, 6)
+    assert penalty == 6 * table40.c(4) / 4 - table40.c(6) < w2
 
 
 def test_graph_small_n():
     t = exponential_table(5)
     g = build_residue_graph(t, 5)
     assert g.modulus == 4  # C_4/4 = 121/196 beats C_5/5 = 25/41
-    assert {j for j, _ in g.part_weights} == {2, 3, 5}
+    assert [(offset, part) for offset, part, _ in g.steps] == [(1, 5), (2, 2), (3, 3)]
     g2 = build_residue_graph(t, 2)
     assert g2.modulus == 2
-    assert g2.part_weights == ()
-    assert g2.edges == ()
+    assert g2.steps == ()
 
 
 def test_graph_modulus_tie_takes_smallest():
@@ -260,8 +261,7 @@ def test_gr_frozen_example(table40):
     result = solve_group_relaxation(22, table40)
     assert result.method == "group_relaxation"
     assert result.partition.parts == (5, 5, 4, 4, 4)
-    assert result.partition.multiplicity(5) == 2  # path parts
-    assert result.partition.multiplicity(4) == 3  # recovered f_4
+    assert result.partition.frequencies == ((4, 3), (5, 2))  # f_4 recovered, 5s on the path
     assert result.objective == Fraction(27133, 2009)
 
 
@@ -322,11 +322,11 @@ def test_rule_of_fours_structure():
         assert p.n == n
         q, r = divmod(n, 4)
         if r == 0:
-            assert p.frequency_map() == {4: q}
+            assert dict(p.frequencies) == {4: q}
         elif r in (1, 2):
-            assert p.frequency_map() == ({5: r} if q == r else {4: q - r, 5: r})
+            assert dict(p.frequencies) == ({5: r} if q == r else {4: q - r, 5: r})
         else:
-            assert p.frequency_map() == {3: 1, 4: q}
+            assert dict(p.frequencies) == {3: 1, 4: q}
 
 
 def test_rule_of_fours_rejects_small_n():

@@ -34,9 +34,6 @@ def test_partition_from_parts():
     assert p.n == 22
     assert p.parts == (5, 5, 4, 4, 4)
     assert p.frequencies == ((4, 3), (5, 2))
-    assert p.length == 5
-    assert p.multiplicity(4) == 3
-    assert p.multiplicity(7) == 0
     assert str(p) == "5,5,4,4,4"
 
 
@@ -44,7 +41,7 @@ def test_partition_from_frequencies():
     p = Partition.from_frequencies({4: 2, 5: 0, 3: 1})
     assert p.n == 11
     assert p.parts == (4, 4, 3)
-    assert p.frequency_map() == {3: 1, 4: 2}
+    assert p.frequencies == ((3, 1), (4, 2))
 
 
 def test_partition_equality_and_hash():

@@ -50,6 +50,9 @@ def test_sample_exponential_rejects_bad_args():
         sample_exponential(5, 0.0, stream)
     with pytest.raises(ValueError):
         sample_exponential(5, -2.0, stream)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sample_exponential(5, theta, stream)
 
 
 # --------------------------------------------------------------------- streams
@@ -130,6 +133,9 @@ def test_monte_carlo_rejects_bad_args(table40):
         monte_carlo(plan, 1.0, 0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(plan, 1.0, 10, seed=-1)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo(plan, theta, 10, seed=0)
 
 
 # ------------------------------------------------------------------ statistics
