@@ -33,7 +33,7 @@ from .coefficients import (
     exponential_table,
     load_table,
 )
-from .estimator import make_plan
+from .estimator import check_theta, make_plan
 from .lemma import verify_lemma
 from .optimizer import (
     SolveResult,
@@ -282,9 +282,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"n must be >= 2, got {n}")
     if args.theta <= 0:
         raise UsageError(f"--theta must be > 0, got {args.theta}")
-    # theta**2 scales every variance the run reports; keep it a normal float
-    if not 1e-100 <= args.theta <= 1e100:
-        raise UsageError(f"--theta must be finite and in [1e-100, 1e100], got {args.theta}")
+    try:
+        check_theta("--theta", args.theta)
+    except ValueError as error:
+        raise UsageError(str(error)) from None
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
     if not 0 <= args.seed < 2**64:

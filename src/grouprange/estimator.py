@@ -31,6 +31,17 @@ from .partitions import Partition
 
 __all__ = ["EstimatorPlan", "make_plan", "estimate", "theoretical_variance"]
 
+# theta**2 scales every variance a plan reports; on this range it stays a
+# normal float, neither overflowing to inf nor flushing to 0.0
+THETA_MIN = 1e-100
+THETA_MAX = 1e100
+
+
+def check_theta(name: str, theta: float) -> None:
+    """Raise ValueError unless THETA_MIN <= theta <= THETA_MAX (so not NaN)."""
+    if not THETA_MIN <= theta <= THETA_MAX:
+        raise ValueError(f"{name} must be finite and in [1e-100, 1e100], got {theta}")
+
 
 @dataclass(frozen=True)
 class EstimatorPlan:
@@ -81,6 +92,5 @@ def estimate(sample: Sequence[float], plan: EstimatorPlan) -> float:
 
 def theoretical_variance(plan: EstimatorPlan, sigma: float) -> float:
     """Var(sigma_hat) = sigma**2 * variance_factor for true scale sigma."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    check_theta("sigma", sigma)
     return float(plan.variance_factor) * float(sigma) ** 2

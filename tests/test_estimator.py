@@ -129,9 +129,12 @@ def test_theoretical_variance_values(table40):
         theoretical_variance(plan, 0.0)
     with pytest.raises(ValueError):
         theoretical_variance(plan, -1.0)
-    for sigma in (math.nan, math.inf, -math.inf):
+    # sigma**2 would overflow to inf or flush to 0.0 outside [1e-100, 1e100]
+    for sigma in (math.nan, math.inf, -math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="finite"):
             theoretical_variance(plan, sigma)
+    assert theoretical_variance(plan, 1e100) == float(plan.variance_factor) * 1e200
+    assert theoretical_variance(plan, 1e-100) == float(plan.variance_factor) * 1e-200
 
 
 # -------------------------------------------------------------------- estimate

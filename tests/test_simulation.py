@@ -1,6 +1,10 @@
 """Seeded sampling, block scheduling, and Monte-Carlo summaries."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +12,18 @@ import pytest
 from grouprange import (
     BLOCK_REPLICATES,
     Partition,
+    SimulationReport,
+    exponential_table,
     make_plan,
     monte_carlo,
     replicate_stream,
     sample_exponential,
+    theoretical_variance,
 )
+from grouprange import simulation
+from grouprange.optimizer import rule_of_fours
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class _FixedStream:
@@ -50,7 +61,7 @@ def test_sample_exponential_rejects_bad_args():
         sample_exponential(5, 0.0, stream)
     with pytest.raises(ValueError):
         sample_exponential(5, -2.0, stream)
-    for theta in (math.nan, math.inf, -math.inf):
+    for theta in (math.nan, math.inf, -math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="finite"):
             sample_exponential(5, theta, stream)
 
@@ -133,8 +144,23 @@ def test_monte_carlo_rejects_bad_args(table40):
         monte_carlo(plan, 1.0, 0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(plan, 1.0, 10, seed=-1)
-    for theta in (math.nan, math.inf, -math.inf):
+    for theta in (math.nan, math.inf, -math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="finite"):
+            monte_carlo(plan, theta, 10, seed=0)
+
+
+def test_monte_carlo_rejects_theta_before_drawing(table40, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before checking theta")
+
+    monkeypatch.setattr(simulation, "sample_exponential", no_draws)
+    plan = make_plan(Partition.from_parts([2]), table40)
+    for theta in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo(plan, theta, 10, seed=0)
+    # both ends of the range are accepted
+    for theta in (1e-100, 1e100):
+        with pytest.raises(AssertionError, match="drew"):
             monte_carlo(plan, theta, 10, seed=0)
 
 
@@ -162,3 +188,125 @@ def test_optimal_plan_mean_unbiased(table40):
     assert abs(report.mean_estimate - 1.0) < 4 * report.mean_std_error
     # empirical variance should sit near the exact value 2009/27133
     assert report.variance_estimate == pytest.approx(report.theoretical_variance, rel=0.05)
+
+
+# ------------------------------------------------------ bit identity, chunking
+
+
+def reference_monte_carlo(plan, theta, replicates, seed):
+    """The block loop as it stood before chunking, kept as the oracle.
+
+    Each block draws all its rows x n uniforms at once, transforms them
+    out of place, and takes every part's range with a max and a min
+    over that part's columns.
+    """
+    n = plan.partition.n
+    sizes = [size for size, _ in plan.weights]
+    weights = np.array([float(a) for _, a in plan.weights])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+
+    estimates = np.empty(replicates)
+    blocks = (replicates + BLOCK_REPLICATES - 1) // BLOCK_REPLICATES
+    for b in range(blocks):
+        low = b * BLOCK_REPLICATES
+        high = min(low + BLOCK_REPLICATES, replicates)
+        u = replicate_stream(seed, b).random((high - low) * n)
+        x = (-theta * np.log1p(-u)).reshape(high - low, n)
+        ranges = np.empty((high - low, len(sizes)))
+        for i in range(len(sizes)):
+            block = x[:, offsets[i] : offsets[i + 1]]
+            ranges[:, i] = block.max(axis=1) - block.min(axis=1)
+        estimates[low:high] = (ranges * weights).sum(axis=1)
+
+    variance = float(estimates.var(ddof=1)) if replicates > 1 else 0.0
+    return SimulationReport(
+        n=n,
+        theta=float(theta),
+        replicates=replicates,
+        seed=seed,
+        mean_estimate=float(estimates.mean()),
+        variance_estimate=variance,
+        mean_std_error=math.sqrt(variance / replicates),
+        theoretical_variance=theoretical_variance(plan, theta),
+        plan_partition=plan.partition,
+    )
+
+
+REFERENCE_PLANS = {
+    "pair": Partition.from_parts([2]),
+    "wide": Partition.from_parts([60]),
+    "mixed": Partition.from_parts([9, 6, 6, 5, 4, 4, 4, 3, 2, 2, 2]),
+    "wide_and_small": Partition.from_parts([50, 50, 5, 4, 4, 3, 2]),
+    "fours22": rule_of_fours(22),
+    "fours401": rule_of_fours(401),
+}
+REFERENCE_REPS = (1, 2, BLOCK_REPLICATES - 1, BLOCK_REPLICATES, BLOCK_REPLICATES + 1,
+                  2 * BLOCK_REPLICATES + 3)
+# The reference costs the most per block on the two widest plans (0.6 s
+# at n = 401), so they run at the sizes that cross no boundary and at one
+# block plus one; the other plans take every size.
+REFERENCE_CASES = [(name, reps) for name in REFERENCE_PLANS for reps in REFERENCE_REPS
+                   if name not in ("wide_and_small", "fours401")
+                   or reps in (1, 2, BLOCK_REPLICATES + 1)]
+# prime, so every full block ends in a partial chunk (65536 = 65 * 997 + 731)
+CHUNK_ROWS = 997
+
+
+@pytest.fixture(scope="module")
+def table401():
+    return exponential_table(401)
+
+
+def _assert_matches_reference(monkeypatch, plan, theta, replicates, rows):
+    monkeypatch.setattr(simulation, "_CHUNK_BYTES", 8 * plan.partition.n * rows)
+    seed = 2**64 - 1 - replicates
+    assert monte_carlo(plan, theta, replicates, seed) == reference_monte_carlo(
+        plan, theta, replicates, seed)
+
+
+@pytest.mark.parametrize("name, replicates", REFERENCE_CASES)
+def test_monte_carlo_matches_reference(table401, monkeypatch, name, replicates):
+    plan = make_plan(REFERENCE_PLANS[name], table401)
+    _assert_matches_reference(monkeypatch, plan, 1.0, replicates, CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("theta", (1e-100, 1e100))
+@pytest.mark.parametrize("name", REFERENCE_PLANS)
+def test_monte_carlo_matches_reference_at_theta_bounds(table401, monkeypatch, name, theta):
+    plan = make_plan(REFERENCE_PLANS[name], table401)
+    _assert_matches_reference(monkeypatch, plan, theta, 3 * CHUNK_ROWS + 2, CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("name, replicates", [
+    ("pair", 2), ("pair", BLOCK_REPLICATES + 1), ("fours22", 2), ("fours22", 3 * 3 + 2)])
+def test_monte_carlo_matches_reference_in_few_row_chunks(table401, monkeypatch, name,
+                                                         replicates):
+    plan = make_plan(REFERENCE_PLANS[name], table401)
+    _assert_matches_reference(monkeypatch, plan, 1.0, replicates, 3)
+
+
+def test_simulation_memory_is_bounded():
+    """simulate 1500 --reps 65536 peaks under 150 MB.
+
+    One block of 65536 x 1500 doubles is 786 MB before any temporary;
+    drawing it in chunks leaves a few MiB of chunk arrays plus the
+    estimates.
+    A small launcher process starts the command and reads its peak with
+    wait4: a child started from this process directly would report this
+    process's peak too, since Linux carries the peak of the image a
+    process replaces at exec into its own.
+    """
+    env = dict(os.environ)
+    env.pop("GROUPRANGE_FORMAT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    launcher = ("import os, subprocess, sys\n"
+                "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                "_, status, usage = os.wait4(proc.pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    argv = [sys.executable, "-m", "grouprange.cli", "simulate", "1500", "--reps", "65536",
+            "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
+    assert code == 0
+    assert peak_kib * 1024 < 150e6
