@@ -31,15 +31,14 @@ from .partitions import Partition
 
 __all__ = ["EstimatorPlan", "make_plan", "estimate", "theoretical_variance"]
 
-# theta**2 scales every variance a plan reports; on this range it stays a
-# normal float, neither overflowing to inf nor flushing to 0.0
-THETA_MIN = 1e-100
-THETA_MAX = 1e100
-
 
 def check_theta(name: str, theta: float) -> None:
-    """Raise ValueError unless THETA_MIN <= theta <= THETA_MAX (so not NaN)."""
-    if not THETA_MIN <= theta <= THETA_MAX:
+    """Raise ValueError unless 1e-100 <= theta <= 1e100 (so not NaN).
+
+    theta**2 scales every variance a plan reports; on this range it stays
+    a normal float, neither overflowing to inf nor flushing to 0.0.
+    """
+    if not 1e-100 <= theta <= 1e100:
         raise ValueError(f"{name} must be finite and in [1e-100, 1e100], got {theta}")
 
 

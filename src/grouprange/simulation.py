@@ -18,11 +18,12 @@ uniforms.  Successive draws from one Philox stream continue the same
 sequence, so the chunks of a block together draw exactly what one
 draw of the whole block would.  Within a chunk, each run of equal-size
 parts (contiguous in the plan's descending order) is reduced at once:
-its columns are folded with elementwise maximum and minimum, or, for
-parts of 48 or more, reduced row-wise.  Either gives the same exact
-extremes as a per-part max and min.  A call thus holds the chunk, the
-per-part extremes and ranges of its rows (at most about 1.5 chunks
-more) and 8 bytes per replicate for the estimates, whatever n is.
+the k-th entries of its parts are folded in halves with elementwise
+maximum and minimum, about log2(size) calls per run for narrow and wide
+parts alike, which give the same exact extremes as a per-part max and
+min.  A call thus holds the chunk, a fold workspace and the per-part
+extremes and ranges of its rows (at most about two chunks more) and
+8 bytes per replicate for the estimates, whatever n is.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ BLOCK_REPLICATES = 1 << 16
 _SEED_LIMIT = 1 << 64
 
 # Bytes of uniforms drawn per chunk.  Measured on a host with 2 MiB of L2
-# per core: rule-of-fours plans at n = 1500 ran 13% slower with 2 MiB
-# chunks and 20% slower with 4 MiB than with 1 MiB, and the simulate
-# benchmark's ops (n = 8..400) ran as fast from 0.5 to 2 MiB.
+# per core, over rule-of-fours plans at n = 13 to 1500 and single parts of
+# 1500: chunks of 256 KiB to 1 MiB ran within 10% of each other, while
+# 2 MiB was up to 30% and 4 MiB up to 53% slower than 1 MiB.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -108,6 +109,26 @@ def sample_exponential(n: int, theta: float, stream: np.random.Generator) -> np.
     return x
 
 
+def _fold(entries: np.ndarray, ufunc: np.ufunc, work: np.ndarray) -> np.ndarray:
+    """ufunc (maximum or minimum) over axis 0 of entries, folded into work.
+
+    Each step combines the first and the last half of the rows left, so k
+    rows take about log2(k) elementwise calls, each over whole rows of
+    work; work needs (k + 1) // 2 rows.  Maximum and minimum are exact,
+    so the result equals a direct max or min over the axis.
+    """
+    source = entries
+    width = len(entries)
+    while width > 1:
+        half = width // 2
+        ufunc(source[:half], source[width - half : width], out=work[:half])
+        # the middle row of an odd width is carried over as it is
+        work[half : width - half] = source[half : width - half]
+        source = work
+        width -= half
+    return work[0]
+
+
 def monte_carlo(
     plan: EstimatorPlan, theta: float, replicates: int, seed: int
 ) -> SimulationReport:
@@ -124,6 +145,7 @@ def monte_carlo(
     chunk = max(1, min(BLOCK_REPLICATES, replicates, _CHUNK_BYTES // (8 * n)))
     highs = np.empty((chunk, len(weights)))
     lows = np.empty((chunk, len(weights)))
+    work = np.empty(chunk * n)
 
     estimates = np.empty(replicates)
     blocks = (replicates + BLOCK_REPLICATES - 1) // BLOCK_REPLICATES
@@ -136,18 +158,11 @@ def monte_carlo(
             column = offset = 0
             for size, count in runs:
                 parts = x[:, offset : offset + size * count].reshape(rows, count, size)
-                hi = highs[:rows, column : column + count]
-                lo = lows[:rows, column : column + count]
-                if size >= 48:
-                    # one call per column would cost more than a row-wise reduce
-                    parts.max(axis=2, out=hi)
-                    parts.min(axis=2, out=lo)
-                else:
-                    np.maximum(parts[:, :, 0], parts[:, :, 1], out=hi)
-                    np.minimum(parts[:, :, 0], parts[:, :, 1], out=lo)
-                    for k in range(2, size):
-                        np.maximum(hi, parts[:, :, k], out=hi)
-                        np.minimum(lo, parts[:, :, k], out=lo)
+                # entries[k] holds entry k of every part of the run, (rows, count)
+                entries = parts.transpose(2, 0, 1)
+                space = work[: (size + 1) // 2 * rows * count].reshape(-1, rows, count)
+                highs[:rows, column : column + count] = _fold(entries, np.maximum, space)
+                lows[:rows, column : column + count] = _fold(entries, np.minimum, space)
                 column += count
                 offset += size * count
             ranges = np.subtract(highs[:rows], lows[:rows], out=highs[:rows])

@@ -242,12 +242,11 @@ REFERENCE_PLANS = {
 }
 REFERENCE_REPS = (1, 2, BLOCK_REPLICATES - 1, BLOCK_REPLICATES, BLOCK_REPLICATES + 1,
                   2 * BLOCK_REPLICATES + 3)
-# The reference costs the most per block on the two widest plans (0.6 s
-# at n = 401), so they run at the sizes that cross no boundary and at one
-# block plus one; the other plans take every size.
+# The reference costs the most per block on the widest plan (0.6 s and
+# 630 MB at n = 401), so it runs at the sizes that cross no boundary and
+# at one block plus one; the other plans take every size.
 REFERENCE_CASES = [(name, reps) for name in REFERENCE_PLANS for reps in REFERENCE_REPS
-                   if name not in ("wide_and_small", "fours401")
-                   or reps in (1, 2, BLOCK_REPLICATES + 1)]
+                   if name != "fours401" or reps in (1, 2, BLOCK_REPLICATES + 1)]
 # prime, so every full block ends in a partial chunk (65536 = 65 * 997 + 731)
 CHUNK_ROWS = 997
 
@@ -270,11 +269,17 @@ def test_monte_carlo_matches_reference(table401, monkeypatch, name, replicates):
     _assert_matches_reference(monkeypatch, plan, 1.0, replicates, CHUNK_ROWS)
 
 
+# every plan within one block, and the cheap plans across a block boundary
+THETA_BOUND_CASES = ([(name, 3 * CHUNK_ROWS + 2) for name in REFERENCE_PLANS]
+                     + [(name, BLOCK_REPLICATES + 1) for name in ("pair", "mixed", "fours22")])
+
+
 @pytest.mark.parametrize("theta", (1e-100, 1e100))
-@pytest.mark.parametrize("name", REFERENCE_PLANS)
-def test_monte_carlo_matches_reference_at_theta_bounds(table401, monkeypatch, name, theta):
+@pytest.mark.parametrize("name, replicates", THETA_BOUND_CASES)
+def test_monte_carlo_matches_reference_at_theta_bounds(table401, monkeypatch, name,
+                                                       replicates, theta):
     plan = make_plan(REFERENCE_PLANS[name], table401)
-    _assert_matches_reference(monkeypatch, plan, theta, 3 * CHUNK_ROWS + 2, CHUNK_ROWS)
+    _assert_matches_reference(monkeypatch, plan, theta, replicates, CHUNK_ROWS)
 
 
 @pytest.mark.parametrize("name, replicates", [
