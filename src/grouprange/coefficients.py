@@ -24,10 +24,11 @@ written as exact fractions ("5/4") or decimal literals ("1.25"); both
 parse exactly, never through a float.  C is always derived from d
 and k_sq, so a stored C column, if present, is ignored.
 
-Where each check lives: ``CoefficientEntry`` requires d, k_sq > 0 and
-derives c itself; ``CoefficientTable`` requires parts contiguous from 2;
-``load_table`` checks only the CSV (header, columns, values, each row's
-j) and prefixes an entry's error with its ``row N:``.
+Where each check lives: ``CoefficientEntry`` requires d, k_sq > 0,
+bounds both to [1e-50, 1e50] and derives c itself; ``CoefficientTable``
+requires parts contiguous from 2; ``load_table`` checks only the CSV
+(encoding, header, columns, values, each row's j) and prefixes an
+entry's error with its ``row N:``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _HEADER = ("j", "d", "k_sq")
+_MIN_VALUE, _MAX_VALUE = Fraction(1, 10**50), Fraction(10**50)  # bounds on d and k_sq
 
 
 class CoefficientTableError(ValueError):
@@ -57,7 +59,18 @@ class CoefficientTableError(ValueError):
 
 @dataclass(frozen=True)
 class CoefficientEntry:
-    """Constants for one part size; ``c`` is derived at construction."""
+    """Constants for one part size; ``c`` is derived at construction.
+
+    d and k_sq must lie in [1e-50, 1e50], which keeps every float
+    downstream normal.  C_j = d**2 / k_sq then lies in [1e-150, 1e150].
+    An allocation of w observations has at most w/2 parts, so its
+    objective, a DP value or a float candidate of the optimizer's
+    filter alike, lies in [1e-150, w/2 * 1e150]: below 1e250 for every
+    w < 1e100, far more parts than a table can hold, and well inside
+    the normal float range [2.2e-308, 1.8e308].  A plan's weight
+    (d / k_sq) / objective is at most 1e100 / 1e-150 = 1e250, and
+    1 / objective at most 1e150.
+    """
 
     j: int
     d: Fraction      # expected standardized range, > 0
@@ -69,6 +82,9 @@ class CoefficientEntry:
             raise ValueError(f"non-positive expected range d = {self.d}")
         if self.k_sq <= 0:
             raise ValueError(f"non-positive variance k_sq = {self.k_sq}")
+        for name, value in (("expected range d", self.d), ("variance k_sq", self.k_sq)):
+            if not _MIN_VALUE <= value <= _MAX_VALUE:
+                raise ValueError(f"{name} outside [1e-50, 1e50]")
         object.__setattr__(self, "c", self.d * self.d / self.k_sq)
 
 
@@ -142,13 +158,12 @@ def load_table(
 
     Row numbers in error messages count the header as row 1.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
+    raw = source if isinstance(source, (bytes, str)) else source.read()
+    try:
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise CoefficientTableError(f"row {line}: not valid UTF-8 ({exc.reason})") from None
 
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader]

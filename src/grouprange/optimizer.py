@@ -21,8 +21,7 @@ solve_dp
     float error is a few units of 2**-53, far below that tolerance, so
     every exact maximizer passes the filter and the answer, tie-break
     included, is the exact DP's.  A fill costs O(n**2) float operations
-    and about one rational addition per capacity; tables whose C_j are
-    not normal floats take the plain exact fill.  Per-table state is
+    and about one rational addition per capacity.  Per-table state is
     cached so ascending sweeps fill the table once.
 
 solve_group_relaxation
@@ -56,7 +55,6 @@ import bisect
 import heapq
 import math
 import operator
-import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -120,20 +118,18 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 # residue graph.
 class _TableState:
     __slots__ = (
-        "values", "parts", "fv", "fc", "filtered",
+        "values", "parts", "fv", "fc",
         "best", "best_ratio", "modulus", "penalized", "records",
     )
 
     def __init__(self) -> None:
         # DP by capacity: exact value and tie-broken parts (None when
         # infeasible), the value's float image (-inf when infeasible),
-        # and fc[j] = float(C_j).  filtered turns off for good once a
-        # float would be inexact beyond the filter's error bound.
+        # and fc[j] = float(C_j).
         self.values: list[Fraction | None] = [Fraction(0), None]
         self.parts: list[tuple[int, ...] | None] = [(), None]
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
-        self.filtered = True
         # Residue graph: best[n] is the argmax of C_j / j over 2..n
         # (smallest j on ties), best_ratio the maximum scanned so far.
         # For the current modulus b and the parts 2 <= j <= penalized:
@@ -250,36 +246,20 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     keeps every candidate within 1e-9, about 10**7 times that bound:
     all exact maximizers, ties included, reach the exact comparison,
     and the result equals the plain exact fill's.  The bound needs
-    normal floats, so a C_j that overflows, underflows or is subnormal,
-    or a value or sum that overflows, switches the table to the plain
-    exact fill (every candidate compared exactly).
+    normal floats, which ``CoefficientEntry``'s bounds on d and k_sq
+    guarantee for every C_j, value and sum.  Capacity 1 is infeasible
+    and its float -inf keeps it out of every candidate list.
     """
     values, parts, fv, fc = state.values, state.parts, state.fv, state.fc
-    for j in range(len(fc), n + 1):
-        try:
-            f = float(table.c(j))
-        except OverflowError:
-            f = math.inf
-        if not sys.float_info.min <= f <= sys.float_info.max:
-            state.filtered = False
-        fc.append(f)
+    fc.extend(float(table.c(j)) for j in range(len(fc), n + 1))
     for w in range(len(values), n + 1):
-        candidates: range | list[int] = range(2, w + 1)
-        if state.filtered:
-            floats = list(map(operator.add, fv[w - 2 :: -1], fc[2 : w + 1]))
-            top = max(floats)
-            if top <= sys.float_info.max:
-                floor = top * _FILTER
-                candidates = [j for j, f in enumerate(floats, 2) if f >= floor]
-            else:
-                state.filtered = False
+        floats = list(map(operator.add, fv[w - 2 :: -1], fc[2 : w + 1]))
+        floor = max(floats) * _FILTER
+        candidates = [j for j, f in enumerate(floats, 2) if f >= floor]
         best_value: Fraction | None = None
         best_parts: tuple[int, ...] | None = None
         for j in candidates:
-            prev = values[w - j]
-            if prev is None:
-                continue
-            cand = prev + table.c(j)
+            cand = values[w - j] + table.c(j)
             if best_value is None or cand > best_value:
                 best_value = cand
                 best_parts = tuple(sorted(parts[w - j] + (j,), reverse=True))
@@ -290,11 +270,7 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
                     best_parts = cand_parts
         values.append(best_value)
         parts.append(best_parts)
-        if state.filtered:
-            try:
-                fv.append(float(best_value))
-            except OverflowError:
-                state.filtered = False
+        fv.append(float(best_value))
 
 
 def solve_dp(n: int, table: CoefficientTable) -> SolveResult:

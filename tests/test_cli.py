@@ -298,6 +298,23 @@ def test_custom_table_errors(tmp_path, capsys):
     assert "covers parts 2..8" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_custom_table_value_errors_exit_3(tmp_path, capsys, fmt):
+    # a value outside [1e-50, 1e50] and bytes that are not UTF-8 are
+    # table errors with a row number, not tracebacks
+    huge = tmp_path / "huge.csv"
+    huge.write_text("j,d,k_sq\n2,1e3000,1\n3,1,1\n4,1,1\n")
+    code, out, err = run(capsys, "optimal", "4", "--table", str(huge), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert "row 2: expected range d outside [1e-50, 1e50]" in err
+
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"j,d,k_sq\n2,1,\xff\n")
+    code, out, err = run(capsys, "optimal", "3", "--table", str(latin), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert "bad coefficient table: row 2: not valid UTF-8" in err
+
+
 # -------------------------------------------------------------------- plumbing
 
 

@@ -142,6 +142,19 @@ def test_load_error_nonpositive_range():
         load_table("j,d,k_sq\n2,0,1\n")
 
 
+def test_load_error_not_utf8(tmp_path):
+    data = b"j,d,k_sq\n2,1,1\n3,1,\xff\n"
+    with pytest.raises(CoefficientTableError, match="row 3: not valid UTF-8"):
+        load_table(data)
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as handle:
+        with pytest.raises(CoefficientTableError, match="row 3: not valid UTF-8"):
+            load_table(handle)
+    with pytest.raises(CoefficientTableError, match="row 1: not valid UTF-8"):
+        load_table(b"j,\xc3d,k_sq\n2,1,1\n")
+
+
 def test_load_error_malformed_value():
     with pytest.raises(CoefficientTableError, match="row 2"):
         load_table("j,d,k_sq\n2,one,1\n")
@@ -221,6 +234,7 @@ def test_entry_c_is_derived():
         (Fraction(-1), Fraction(1), "non-positive expected range"),
         (Fraction(1), Fraction(0), "non-positive variance"),
         (Fraction(1), Fraction(-2), "non-positive variance"),
+        (Fraction(1, 10**60), Fraction(0), "non-positive variance"),  # before the range check
     ]:
         with pytest.raises(ValueError, match=message):
             CoefficientEntry(2, d, k_sq)

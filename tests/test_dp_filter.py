@@ -4,17 +4,18 @@
 filter: every candidate part is compared in Fraction arithmetic at
 every capacity.  ``solve_dp`` must return the same partition, objective
 and tie-break for every n on random tables, tie-heavy tables, tables
-with near ties far below float resolution, and tables whose C_j or
-sums leave the normal float range, which must take the exact path.
+with near ties far below float resolution, convex tables (C_j / j
+increasing, the shape the filter exists for) and tables whose d and
+k_sq sit at the ends of the range ``CoefficientEntry`` accepts.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grouprange import CoefficientEntry, CoefficientTable, solve_dp
-from grouprange import optimizer
 
 
 def reference_dp(table, n):
@@ -61,19 +62,13 @@ def assert_matches_reference(table, order_seed=0):
         assert result.partition.parts == parts[n], n
 
 
-def filtered(table):
-    return optimizer._states[id(table)].filtered
-
-
 positive = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
 
 
 @settings(max_examples=60, deadline=None)
 @given(cs=st.lists(positive, min_size=1, max_size=28), order_seed=st.integers(0, 2**16))
 def test_random_tables(cs, order_seed):
-    table = table_of(cs)
-    assert_matches_reference(table, order_seed)
-    assert filtered(table)
+    assert_matches_reference(table_of(cs), order_seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +114,6 @@ def test_near_tie_decides_exactly():
         assert float(c4) == 2.0
         table = table_of([Fraction(1), Fraction(3, 2), c4])
         assert solve_dp(4, table).partition.parts == expected
-        assert filtered(table)
 
 
 def test_filter_keeps_a_maximizer_the_floats_misorder():
@@ -134,50 +128,59 @@ def test_filter_keeps_a_maximizer_the_floats_misorder():
     result = solve_dp(5, table)
     assert result.partition.parts == (3, 2)
     assert result.objective == c2 + c3
-    assert filtered(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c2=positive,
+    steps=st.lists(
+        st.fractions(min_value=Fraction(1, 10**18), max_value=10, max_denominator=10**18),
+        min_size=1, max_size=27,
+    ),
+    order_seed=st.integers(0, 2**16),
+)
+def test_convex_tables(c2, steps, order_seed):
+    # C_j / j strictly increasing, as for a uniform parent: no part is
+    # dominated and (w,) beats every split of w, C_w > sum_j f_j C_j.
+    # Steps down to 1e-18 put the runner-up within float resolution
+    ratios = [c2 / 2]
+    for step in steps:
+        ratios.append(ratios[-1] + step)
+    table = table_of([j * r for j, r in enumerate(ratios, start=2)])
+    assert_matches_reference(table, order_seed)
+    for w in range(2, table.max_part + 1):
+        assert solve_dp(w, table).partition.parts == (w,)
+
+
+LOW, HIGH = Fraction(1, 10**50), Fraction(10**50)  # CoefficientEntry's bounds on d and k_sq
+CORNERS = [(d, k_sq) for d in (LOW, HIGH) for k_sq in (LOW, HIGH)]
+JUST = Fraction(1, 10**30)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     cs=st.lists(positive, min_size=1, max_size=16),
-    scale=st.sampled_from([400, -400, -160]),
-    where=st.lists(st.integers(0, 15), min_size=1, max_size=4),
+    ends=st.lists(
+        st.tuples(st.integers(0, 15), st.sampled_from(CORNERS)),
+        min_size=1, max_size=6,
+    ),
     order_seed=st.integers(0, 2**16),
 )
-def test_tables_outside_float_range_take_exact_path(cs, scale, where, order_seed):
-    # d = 10**400 overflows C_j = d**2 / k_sq, d = 10**-400 underflows
-    # it and d = 10**-160 makes it subnormal
-    d = Fraction(10) ** scale
+def test_entries_at_the_bounds(cs, ends, order_seed):
+    # d and k_sq just outside [1e-50, 1e50] are refused ...
+    for d, k_sq, name in [
+        (HIGH * (1 + JUST), Fraction(1), "expected range d"),
+        (LOW * (1 - JUST), Fraction(1), "expected range d"),
+        (Fraction(1), HIGH * (1 + JUST), "variance k_sq"),
+        (Fraction(1), LOW * (1 - JUST), "variance k_sq"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} outside \[1e-50, 1e50\]$"):
+            CoefficientEntry(2, d, k_sq)
+    # ... and at its ends they give C_j from 1e-150 to 1e150, mixed with
+    # ordinary parts, where the float filter must still match the
+    # exact fill
     entries = [CoefficientEntry(j, c, c) for j, c in enumerate(cs, start=2)]
-    for i in where:
+    for i, (d, k_sq) in ends:
         j = 2 + i % len(cs)
-        entries[j - 2] = CoefficientEntry(j, d * cs[j - 2], cs[j - 2])
-    table = CoefficientTable("test", tuple(entries))
-    assert_matches_reference(table, order_seed)
-    assert not filtered(table)
-
-
-def test_sum_overflow_takes_exact_path():
-    # C_2 = 10**308 is a normal float, but the float of (2, 2) overflows
-    huge = Fraction(10) ** 154
-    table = CoefficientTable("test", (
-        CoefficientEntry(2, huge, Fraction(1)),
-        CoefficientEntry(3, Fraction(1), Fraction(1)),
-        CoefficientEntry(4, Fraction(1), Fraction(1)),
-        CoefficientEntry(5, Fraction(1), Fraction(1)),
-    ))
-    assert_matches_reference(table)
-    assert not filtered(table)
-    assert solve_dp(4, table).objective == 2 * huge * huge
-
-
-def test_filter_turns_off_when_the_fill_reaches_a_huge_part():
-    # parts 2..5 are ordinary floats; part 6 overflows, so the fill is
-    # filtered up to 5 and exact from there on
-    cs = [Fraction(1), Fraction(9, 5), Fraction(121, 49), Fraction(125, 41), Fraction(10) ** 800]
-    table = table_of(cs + [Fraction(7, 2)] * 4)
-    solve_dp(5, table)
-    assert filtered(table)
-    assert_matches_reference(table)
-    assert not filtered(table)
-    assert solve_dp(9, table).partition.parts == (6, 3)
+        entries[j - 2] = CoefficientEntry(j, d, k_sq)
+    assert_matches_reference(CoefficientTable("test", tuple(entries)), order_seed)

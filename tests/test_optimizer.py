@@ -7,6 +7,7 @@ shares no code with the solvers under test.
 
 import functools
 import os
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -73,32 +74,17 @@ def test_dp_matches_brute_force(table40):
             assert result.partition.parts == argmax[0]
 
 
-def test_dp_shared_cache_under_thread_contention():
-    # More threads than cores fill and read three shared tables' DP and
-    # residue-graph memos in mixed n order, while others churn private
-    # tables through the weakref release; every answer must equal a
-    # serial solve.
-    shared = [exponential_table(200) for _ in range(3)]
-    ns = [200, 7, 133, 2, 170, 19, 41, 12, 185, 3, 97, 200]
-    serial_table = exponential_table(200)
-    serial = {n: solve_dp(n, serial_table) for n in ns}
-    serial_gr = {n: solve_group_relaxation(n, serial_table) for n in ns}
-    workers = 2 * (os.cpu_count() or 1) + 2
+def contend(workers: int, work) -> None:
+    """Run work(index) for index 0..workers-1 on threads that a barrier
+    releases together, with a tiny switch interval so that races
+    surface; fail if a thread hangs or raises."""
     barrier = threading.Barrier(workers)
-    results: dict[tuple[int, int, int], object] = {}
-    gr_results: dict[tuple[int, int, int], object] = {}
     errors: list[BaseException] = []
 
     def run(index: int) -> None:
         try:
             barrier.wait(timeout=30)
-            order = ns[index % len(ns):] + ns[: index % len(ns)]
-            for n in order:
-                tables = shared if index % 2 == 0 else [exponential_table(n)]
-                for k, table in enumerate(tables):
-                    if index % 4 < 2:
-                        gr_results[index, n, k] = solve_group_relaxation(n, table)
-                    results[index, n, k] = solve_dp(n, table)
+            work(index)
         except BaseException as exc:  # surfaced by the main thread
             errors.append(exc)
 
@@ -114,12 +100,70 @@ def test_dp_shared_cache_under_thread_contention():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+def test_dp_shared_cache_under_thread_contention():
+    # More threads than cores fill and read three shared tables' DP and
+    # residue-graph memos in mixed n order, while others churn private
+    # tables through the weakref release; every answer must equal a
+    # serial solve.
+    shared = [exponential_table(200) for _ in range(3)]
+    ns = [200, 7, 133, 2, 170, 19, 41, 12, 185, 3, 97, 200]
+    serial_table = exponential_table(200)
+    serial = {n: solve_dp(n, serial_table) for n in ns}
+    serial_gr = {n: solve_group_relaxation(n, serial_table) for n in ns}
+    workers = 2 * (os.cpu_count() or 1) + 2
+    results: dict[tuple[int, int, int], object] = {}
+    gr_results: dict[tuple[int, int, int], object] = {}
+
+    def run(index: int) -> None:
+        order = ns[index % len(ns):] + ns[: index % len(ns)]
+        for n in order:
+            tables = shared if index % 2 == 0 else [exponential_table(n)]
+            for k, table in enumerate(tables):
+                if index % 4 < 2:
+                    gr_results[index, n, k] = solve_group_relaxation(n, table)
+                results[index, n, k] = solve_dp(n, table)
+
+    contend(workers, run)
     assert len(results) == (workers + 1) // 2 * 3 * len(set(ns)) + workers // 2 * len(set(ns))
     for (_, n, _), result in results.items():
         assert result == serial[n]
     assert gr_results
     for (_, n, _), result in gr_results.items():
         assert result == serial_gr[n]
+
+
+def test_solvers_share_custom_table_state_under_thread_contention():
+    # Four threads fill one shared exponential table and one shared
+    # random custom table through both solvers, each in its own rotated
+    # order of n; every answer must equal a serial solve on a fresh,
+    # equal table.  Races, if any, happen while the shared tables first
+    # fill, so each of four rounds starts over on new shared tables.
+    rng = random.Random(7)
+    custom = "j,d,k_sq\n" + "".join(
+        f"{j},{rng.randint(1, 8 * j)}/8,{rng.randint(4, 32)}/16\n" for j in range(2, 61)
+    )
+    makers = [lambda: exponential_table(60), lambda: load_table(custom)]
+    ns = [60, 7, 43, 2, 31, 19, 55, 12]
+    serial = {}
+    for k, make in enumerate(makers):
+        fresh = make()
+        for n in ns:
+            serial[k, n] = solve_dp(n, fresh), solve_group_relaxation(n, fresh)
+    workers, rounds = 4, 4
+    results: list[tuple[tuple[int, int], object]] = []
+
+    def run(shared: list, index: int) -> None:
+        shift = 3 * index % len(ns)
+        for n in ns[shift:] + ns[:shift]:
+            for k, table in enumerate(shared):
+                results.append(((k, n), (solve_dp(n, table), solve_group_relaxation(n, table))))
+
+    for _ in range(rounds):
+        contend(workers, functools.partial(run, [make() for make in makers]))
+    assert len(results) == rounds * workers * len(ns) * len(makers)
+    assert [key for key, result in results if result != serial[key]] == []
 
 
 def test_dp_tie_prefers_fewer_parts():
