@@ -20,7 +20,9 @@ Exit codes: 0 success, 2 usage error, 3 input or table parse error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import sys
@@ -98,14 +100,21 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
 
 
 def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> None:
-    if fmt == "json":
-        envelope = {"command": command, "format": "json", "payload": payload}
-        print(json.dumps(envelope, indent=2, default=_json_value))
-    elif fmt == "csv":
-        # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
-        csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
-    else:
-        to_text(payload)
+    # Rendered whole first, so a value that cannot be printed leaves no partial output.
+    rendered = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(rendered):
+            if fmt == "json":
+                envelope = {"command": command, "format": "json", "payload": payload}
+                print(json.dumps(envelope, indent=2, default=_json_value))
+            elif fmt == "csv":
+                # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
+                csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
+            else:
+                to_text(payload)
+    except ValueError as exc:  # an exact value past the int-to-str digit limit
+        raise InputError(f"cannot print an exact value of the result: {exc}") from None
+    sys.stdout.write(rendered.getvalue())
 
 
 def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:

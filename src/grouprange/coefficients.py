@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import IO, Union
+
+from .partitions import _Frozen
 
 __all__ = [
     "CoefficientEntry",
@@ -57,8 +59,7 @@ class CoefficientTableError(ValueError):
     table invariants.  Messages include the offending row number."""
 
 
-@dataclass(frozen=True)
-class CoefficientEntry:
+class CoefficientEntry(_Frozen):
     """Constants for one part size; ``c`` is derived at construction.
 
     d and k_sq must lie in [1e-50, 1e50], which keeps every float
@@ -72,37 +73,52 @@ class CoefficientEntry:
     1 / objective at most 1e150.
     """
 
-    j: int
-    d: Fraction      # expected standardized range, > 0
-    k_sq: Fraction   # variance of the standardized range, > 0
-    c: Fraction = field(init=False)  # efficiency d**2 / k_sq
-
-    def __post_init__(self) -> None:
-        if self.d <= 0:
-            raise ValueError(f"non-positive expected range d = {self.d}")
-        if self.k_sq <= 0:
-            raise ValueError(f"non-positive variance k_sq = {self.k_sq}")
-        for name, value in (("expected range d", self.d), ("variance k_sq", self.k_sq)):
+    def __init__(self, j: int, d: Fraction, k_sq: Fraction) -> None:
+        if d <= 0:
+            raise ValueError(f"non-positive expected range d = {d}")
+        if k_sq <= 0:
+            raise ValueError(f"non-positive variance k_sq = {k_sq}")
+        for name, value in (("expected range d", d), ("variance k_sq", k_sq)):
             if not _MIN_VALUE <= value <= _MAX_VALUE:
                 raise ValueError(f"{name} outside [1e-50, 1e50]")
-        object.__setattr__(self, "c", self.d * self.d / self.k_sq)
+        vars(self).update(j=j, d=d, k_sq=k_sq, c=d * d / k_sq)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.j, self.d, self.k_sq, self.c) == (other.j, other.d, other.k_sq, other.c)
+
+    def __hash__(self) -> int:
+        return hash((self.j, self.d, self.k_sq, self.c))
+
+    def __repr__(self) -> str:
+        return f"CoefficientEntry(j={self.j!r}, d={self.d!r}, k_sq={self.k_sq!r}, c={self.c!r})"
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(_Frozen):
     """Immutable map from part size j (contiguous from 2) to constants."""
 
-    distribution_label: str
-    entries: tuple[CoefficientEntry, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(self, distribution_label: str, entries: tuple[CoefficientEntry, ...]) -> None:
+        if not entries:
             raise ValueError("a coefficient table needs at least the j = 2 entry")
-        for expected, entry in enumerate(self.entries, start=2):
+        for expected, entry in enumerate(entries, start=2):
             if entry.j != expected:
                 raise ValueError(
                     f"part sizes must be contiguous from 2: expected {expected}, got {entry.j}"
                 )
+        vars(self).update(distribution_label=distribution_label, entries=entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.distribution_label, self.entries) == (other.distribution_label, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.distribution_label, self.entries))
+
+    def __repr__(self) -> str:
+        return (f"CoefficientTable(distribution_label={self.distribution_label!r}, "
+                f"entries={self.entries!r})")
 
     @property
     def max_part(self) -> int:
@@ -142,9 +158,13 @@ def exponential_table(max_part: int) -> CoefficientTable:
 
 def _parse_rational(text: str, row: int, column: str) -> Fraction:
     try:
-        # Fraction parses both "p/q" and decimal literals exactly.
+        # Fraction parses "p/q" and decimal literals exactly but builds 10**e first;
+        # past 1e+-1000 a stand-in as far out draws the entry's range message.
+        exponent = 0 if "/" in text else Decimal(text).adjusted()
+        if abs(exponent) > 1000:
+            return Fraction(10) ** (1001 if exponent > 0 else -1001)
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, InvalidOperation):
         raise CoefficientTableError(
             f"row {row}: cannot parse {column} value {text!r} as a rational"
         ) from None

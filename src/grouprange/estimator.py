@@ -21,9 +21,8 @@ estimate is invariant under permutations within a block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .coefficients import CoefficientTable
 from .optimizer import partition_objective
@@ -42,8 +41,7 @@ def check_theta(name: str, theta: float) -> None:
         raise ValueError(f"{name} must be finite and in [1e-100, 1e100], got {theta}")
 
 
-@dataclass(frozen=True)
-class EstimatorPlan:
+class EstimatorPlan(NamedTuple):
     """Exact weights for one partition.
 
     ``weights`` holds one (block size, weight) pair per subsample in

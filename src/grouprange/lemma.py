@@ -23,8 +23,8 @@ observed margins are all above 1e-5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coefficients import CoefficientTable
 
@@ -35,8 +35,7 @@ PEAK_RATIO = Fraction(121, 196)  # C_4 / 4 for the exponential table
 _MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of one verification run.
 
     exact_ok: every n != max_ratio_at had ratio strictly below the

@@ -57,8 +57,8 @@ import math
 import operator
 import threading
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coefficients import CoefficientTable
 from .partitions import Partition
@@ -75,8 +75,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """An optimal allocation together with the method that produced it."""
 
     partition: Partition
@@ -84,8 +83,7 @@ class SolveResult:
     method: str  # "dp" | "group_relaxation" | "closed_form"
 
 
-@dataclass(frozen=True)
-class ResidueGraph:
+class ResidueGraph(NamedTuple):
     """Residue graph modulo the best part size b, held as its generators.
 
     From every vertex v of Z_b a part j leads to (v + j) mod b at

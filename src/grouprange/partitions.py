@@ -16,7 +16,6 @@ partitions of n containing a 1 and partitions of n-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -29,8 +28,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Partition:
+class _Frozen:
+    """Base of the validated records: __init__ sets the fields, nothing changes them."""
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Partition(_Frozen):
     """An admissible partition of ``n``, frequency representation.
 
     ``frequencies`` is a tuple of (part, multiplicity) pairs sorted by
@@ -38,15 +45,12 @@ class Partition:
     canonical: two equal partitions compare equal.
     """
 
-    n: int
-    frequencies: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"admissible partitions need n >= 2, got {self.n}")
+    def __init__(self, n: int, frequencies: tuple[tuple[int, int], ...]) -> None:
+        if n < 2:
+            raise ValueError(f"admissible partitions need n >= 2, got {n}")
         total = 0
         previous = 1
-        for part, mult in self.frequencies:
+        for part, mult in frequencies:
             if part < 2:
                 raise ValueError(f"part {part} is inadmissible (every part must be >= 2)")
             if part <= previous:
@@ -55,8 +59,20 @@ class Partition:
                 raise ValueError(f"multiplicity {mult} for part {part} must be >= 1")
             total += part * mult
             previous = part
-        if total != self.n:
-            raise ValueError(f"parts sum to {total}, expected n = {self.n}")
+        if total != n:
+            raise ValueError(f"parts sum to {total}, expected n = {n}")
+        vars(self).update(n=n, frequencies=frequencies)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.frequencies) == (other.n, other.frequencies)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.frequencies))
+
+    def __repr__(self) -> str:
+        return f"Partition(n={self.n!r}, frequencies={self.frequencies!r})"
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":

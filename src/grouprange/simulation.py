@@ -29,8 +29,8 @@ extremes and ranges of its rows (at most about two chunks more) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ _SEED_LIMIT = 1 << 64
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Summary of one Monte-Carlo run.
 
     mean_std_error = sqrt(variance_estimate / replicates).  With a

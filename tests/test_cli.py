@@ -1,19 +1,24 @@
 """End-to-end CLI tests: output content, formats, schema, exit codes.
 
 Each test drives main(argv) in process and inspects stdout/stderr, so
-the whole command path runs except the interpreter bootstrap.
+the whole command path runs except the interpreter bootstrap.  The one
+exception runs a child process, so that a hang fails on a timeout.
 """
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from grouprange import export_table, exponential_table
-from grouprange.cli import main
+from grouprange import Partition, export_table, exponential_table
+from grouprange.cli import _json_value, main
 
 SCHEMA = json.loads(files("grouprange").joinpath("schema/output.schema.json").read_text())
 
@@ -313,6 +318,43 @@ def test_custom_table_value_errors_exit_3(tmp_path, capsys, fmt):
     code, out, err = run(capsys, "optimal", "3", "--table", str(latin), "--format", fmt)
     assert (code, out) == (3, "")
     assert "bad coefficient table: row 2: not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("row, name", [
+    ("2,1e999999999,1", "expected range d"),
+    ("2,1,1e-999999999", "variance k_sq"),
+    ("2,-1e999999999,1", "expected range d"),
+])
+def test_huge_decimal_exponent_fails_fast(tmp_path, row, name):
+    # run in a child with a timeout, so that building the exact value
+    # (hours and gigabytes for these rows) fails the test instead of hanging it
+    table = tmp_path / "far.csv"
+    table.write_text(f"j,d,k_sq\n{row}\n3,1,1\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("GROUPRANGE_FORMAT", None)
+    proc = subprocess.run([sys.executable, "-m", "grouprange.cli", "optimal", "3", "--table",
+                           str(table)], env=env, capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: bad coefficient table: row 2: {name} outside [1e-50, 1e50]\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_over_long_exact_result_exits_3(tmp_path, capsys, fmt):
+    # d has 4,001 digits, so C = d**2 / k_sq passes the interpreter's
+    # 4,300-digit limit for printing an int; nothing is half-printed
+    table = tmp_path / "long.csv"
+    table.write_text("j,d,k_sq\n2,1." + "0" * 3999 + "1,1\n3,1,1\n4,1,1\n")
+    code, out, err = run(capsys, "optimal", "4", "--table", str(table), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot print an exact value of the result: ")
+    assert "integer string conversion" in err and err.count("\n") == 1
+
+
+def test_partition_is_json_encoded_by_the_hook():
+    # a tuple subclass would be written as an array without calling the hook
+    assert json.dumps(Partition.from_parts([5, 4, 4]), default=_json_value) == (
+        '{"n": 13, "parts": [5, 4, 4], "frequencies": {"4": 2, "5": 1}}'
+    )
 
 
 # -------------------------------------------------------------------- plumbing

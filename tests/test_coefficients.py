@@ -1,5 +1,6 @@
 """Coefficient tables and the CSV interchange format."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,12 @@ def test_tables_compare_by_value():
     b = exponential_table(6)
     assert a == b and hash(a) == hash(b)
     assert a != exponential_table(7)
+
+
+def test_tables_are_weak_referenceable():
+    # the optimizer keys its per-table state on a weakref finalizer
+    table = exponential_table(6)
+    assert weakref.ref(table)() is table
 
 
 def test_exponential_rejects_small_max_part():
@@ -153,6 +160,28 @@ def test_load_error_not_utf8(tmp_path):
             load_table(handle)
     with pytest.raises(CoefficientTableError, match="row 1: not valid UTF-8"):
         load_table(b"j,\xc3d,k_sq\n2,1,1\n")
+
+
+def test_load_far_exponents():
+    # past 1e+-1000 a stand-in gets the entry's range message without the
+    # exact value being built; nearer, the exact checks decide.  Exponents
+    # that would take long to build are in test_cli, run with a timeout.
+    row = "j,d,k_sq\n2,{},{}\n"
+    for d, k_sq, message in [
+        ("1e1001", "1", "row 2: expected range d outside [1e-50, 1e50]"),
+        ("1e1000", "1", "row 2: expected range d outside [1e-50, 1e50]"),
+        ("1", "1E-1001", "row 2: variance k_sq outside [1e-50, 1e50]"),
+        ("-1e1001", "1", "row 2: expected range d outside [1e-50, 1e50]"),
+        ("-1e70", "1", f"row 2: non-positive expected range d = {-10**70}"),
+        ("1", "0e-5", "row 2: non-positive variance k_sq = 0"),
+        ("1.00000000001e50", "1", "row 2: expected range d outside [1e-50, 1e50]"),
+        ("1", "0.99999999999e-50", "row 2: variance k_sq outside [1e-50, 1e50]"),
+    ]:
+        with pytest.raises(CoefficientTableError) as info:
+            load_table(row.format(d, k_sq))
+        assert str(info.value) == message
+    table = load_table(row.format("1e50", "1e-50"))
+    assert (table.d(2), table.k_sq(2)) == (Fraction(10**50), Fraction(1, 10**50))
 
 
 def test_load_error_malformed_value():

@@ -1,10 +1,18 @@
-"""Start-up cost: only `simulate` loads numpy.
+"""Start-up cost: only `simulate` loads numpy, and no command loads
+`dataclasses` or `inspect`.
 
 Every command but `simulate` is exact and needs no numpy, and numpy is
 most of the package's import time.  Each case runs one CLI command in
 a fresh interpreter and reports whether numpy was imported, so a stray
 top-level import of `grouprange.simulation` fails here.  The package
 still exports the simulation names, served on first access.
+
+`dataclasses` imports `inspect` (and with it `ast`, `dis` and
+`tokenize`) and generates code per decorated class, the largest fixed
+cost an exact command had left after numpy.  The records are therefore
+NamedTuples and plain classes; the tests below check that they stay
+immutable and that no exact command loads either module beyond what a
+bare interpreter (with this environment's site hooks) already loads.
 """
 
 from __future__ import annotations
@@ -18,7 +26,15 @@ from pathlib import Path
 import pytest
 
 import grouprange
-from grouprange import simulation
+from grouprange import (
+    Partition,
+    build_residue_graph,
+    exponential_table,
+    make_plan,
+    simulation,
+    solve_dp,
+    verify_lemma,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,6 +93,70 @@ def workdir(tmp_path):
 @pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
 def test_exact_command_never_loads_numpy(argv, workdir):
     assert cli_in_child(argv, workdir) == {"code": 0, "numpy": False}
+
+
+MODULES_CHILD = """
+import json, sys
+from grouprange.cli import main
+main(json.loads(sys.argv[1]))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules(tmp_path_factory):
+    """What the interpreter loads before any code of ours, site hooks included."""
+    proc = run_child([], tmp_path_factory.mktemp("bare"),
+                     "import sys; print(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
+def test_exact_command_never_loads_dataclasses_or_inspect(argv, workdir, bare_modules):
+    proc = run_child([json.dumps(argv)], workdir, MODULES_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1])) - bare_modules
+    assert loaded & SLOW_IMPORTS == set()
+
+
+RECORDS = ["Partition", "CoefficientEntry", "CoefficientTable", "SolveResult",
+           "ResidueGraph", "EstimatorPlan", "LemmaReport", "SimulationReport"]
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each record, with one of its fields."""
+    table = exponential_table(34)
+    partition = Partition.from_parts([4, 4])
+    plan = make_plan(partition, table)
+    built = [
+        (partition, "n"),
+        (table.entry(4), "c"),
+        (table, "entries"),
+        (solve_dp(8, table), "objective"),
+        (build_residue_graph(table, 8), "steps"),
+        (plan, "weights"),
+        (verify_lemma(34, table), "exact_ok"),
+        (simulation.monte_carlo(plan, 1.0, 4, 0), "mean_estimate"),
+    ]
+    return {type(record).__name__: (record, field) for record, field in built}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment(name, records):
+    record, field = records[name]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is value
+    assert repr(record).startswith(f"{name}(") and f"{field}=" in repr(record)
 
 
 @pytest.mark.parametrize("argv", SIMULATE_USAGE_ERRORS, ids=" ".join)
