@@ -5,7 +5,7 @@ Commands
     table A B      optimal allocation for every n in A..B
     simulate N     seeded Monte-Carlo run of an estimator plan
     verify         peak-ratio check plus solver-agreement sweep
-    count N        number of admissible partitions of N
+    count N        number of admissible partitions of N, for N <= 50000
 
 Every command accepts --format {text,json,csv}; the default comes from
 the GROUPRANGE_FORMAT environment variable, falling back to text.
@@ -50,6 +50,9 @@ __all__ = ["main"]
 
 FORMATS = ("text", "json", "csv")
 FORMAT_ENV = "GROUPRANGE_FORMAT"
+# count's largest n: 1.4 to 1.6 s and 22 MB cold on a 2-core host, and
+# below 76,568, where the float asymptotic estimate would overflow
+COUNT_MAX = 50_000
 
 
 class UsageError(Exception):
@@ -428,14 +431,13 @@ def _count_text(payload: dict[str, Any]) -> None:
 def cmd_count(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise UsageError(f"n must be >= 0, got {args.n}")
+    if args.n > COUNT_MAX:
+        raise UsageError(f"n must be <= {COUNT_MAX}, got {args.n}")
     payload: dict[str, Any] = {"n": args.n, "admissible": count_admissible(args.n)}
     if args.asymptotic:
         if args.n < 1:
             raise UsageError("--asymptotic needs n >= 1")
-        try:
-            approx = asymptotic_admissible(args.n)
-        except OverflowError:
-            raise UsageError(f"n = {args.n} is too large for float asymptotics") from None
+        approx = asymptotic_admissible(args.n)
         payload["asymptotic"] = approx
         # the ratio is O(1) even when the count overflows a float
         payload["ratio"] = float(Fraction(payload["admissible"]) / Fraction(approx))
@@ -513,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="count admissible partitions")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"number of observations, 0..{COUNT_MAX}")
     p.add_argument("--asymptotic", action="store_true",
                    help="include the asymptotic estimate and the exact/asymptotic ratio")
     _add_format_flag(p)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import IO, Union
@@ -81,7 +82,7 @@ class CoefficientEntry(_Frozen):
         for name, value in (("expected range d", d), ("variance k_sq", k_sq)):
             if not _MIN_VALUE <= value <= _MAX_VALUE:
                 raise ValueError(f"{name} outside [1e-50, 1e50]")
-        vars(self).update(j=j, d=d, k_sq=k_sq, c=d * d / k_sq)
+        vars(self).update(j=j, d=d, k_sq=k_sq, c=d ** 2 / k_sq)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -156,11 +157,26 @@ def exponential_table(max_part: int) -> CoefficientTable:
     return CoefficientTable("exponential", tuple(entries))
 
 
+def _adjusted_exponent(text: str) -> int:
+    """The exponent of a decimal literal's leading digit; raises on a malformed one."""
+    try:
+        return Decimal(text).adjusted()
+    except InvalidOperation:
+        # decimal holds exponents up to about 1e18; past that, read the
+        # exponent apart and let decimal check the rest with exponent 0
+        far = re.fullmatch(r"(.*E[-+]?)(\d+(?:_\d+)*)\s*", text, re.IGNORECASE)
+        if far is None:
+            raise
+        head, digits = far.groups()
+        exponent = -int(digits) if head.endswith("-") else int(digits)
+        return Decimal(head + "0").adjusted() + exponent
+
+
 def _parse_rational(text: str, row: int, column: str) -> Fraction:
     try:
         # Fraction parses "p/q" and decimal literals exactly but builds 10**e first;
         # past 1e+-1000 a stand-in as far out draws the entry's range message.
-        exponent = 0 if "/" in text else Decimal(text).adjusted()
+        exponent = 0 if "/" in text else _adjusted_exponent(text)
         if abs(exponent) > 1000:
             return Fraction(10) ** (1001 if exponent > 0 else -1001)
         return Fraction(text.strip())

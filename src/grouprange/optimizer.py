@@ -14,15 +14,21 @@ Three independent solvers are provided; their objectives must agree.
 
 solve_dp
     Exact dynamic program over capacities 0..n.  Ties are broken by
-    fewer parts, then descending lexicographic part tuple.  A float64
-    fill runs beside the exact one and filters the candidates: at each
-    capacity only the parts whose float value lies within a relative
-    1e-9 of the float best reach the exact Fraction comparison.  The
-    float error is a few units of 2**-53, far below that tolerance, so
-    every exact maximizer passes the filter and the answer, tie-break
-    included, is the exact DP's.  A fill costs O(n**2) float operations
-    and about one rational addition per capacity.  Per-table state is
-    cached so ascending sweeps fill the table once.
+    fewer parts, then descending lexicographic part tuple.  A part j
+    whose own capacity fills with other parts is dominated, the
+    unbounded-knapsack dominance rule: no optimum of any n uses it, and
+    later capacities no longer try it.  On the exponential table only
+    the parts 2..5 stay, so capacity w tries five parts; on a convex
+    table (C_j / j rising) every part stays.  A float64 fill runs
+    beside the exact one and filters the candidates: at each capacity
+    only the parts whose float value lies within a relative 1e-9 of the
+    float best reach the exact Fraction comparison.  The float error is
+    a few units of 2**-53, far below that tolerance, so every exact
+    maximizer passes the filter and the answer, tie-break included, is
+    the exact DP's.  A fill costs O(n * u) float operations for u
+    undominated parts, O(n**2) at worst, and about one rational
+    addition per capacity.  Per-table state is cached so ascending
+    sweeps fill the table once.
 
 solve_group_relaxation
     Drop integrality of one variable.  Let b maximize C_j / j (the
@@ -116,7 +122,7 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 # residue graph.
 class _TableState:
     __slots__ = (
-        "values", "parts", "fv", "fc",
+        "values", "parts", "fv", "fc", "undominated", "runs",
         "best", "best_ratio", "modulus", "penalized", "records",
     )
 
@@ -128,6 +134,11 @@ class _TableState:
         self.parts: list[tuple[int, ...] | None] = [(), None]
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
+        # The filled capacities j whose parts are (j,), the parts no
+        # filled capacity dominates: ascending, and as runs of
+        # consecutive j for the float slices.
+        self.undominated: list[int] = []
+        self.runs: list[range] = []
         # Residue graph: best[n] is the argmax of C_j / j over 2..n
         # (smallest j on ties), best_ratio the maximum scanned so far.
         # For the current modulus b and the parts 2 <= j <= penalized:
@@ -235,6 +246,14 @@ _FILTER = 1 - 1e-9  # candidates within this relative factor of the float best
 def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     """Fill capacities len(state.values)..n.
 
+    Dominance: once capacity j is filled with parts other than (j,),
+    values[j] > C_j strictly, since a tie would have kept the one-part
+    (j,).  Swapping part j for parts[j] then strictly improves every
+    allocation that uses j, so no exact maximizer of any capacity does,
+    and j leaves the candidates for good.  Capacity w tries only the
+    undominated parts below w, plus w itself: {2, 3, 4, 5} plus w on the
+    exponential table, every part on a convex one.  A tied part stays.
+
     Float filter: every float in the fill carries a relative error of
     at most u = 2**-53 (fv[k] = float(values[k]) and fc[j] = float(C_j)
     are correctly rounded, and one float addition of two nonnegative
@@ -249,14 +268,20 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     and its float -inf keeps it out of every candidate list.
     """
     values, parts, fv, fc = state.values, state.parts, state.fv, state.fc
+    undominated, runs = state.undominated, state.runs
     fc.extend(float(table.c(j)) for j in range(len(fc), n + 1))
     for w in range(len(values), n + 1):
-        floats = list(map(operator.add, fv[w - 2 :: -1], fc[2 : w + 1]))
+        # the undominated parts ascending, then w, whose fv[0] + fc[w] is fc[w]
+        tried = undominated + [w]
+        floats: list[float] = []
+        for run in runs:
+            floats += map(operator.add, fv[w - run.start : w - run.stop : -1],
+                          fc[run.start : run.stop])
+        floats.append(fc[w])
         floor = max(floats) * _FILTER
-        candidates = [j for j, f in enumerate(floats, 2) if f >= floor]
         best_value: Fraction | None = None
         best_parts: tuple[int, ...] | None = None
-        for j in candidates:
+        for j in [tried[i] for i, f in enumerate(floats) if f >= floor]:
             cand = values[w - j] + table.c(j)
             if best_value is None or cand > best_value:
                 best_value = cand
@@ -269,6 +294,12 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
         values.append(best_value)
         parts.append(best_parts)
         fv.append(float(best_value))
+        if best_parts == (w,):
+            undominated.append(w)
+            if runs and runs[-1].stop == w:
+                runs[-1] = range(runs[-1].start, w + 1)
+            else:
+                runs.append(range(w, w + 1))
 
 
 def solve_dp(n: int, table: CoefficientTable) -> SolveResult:

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -252,6 +253,18 @@ def test_count_rejects_negative(capsys):
     code, out, err = run(capsys, "count", "-1")
     assert code == 2
     assert "n must be >= 0" in err
+
+
+def test_count_limit(capsys):
+    # the bound itself runs, asymptotics included, and one more exits 2
+    # before any counting
+    code, envelope, err = run_json(capsys, "count", "50000", "--asymptotic")
+    assert code == 0
+    assert 0.99 < envelope["payload"]["ratio"] < 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "50001", "--asymptotic")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: n must be <= 50000, got 50001\n")
 
 
 # ---------------------------------------------------------------- custom table

@@ -164,7 +164,8 @@ def test_load_error_not_utf8(tmp_path):
 
 def test_load_far_exponents():
     # past 1e+-1000 a stand-in gets the entry's range message without the
-    # exact value being built; nearer, the exact checks decide.  Exponents
+    # exact value being built, and a malformed literal that far out is
+    # still malformed; nearer, the exact checks decide.  Exponents
     # that would take long to build are in test_cli, run with a timeout.
     row = "j,d,k_sq\n2,{},{}\n"
     for d, k_sq, message in [
@@ -176,6 +177,13 @@ def test_load_far_exponents():
         ("1", "0e-5", "row 2: non-positive variance k_sq = 0"),
         ("1.00000000001e50", "1", "row 2: expected range d outside [1e-50, 1e50]"),
         ("1", "0.99999999999e-50", "row 2: variance k_sq outside [1e-50, 1e50]"),
+        # exponents past what decimal holds, about 1e18, are as far out
+        ("1e99999999999999999999", "1", "row 2: expected range d outside [1e-50, 1e50]"),
+        ("1", "2.5E-99999999999999999999", "row 2: variance k_sq outside [1e-50, 1e50]"),
+        ("1e99999999999999999999x", "1",
+         "row 2: cannot parse d value '1e99999999999999999999x' as a rational"),
+        ("1", "1e-9999999999999999999e9",
+         "row 2: cannot parse k_sq value '1e-9999999999999999999e9' as a rational"),
     ]:
         with pytest.raises(CoefficientTableError) as info:
             load_table(row.format(d, k_sq))

@@ -1,12 +1,13 @@
-"""The float-filtered DP against the plain exact DP it replaced.
+"""The float-filtered, dominance-pruned DP against the plain exact DP.
 
 ``reference_dp`` is the exact fill as it stood before the float
-filter: every candidate part is compared in Fraction arithmetic at
-every capacity.  ``solve_dp`` must return the same partition, objective
-and tie-break for every n on random tables, tie-heavy tables, tables
-with near ties far below float resolution, convex tables (C_j / j
-increasing, the shape the filter exists for) and tables whose d and
-k_sq sit at the ends of the range ``CoefficientEntry`` accepts.
+filter and the dominance pruning: every part is compared in Fraction
+arithmetic at every capacity.  ``solve_dp`` must return the same
+partition, objective and tie-break for every n on random tables,
+tie-heavy tables, tables with near ties far below float resolution,
+convex tables (C_j / j increasing, the shape the filter exists for)
+and tables whose d and k_sq sit at the ends of the range
+``CoefficientEntry`` accepts.
 """
 
 import random
@@ -15,7 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouprange import CoefficientEntry, CoefficientTable, solve_dp
+from grouprange import CoefficientEntry, CoefficientTable, exponential_table, solve_dp
+from grouprange.optimizer import _states
 
 
 def reference_dp(table, n):
@@ -60,6 +62,30 @@ def assert_matches_reference(table, order_seed=0):
         result = solve_dp(n, table)
         assert result.objective == values[n], n
         assert result.partition.parts == parts[n], n
+
+
+def test_tied_part_stays_a_candidate():
+    # C_6 = 2 * C_3 exactly: (6,) ties (3, 3) and wins on fewer parts, so
+    # part 6 is tied, not dominated, and every multiple of 6 is made of
+    # 6s.  Pruning a tied part would answer (3, 3, 3, 3) at 12.  Parts
+    # from 7 on, C_j = j - 1, are dominated.
+    cs = [Fraction(1), Fraction(3), Fraction(7, 2), Fraction(9, 2), Fraction(6)]
+    cs += [Fraction(j - 1) for j in range(7, 25)]
+    table = table_of(cs)
+    assert table.c(6) == 2 * table.c(3)
+    assert_matches_reference(table)
+    assert solve_dp(12, table).partition.parts == (6, 6)
+    assert solve_dp(24, table).partition.parts == (6, 6, 6, 6)
+
+
+def test_exponential_table_prunes_to_parts_2_to_5():
+    # every part from 6 on splits into a better allocation, the rule of
+    # fours, so the fill at 600 tries five parts where it tried 599
+    table = exponential_table(600)
+    solve_dp(600, table)
+    state = _states[id(table)]
+    assert state.undominated == [2, 3, 4, 5]
+    assert state.runs == [range(2, 6)]
 
 
 positive = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)

@@ -2,7 +2,9 @@
 
 The counting oracle here is deliberately different from the package's
 pentagonal recurrence: partitions of m with parts bounded by k, filled
-part size by part size.
+part size by part size.  ``reference_pentagonal_prefix`` is the same
+recurrence taken one capacity and one term at a time, as the package
+computed it before it summed the far terms block-wise.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from grouprange import (
     count_unrestricted,
     enumerate_admissible,
 )
+from grouprange.partitions import _pentagonal_prefix
 
 
 def unrestricted_oracle(n_max: int) -> list[int]:
@@ -24,6 +27,26 @@ def unrestricted_oracle(n_max: int) -> list[int]:
         for m in range(part, n_max + 1):
             counts[m] += counts[m - part]
     return counts
+
+
+def reference_pentagonal_prefix(n: int) -> list[int]:
+    """[p(0), ..., p(n)] by Euler's recurrence, one term at a time."""
+    p = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            if g1 > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - g1]
+            g2 = k * (3 * k + 1) // 2
+            if g2 <= m:
+                total += sign * p[m - g2]
+            k += 1
+        p.append(total)
+    return p
 
 
 # ------------------------------------------------------------ Partition type
@@ -116,6 +139,17 @@ def test_unrestricted_frozen_values():
     assert count_unrestricted(1) == 1
     assert count_unrestricted(4) == 5
     assert count_unrestricted(100) == 190569292
+    assert count_unrestricted(1000) == 24061467864032622473692149727991
+
+
+def test_pentagonal_prefix_matches_reference():
+    # each n up to 700 ends its last block at a different capacity,
+    # across ten block boundaries; the larger sizes are the benchmark's
+    reference = reference_pentagonal_prefix(8000)
+    for n in range(701):
+        assert _pentagonal_prefix(n) == reference[: n + 1], n
+    for n in (2505, 3963, 6298, 8000):
+        assert _pentagonal_prefix(n) == reference[: n + 1], n
 
 
 def test_unrestricted_matches_oracle():
