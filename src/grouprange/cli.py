@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Commands
-    optimal N      optimal allocation of N observations, with weights
-    table A B      optimal allocation for every n in A..B
+    optimal N      optimal allocation of N observations, with weights;
+                   N <= 10000 except for the closed form
+    table A B      optimal allocation for every n in A..B, B <= 5000
     simulate N     seeded Monte-Carlo run of an estimator plan
-    verify         peak-ratio check plus solver-agreement sweep
+    verify         peak-ratio check plus solver-agreement sweep, to 5000
     count N        number of admissible partitions of N, for N <= 50000
 
 Every command accepts --format {text,json,csv}; the default comes from
@@ -50,9 +51,12 @@ __all__ = ["main"]
 
 FORMATS = ("text", "json", "csv")
 FORMAT_ENV = "GROUPRANGE_FORMAT"
-# count's largest n: 1.4 to 1.6 s and 22 MB cold on a 2-core host, and
-# below 76,568, where the float asymptotic estimate would overflow
-COUNT_MAX = 50_000
+# The largest n each command takes, checked before any work.  Cold on a
+# 2-core host: count 1.4 to 1.6 s and 22 MB (and below 76,568, where the
+# float asymptotic estimate would overflow); optimal 0.9 s and 125 MB, the
+# DP's parts tuples (--method closed is unbounded); table 0.7 s and 37 MB;
+# verify at both bounds 2.2 s and 76 MB.
+COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
 
 
 class UsageError(Exception):
@@ -164,33 +168,32 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     custom = args.table is not None
     if args.method == "closed" and custom:
         raise UsageError("the closed-form method applies only to the built-in exponential table")
+    if args.method != "closed" and n > OPTIMAL_MAX:
+        raise UsageError(f"n must be <= {OPTIMAL_MAX} (any n with --method closed), got {n}")
 
     agreement = None
     cross_checked = False
+    table = _load_cli_table(args, n)
     if args.method == "closed":
         part = rule_of_fours(n)
-        # the closed form and its plan read C_j only for its own parts
-        table = exponential_table(max(part.parts))
         results = [SolveResult(part, partition_objective(part, table), "closed_form")]
-    else:
-        table = _load_cli_table(args, n)
-        if args.method == "dp":
-            results = [solve_dp(n, table)]
-        elif args.method == "gr":
-            gr = solve_group_relaxation(n, table)
-            results = [gr]
-            cross_checked = True
-            if solve_dp(n, table).objective != gr.objective:
-                agreement = {"methods": ["group_relaxation", "dp"], "objectives_equal": False}
-        else:  # all
-            results = [solve_dp(n, table), solve_group_relaxation(n, table)]
-            methods = ["dp", "group_relaxation"]
-            if not custom:
-                part = rule_of_fours(n)
-                results.append(SolveResult(part, partition_objective(part, table), "closed_form"))
-                methods.append("closed_form")
-            objectives = {r.objective for r in results}
-            agreement = {"methods": methods, "objectives_equal": len(objectives) == 1}
+    elif args.method == "dp":
+        results = [solve_dp(n, table)]
+    elif args.method == "gr":
+        gr = solve_group_relaxation(n, table)
+        results = [gr]
+        cross_checked = True
+        if solve_dp(n, table).objective != gr.objective:
+            agreement = {"methods": ["group_relaxation", "dp"], "objectives_equal": False}
+    else:  # all
+        results = [solve_dp(n, table), solve_group_relaxation(n, table)]
+        methods = ["dp", "group_relaxation"]
+        if not custom:
+            part = rule_of_fours(n)
+            results.append(SolveResult(part, partition_objective(part, table), "closed_form"))
+            methods.append("closed_form")
+        objectives = {r.objective for r in results}
+        agreement = {"methods": methods, "objectives_equal": len(objectives) == 1}
 
     payload: dict[str, Any] = {
         "n": n,
@@ -240,6 +243,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError(f"n_from must be >= 2, got {args.n_from}")
     if args.n_to < args.n_from:
         raise UsageError(f"n_to must be >= n_from, got {args.n_to} < {args.n_from}")
+    if args.n_to > TABLE_MAX:
+        raise UsageError(f"n_to must be <= {TABLE_MAX}, got {args.n_to}")
     table = exponential_table(args.n_to)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
@@ -376,6 +381,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"--lemma-max must be >= 34, got {args.lemma_max}")
     if args.agree_max < 2:
         raise UsageError(f"--agree-max must be >= 2, got {args.agree_max}")
+    for flag, value in (("--lemma-max", args.lemma_max), ("--agree-max", args.agree_max)):
+        if value > VERIFY_MAX:
+            raise UsageError(f"{flag} must be <= {VERIFY_MAX}, got {value}")
 
     table = exponential_table(max(args.lemma_max, args.agree_max))
     report = verify_lemma(args.lemma_max, table)
@@ -481,7 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("optimal", help="optimal allocation for one n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"number of observations, 2..{OPTIMAL_MAX} "
+                                       "(any n >= 2 with --method closed)")
     p.add_argument("--method", choices=("dp", "gr", "closed", "all"), default="gr",
                    help="solver (default: group relaxation with dp cross-check)")
     p.add_argument("--table", metavar="FILE",
@@ -491,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="optimal allocations for a range of n")
     p.add_argument("n_from", type=int)
-    p.add_argument("n_to", type=int)
+    p.add_argument("n_to", type=int, help=f"at most {TABLE_MAX}")
     _add_format_flag(p)
     p.set_defaults(func=cmd_table)
 
@@ -508,9 +517,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="peak-ratio and solver-agreement checks")
     p.add_argument("--lemma-max", type=int, default=1000,
-                   help="upper end of the exact ratio scan (default 1000, min 34)")
+                   help=f"upper end of the exact ratio scan (default 1000, 34..{VERIFY_MAX})")
     p.add_argument("--agree-max", type=int, default=400,
-                   help="upper end of the solver-agreement sweep (default 400)")
+                   help=f"upper end of the solver-agreement sweep (default 400, 2..{VERIFY_MAX})")
     _add_format_flag(p)
     p.set_defaults(func=cmd_verify)
 

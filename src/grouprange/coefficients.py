@@ -18,11 +18,16 @@ exact harmonic values:
 
     d_j = H(j-1, 1),    k_sq_j = H(j-1, 2).
 
+``exponential_table`` builds an exact entry when it is first read, and
+``c_float`` serves C_j from compensated float sums, so the solvers,
+which compare floats first, build only the entries the answer reads.
+
 Tables for other distributions load from CSV with header ``j,d,k_sq``,
 one row per part size starting at j = 2 with no gaps.  Values may be
 written as exact fractions ("5/4") or decimal literals ("1.25"); both
 parse exactly, never through a float.  C is always derived from d
-and k_sq, so a stored C column, if present, is ignored.
+and k_sq, so a stored fourth column ``c`` or ``C`` is ignored; no other
+column, and no cell past the header's, is accepted.
 
 Where each check lives: ``CoefficientEntry`` requires d, k_sq > 0,
 bounds both to [1e-50, 1e50] and derives c itself; ``CoefficientTable``
@@ -36,6 +41,8 @@ from __future__ import annotations
 import csv
 import io
 import re
+import threading
+from collections.abc import Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import IO, Union
@@ -52,6 +59,11 @@ __all__ = [
 ]
 
 _HEADER = ("j", "d", "k_sq")
+# Relative error bound of ``CoefficientTable.c_float``: a rounded exact C_j
+# is within u = 2**-53; on the exponential table each term is rounded once
+# (u) and a Neumaier sum adds 2u + O(m u**2) (Higham, Accuracy and Stability,
+# sec. 4.3), under 4u per sum for m < 2**40, so h1 * h1 / h2 is within 14u.
+FLOAT_C_ERROR = 1e-14
 _MIN_VALUE, _MAX_VALUE = Fraction(1, 10**50), Fraction(10**50)  # bounds on d and k_sq
 
 
@@ -96,17 +108,75 @@ class CoefficientEntry(_Frozen):
         return f"CoefficientEntry(j={self.j!r}, d={self.d!r}, k_sq={self.k_sq!r}, c={self.c!r})"
 
 
-class CoefficientTable(_Frozen):
-    """Immutable map from part size j (contiguous from 2) to constants."""
+class _ExponentialEntries(Sequence):
+    """Exponential entries 2..max_part, each built when first read; len()
+    builds nothing.  Against a tuple, and for hash and repr, they act as
+    the tuple of all their entries."""
 
-    def __init__(self, distribution_label: str, entries: tuple[CoefficientEntry, ...]) -> None:
+    def __init__(self, max_part: int) -> None:
+        self._parts, self._built = range(2, max_part + 1), {}
+
+    def __len__(self) -> int:
+        return len(self._parts)
+
+    def __getitem__(self, index):
+        j = self._parts[index]  # as on a tuple: negative indices, slices, IndexError
+        if isinstance(j, range):
+            return tuple(self[k - 2] for k in j)
+        if j not in self._built:  # setdefault keeps one entry when threads race
+            from .exactmath import generalized_harmonic as h
+
+            self._built.setdefault(j, CoefficientEntry(j, h(j - 1, 1), h(j - 1, 2)))
+        return self._built[j]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ExponentialEntries):
+            return self._parts == other._parts
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+_float_lock = threading.Lock()
+_float_c = [0.0, 0.0]  # float C_j of the exponential table at index j >= 2
+_sums = [0.0] * 4  # Neumaier sums of 1/i and 1/i**2, and their compensations
+
+
+def _exponential_c_float(j: int) -> float:
+    with _float_lock:
+        s1, s2, e1, e2 = _sums
+        for i in range(len(_float_c) - 1, j):  # C_{i+1} reads H(i, 1) and H(i, 2)
+            # falling terms from a zero sum keep |sum| >= |term|, so
+            # (sum - new) + term is the new rounding error exactly
+            x, y = 1 / i, 1 / (i * i)  # int division rounds correctly
+            t1, t2 = s1 + x, s2 + y
+            e1, e2 = e1 + ((s1 - t1) + x), e2 + ((s2 - t2) + y)
+            s1, s2 = t1, t2
+            _float_c.append((s1 + e1) * (s1 + e1) / (s2 + e2))
+        _sums[:] = s1, s2, e1, e2
+        return _float_c[j]
+
+
+class CoefficientTable(_Frozen):
+    """Immutable map from part size j (contiguous from 2) to constants.
+
+    ``entries`` is a tuple, or on the exponential table a sequence that
+    builds each entry when first read.
+    """
+
+    def __init__(self, distribution_label: str, entries: Sequence[CoefficientEntry]) -> None:
         if not entries:
             raise ValueError("a coefficient table needs at least the j = 2 entry")
-        for expected, entry in enumerate(entries, start=2):
-            if entry.j != expected:
-                raise ValueError(
-                    f"part sizes must be contiguous from 2: expected {expected}, got {entry.j}"
-                )
+        if not isinstance(entries, _ExponentialEntries):  # contiguous by design
+            for expected, entry in enumerate(entries, start=2):
+                if entry.j != expected:
+                    raise ValueError(
+                        f"part sizes must be contiguous from 2: expected {expected}, got {entry.j}"
+                    )
         vars(self).update(distribution_label=distribution_label, entries=entries)
 
     def __eq__(self, other: object) -> bool:
@@ -123,7 +193,7 @@ class CoefficientTable(_Frozen):
 
     @property
     def max_part(self) -> int:
-        return self.entries[-1].j
+        return len(self.entries) + 1
 
     def covers(self, j: int) -> bool:
         return 2 <= j <= self.max_part
@@ -142,19 +212,18 @@ class CoefficientTable(_Frozen):
     def c(self, j: int) -> Fraction:
         return self.entry(j).c
 
+    def c_float(self, j: int) -> float:
+        """C_j within a relative FLOAT_C_ERROR; builds no exponential entry."""
+        if isinstance(self.entries, _ExponentialEntries) and self.covers(j):
+            return _exponential_c_float(j)
+        return float(self.entry(j).c)  # raises when j is not covered
+
 
 def exponential_table(max_part: int) -> CoefficientTable:
-    """Exact table for the exponential distribution, parts 2..max_part."""
-    from .exactmath import generalized_harmonic
-
+    """Exact table for the exponential distribution, parts 2..max_part, in O(1)."""
     if max_part < 2:
         raise ValueError(f"max_part must be >= 2, got {max_part}")
-    entries = []
-    for j in range(2, max_part + 1):
-        d = generalized_harmonic(j - 1, 1)
-        k_sq = generalized_harmonic(j - 1, 2)
-        entries.append(CoefficientEntry(j, d, k_sq))
-    return CoefficientTable("exponential", tuple(entries))
+    return CoefficientTable("exponential", _ExponentialEntries(max_part))
 
 
 def _adjusted_exponent(text: str) -> int:
@@ -208,7 +277,7 @@ def load_table(
 
     header = tuple(cell.strip() for cell in rows[0])
     # a trailing c column is tolerated and ignored
-    if header[:3] != _HEADER or len(header) > 4:
+    if header[:3] != _HEADER or header[3:] not in ((), ("c",), ("C",)):
         raise CoefficientTableError(
             f"row 1: bad header {','.join(header)!r} (expected j,d,k_sq)"
         )
@@ -218,8 +287,9 @@ def load_table(
     for index, row in enumerate(rows[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
-        if len(row) < 3:
-            raise CoefficientTableError(f"row {index}: expected 3 columns, got {len(row)}")
+        if not 3 <= len(row) <= len(header):
+            expected = 3 if len(row) < 3 else len(header)
+            raise CoefficientTableError(f"row {index}: expected {expected} columns, got {len(row)}")
         try:
             j = int(row[0].strip())
         except ValueError:

@@ -23,7 +23,7 @@ solve_dp
     beside the exact one and filters the candidates: at each capacity
     only the parts whose float value lies within a relative 1e-9 of the
     float best reach the exact Fraction comparison.  The float error is
-    a few units of 2**-53, far below that tolerance, so every exact
+    below 1e-13, far below that tolerance, so every exact
     maximizer passes the filter and the answer, tie-break included, is
     the exact DP's.  A fill costs O(n * u) float operations for u
     undominated parts, O(n**2) at worst, and about one rational
@@ -45,8 +45,12 @@ solve_group_relaxation
     falls back to solve_dp and the result is labeled "dp".  For the
     exponential table the only fallback at n <= 400 is n = 6.  The
     best-part scan and the per-class penalty minima are cached
-    per table and grown with n, so a sweep n = 2..N costs O(N)
-    rational operations instead of O(N**2).
+    per table and grown with n, so a sweep n = 2..N costs O(N) float
+    operations, and Dijkstra runs once per distinct graph.
+
+Every scan compares the table's float C_j first and goes exact only
+within a relative 1e-9 of a tie: on the exponential table the exact
+entries built are C_2..C_6 and the answer's parts.
 
 rule_of_fours
     Closed form for the exponential table: all parts equal to 4, with
@@ -106,7 +110,8 @@ class ResidueGraph(NamedTuple):
 
 def partition_objective(partition: Partition, table: CoefficientTable) -> Fraction:
     """Exact objective sum_j C_j * f_j of a partition under a table."""
-    return sum((table.c(j) * mult for j, mult in partition.frequencies), Fraction(0))
+    first, *rest = [table.c(j) * mult for j, mult in partition.frequencies]
+    return sum(rest, first)
 
 
 def _require_coverage(table: CoefficientTable, n: int) -> None:
@@ -123,13 +128,13 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 class _TableState:
     __slots__ = (
         "values", "parts", "fv", "fc", "undominated", "runs",
-        "best", "best_ratio", "modulus", "penalized", "records",
+        "best", "best_ratio", "modulus", "penalized", "records", "latest", "paths",
     )
 
     def __init__(self) -> None:
         # DP by capacity: exact value and tie-broken parts (None when
         # infeasible), the value's float image (-inf when infeasible),
-        # and fc[j] = float(C_j).
+        # and fc[j] = table.c_float(j), which every scan reads.
         self.values: list[Fraction | None] = [Fraction(0), None]
         self.parts: list[tuple[int, ...] | None] = [(), None]
         self.fv: list[float] = [0.0, -math.inf]
@@ -140,15 +145,18 @@ class _TableState:
         self.undominated: list[int] = []
         self.runs: list[range] = []
         # Residue graph: best[n] is the argmax of C_j / j over 2..n
-        # (smallest j on ties), best_ratio the maximum scanned so far.
+        # (smallest j on ties), best_ratio fc[b] / b for b = best[-1].
         # For the current modulus b and the parts 2 <= j <= penalized:
         # records[offset] lists the (j, w_j) at which the minimum of the
-        # class j = offset (mod b) drops.
+        # class j = offset (mod b) drops, latest[offset] its last float.
+        # paths: the last graph solved and its shortest paths from 0.
         self.best: list[int] = [0, 0]
-        self.best_ratio = Fraction(0)
+        self.best_ratio = 0.0
         self.modulus = 0
         self.penalized = 1
         self.records: dict[int, list[tuple[int, Fraction]]] = {}
+        self.latest: dict[int, float] = {}
+        self.paths: tuple[ResidueGraph, dict] | None = None
 
 
 _states: dict[int, _TableState] = {}
@@ -166,15 +174,31 @@ def _table_state(table: CoefficientTable) -> _TableState:
     return state
 
 
+# A float comparison decides unless its sides lie within this relative
+# margin; then the exact one does.  fc[j] / j is within delta + u of C_j / j
+# (delta = FLOAT_C_ERROR = 1e-14, u = 2**-53), so two ratios _TIE apart,
+# 4 * 10**4 times their combined error, order as the exact ratios do.
+_TIE = 1e-9
+
+
+def _floats(state: _TableState, table: CoefficientTable, n: int) -> list[float]:
+    fc = state.fc
+    if len(fc) <= n:
+        fc.extend(table.c_float(j) for j in range(len(fc), n + 1))
+    return fc
+
+
 def _best_part(state: _TableState, table: CoefficientTable, n: int) -> int:
-    best = state.best
+    best, fc = state.best, _floats(state, table, n)
+    b, ratio = best[-1], state.best_ratio  # ratio 0.0 before the first part
     for j in range(len(best), n + 1):
-        ratio = table.c(j) / j
-        if ratio > state.best_ratio:
-            state.best_ratio = ratio
-            best.append(j)
-        else:
-            best.append(best[-1])
+        r = fc[j] / j
+        if r > ratio * (1 + _TIE) or (
+            r >= ratio * (1 - _TIE) and table.c(j) / j > table.c(b) / b  # smallest j on ties
+        ):
+            b, ratio = j, r
+        best.append(b)
+    state.best_ratio = ratio
     return best[n]
 
 
@@ -182,18 +206,30 @@ def _grow_class_minima(state: _TableState, table: CoefficientTable, b: int, n: i
     # b maximizes C_j / j over 2..n, so every w_j with j <= n is >= 0.
     # The n with the same best part form one interval, so the minima
     # kept for b stay valid until the modulus changes.
+    # w_j is a difference, so its float error is absolute: below
+    # (FLOAT_C_ERROR + 5 * 2**-53) * (j * C_b / b + C_j), the record's
+    # float included (its w is at most r * C_b / b with r < j).
     if state.modulus != b:
-        state.modulus, state.penalized, state.records = b, 1, {}
-    per_unit = table.c(b) / b
+        state.modulus, state.penalized, state.records, state.latest = b, 1, {}, {}
+    if n <= state.penalized:
+        return
+    fc, per_unit, latest = state.fc, state.fc[b] / b, state.latest
     for j in range(state.penalized + 1, n + 1):
         offset = j % b
         if not offset:  # self loops never help a shortest path
             continue
-        w = j * per_unit - table.c(j)
+        w = j * per_unit - fc[j]
         records = state.records.setdefault(offset, [])
-        if not records or w < records[-1][1]:  # smallest part on ties
-            records.append((j, w))
-    state.penalized = max(state.penalized, n)
+        if records:
+            margin = _TIE * (j * per_unit + fc[j])
+            if w > latest[offset] + margin or (  # smallest part on ties
+                w >= latest[offset] - margin
+                and not j * table.c(b) / b - table.c(j) < records[-1][1]
+            ):
+                continue
+        records.append((j, j * table.c(b) / b - table.c(j)))  # a new record, exact
+        latest[offset] = float(records[-1][1])
+    state.penalized = n
 
 
 def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
@@ -254,22 +290,21 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     undominated parts below w, plus w itself: {2, 3, 4, 5} plus w on the
     exponential table, every part on a convex one.  A tied part stays.
 
-    Float filter: every float in the fill carries a relative error of
-    at most u = 2**-53 (fv[k] = float(values[k]) and fc[j] = float(C_j)
-    are correctly rounded, and one float addition of two nonnegative
-    terms follows), so a float candidate fv[w-j] + fc[j] lies within a
-    factor (1 +- u)**2 of its exact value.  An exact maximizer's float
-    is therefore at least (1 - 4u) times the float best, and the filter
-    keeps every candidate within 1e-9, about 10**7 times that bound:
-    all exact maximizers, ties included, reach the exact comparison,
-    and the result equals the plain exact fill's.  The bound needs
+    Float filter: fv[k] = float(values[k]) is within a relative u = 2**-53
+    and fc[j] within delta = FLOAT_C_ERROR = 1e-14 (u on a loaded table),
+    and one float addition of two nonnegative terms follows, so a float
+    candidate fv[w-j] + fc[j] lies within a factor (1 +- delta)(1 +- u)
+    of its exact value.  An exact maximizer's float is therefore at least
+    (1 - 2 * (delta + u)) times the float best, and the filter keeps every
+    candidate within 1e-9, about 4 * 10**4 times that bound: all exact
+    maximizers, ties included, reach the exact comparison, and the
+    result equals the plain exact fill's.  The bound needs
     normal floats, which ``CoefficientEntry``'s bounds on d and k_sq
     guarantee for every C_j, value and sum.  Capacity 1 is infeasible
     and its float -inf keeps it out of every candidate list.
     """
-    values, parts, fv, fc = state.values, state.parts, state.fv, state.fc
+    values, parts, fv, fc = state.values, state.parts, state.fv, _floats(state, table, n)
     undominated, runs = state.undominated, state.runs
-    fc.extend(float(table.c(j)) for j in range(len(fc), n + 1))
     for w in range(len(values), n + 1):
         # the undominated parts ascending, then w, whose fv[0] + fc[w] is fc[w]
         tried = undominated + [w]
@@ -330,7 +365,12 @@ def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
 
     path_parts: tuple[int, ...] = ()
     if r != 0:
-        reached = shortest_paths(graph, 0)
+        with _lock:
+            state = _table_state(table)
+        last = state.paths  # one read: another thread may replace it
+        if last is None or last[0] != graph:
+            last = state.paths = (graph, shortest_paths(graph, 0))
+        reached = last[1]
         if r not in reached:
             return solve_dp(n, table)
         path_parts = reached[r][1]

@@ -267,6 +267,33 @@ def test_count_limit(capsys):
     assert (code, out, err) == (2, "", "error: n must be <= 50000, got 50001\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["optimal", "10001"], "n must be <= 10000 (any n with --method closed), got 10001"),
+    (["optimal", "10001", "--method", "dp"],
+     "n must be <= 10000 (any n with --method closed), got 10001"),
+    (["table", "2", "5001"], "n_to must be <= 5000, got 5001"),
+    (["verify", "--lemma-max", "5001"], "--lemma-max must be <= 5000, got 5001"),
+    (["verify", "--agree-max", "5001"], "--agree-max must be <= 5000, got 5001"),
+])
+def test_size_limits(capsys, argv, message):
+    # one past each bound exits 2 before any work, with a message naming it
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_size_limits_keep_the_defaults(capsys):
+    # verify's defaults and the benchmark's largest sizes run, as do
+    # table's bound and the closed form far past optimal's
+    for argv in (["verify"], ["verify", "--lemma-max", "500", "--agree-max", "250"],
+                 ["optimal", "1000"], ["table", "2", "330"], ["table", "5000", "5000"],
+                 ["optimal", "3000", "--method", "closed"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    code, out, _ = run(capsys, "optimal", "1000000", "--method", "closed", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["payload"]["results"][0]["partition"]["frequencies"] == {"4": 250000}
+
+
 # ---------------------------------------------------------------- custom table
 
 
@@ -314,6 +341,17 @@ def test_custom_table_errors(tmp_path, capsys):
     code, out, err = run(capsys, "optimal", "10", "--table", str(short))
     assert code == 3
     assert "covers parts 2..8" in err
+
+    # an unknown fourth column, or a row wider than its header, is refused
+    for text, message in [
+        ("j,d,k_sq,zzz\n2,1,1\n3,3/2,5/4,7,8,9\n", "row 1: bad header 'j,d,k_sq,zzz'"),
+        ("j,d,k_sq\n2,1,1\n3,3/2,5/4,7,8,9\n", "row 3: expected 3 columns, got 6"),
+    ]:
+        wide = tmp_path / "wide.csv"
+        wide.write_text(text)
+        code, out, err = run(capsys, "optimal", "3", "--table", str(wide))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: bad coefficient table: {message}")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

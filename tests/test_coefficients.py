@@ -1,6 +1,7 @@
 """Coefficient tables and the CSV interchange format."""
 
 import weakref
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from grouprange import (
     CoefficientTableError,
     export_table,
     exponential_table,
+    generalized_harmonic,
     load_table,
 )
+from grouprange.coefficients import FLOAT_C_ERROR
 
 
 def harmonic_oracle(n: int, j: int) -> Fraction:
@@ -61,6 +64,46 @@ def test_entries_positive_and_increasing():
     for j in range(2, 100):
         assert t.d(j + 1) > t.d(j)
         assert t.c(j + 1) > t.c(j)
+
+
+def test_exponential_table_builds_entries_when_read():
+    # the span, its length and coverage build nothing; each read entry
+    # equals the eagerly built CoefficientEntry(j, H(j-1, 1), H(j-1, 2))
+    t = exponential_table(2000)
+    assert (len(t.entries), t.max_part, t.covers(2000), t.covers(2001)) == (1999, 2000, True, False)
+    assert t.entries._built == {}
+    assert t.c_float(2000) > 0 and t.entries._built == {}
+    assert t.entry(7) is t.entries[5] is t.entries[-1994]
+    assert list(t.entries._built) == [7]
+    for j in range(2, 2001):
+        eager = CoefficientEntry(j, generalized_harmonic(j - 1, 1), generalized_harmonic(j - 1, 2))
+        assert t.entry(j) == eager, j
+    assert t.entries == tuple(t.entries) and tuple(t.entries) == t.entries
+    assert t.entries[3:6] == (t.entry(5), t.entry(6), t.entry(7))
+    with pytest.raises(IndexError):
+        t.entries[1999]
+
+
+def test_float_coefficients_within_bound():
+    # against the correctly rounded exact C_j for j <= 3000 ...
+    t = exponential_table(3000)
+    for j in range(2, 3001):
+        exact = float(t.c(j))
+        assert abs(t.c_float(j) - exact) <= FLOAT_C_ERROR * exact, j
+    # ... and against a 40-digit decimal sum at j = 10**5
+    j = 10**5
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h1 = sum(Decimal(1) / i for i in range(1, j))
+        h2 = sum(Decimal(1) / (i * i) for i in range(1, j))
+        reference = h1 * h1 / h2
+    got = exponential_table(j).c_float(j)
+    assert abs(Decimal(got) - reference) <= Decimal(FLOAT_C_ERROR) * reference
+    # a loaded table serves float(C_j), and both refuse an uncovered part
+    assert load_table("j,d,k_sq\n2,1,3\n").c_float(2) == float(Fraction(1, 3))
+    for table in (t, load_table("j,d,k_sq\n2,1,3\n")):
+        with pytest.raises(ValueError, match="not covered"):
+            table.c_float(table.max_part + 1)
 
 
 def test_tables_compare_by_value():
@@ -115,6 +158,23 @@ def test_load_decimals_exactly():
 def test_load_ignores_stored_c_column():
     t = load_table("j,d,k_sq,C\n2,1,1,999\n")
     assert t.c(2) == 1
+    assert load_table("j,d,k_sq,c\n2,1,1,999\n3,3/2,5/4\n").c(3) == Fraction(9, 5)
+
+
+def test_load_error_extra_columns():
+    # only c or C may follow k_sq in the header, and no row may be wider
+    # than the header
+    for header in ("j,d,k_sq,zzz", "j,d,k_sq,c,x", "j,d,k_sq,,"):
+        with pytest.raises(CoefficientTableError) as info:
+            load_table(f"{header}\n2,1,1\n")
+        assert str(info.value) == f"row 1: bad header {header!r} (expected j,d,k_sq)"
+    for text, message in [
+        ("j,d,k_sq\n2,1,1\n3,3/2,5/4,7\n", "row 3: expected 3 columns, got 4"),
+        ("j,d,k_sq,C\n2,1,1,1\n3,3/2,5/4,7,8,9\n", "row 3: expected 4 columns, got 6"),
+    ]:
+        with pytest.raises(CoefficientTableError) as info:
+            load_table(text)
+        assert str(info.value) == message
 
 
 def test_load_skips_blank_lines():

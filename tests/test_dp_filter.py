@@ -1,4 +1,4 @@
-"""The float-filtered, dominance-pruned DP against the plain exact DP.
+"""The float-first solvers against their plain exact references.
 
 ``reference_dp`` is the exact fill as it stood before the float
 filter and the dominance pruning: every part is compared in Fraction
@@ -8,6 +8,14 @@ tie-heavy tables, tables with near ties far below float resolution,
 convex tables (C_j / j increasing, the shape the filter exists for)
 and tables whose d and k_sq sit at the ends of the range
 ``CoefficientEntry`` accepts.
+
+``reference_group_relaxation`` is the group relaxation as it stood
+before its scans read floats: the best part and every penalty w_j
+compared in Fraction arithmetic, and Dijkstra run afresh for each n.
+``build_residue_graph`` and ``solve_group_relaxation`` must match it
+on random, tie-heavy and near-tie tables (a best-part ratio or a
+penalty within 1e-12 relative of its rival) and on a table whose best
+part changes with n.
 """
 
 import random
@@ -16,7 +24,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grouprange import CoefficientEntry, CoefficientTable, exponential_table, solve_dp
+from grouprange import (
+    CoefficientEntry,
+    CoefficientTable,
+    Partition,
+    ResidueGraph,
+    SolveResult,
+    build_residue_graph,
+    exponential_table,
+    partition_objective,
+    shortest_paths,
+    solve_dp,
+    solve_group_relaxation,
+)
 from grouprange.optimizer import _states
 
 
@@ -210,3 +230,127 @@ def test_entries_at_the_bounds(cs, ends, order_seed):
         j = 2 + i % len(cs)
         entries[j - 2] = CoefficientEntry(j, d, k_sq)
     assert_matches_reference(CoefficientTable("test", tuple(entries)), order_seed)
+
+
+# ------------------------------------------------------------ group relaxation
+
+
+def reference_group_relaxation(table, n):
+    """(residue graph, result) with every comparison exact."""
+    c = {j: table.c(j) for j in range(2, n + 1)}
+    b = max(range(2, n + 1), key=lambda j: (c[j] / j, -j))  # smallest j on ties
+    minima = {}
+    for j in range(2, n + 1):
+        if j % b:
+            w = j * c[b] / b - c[j]
+            if j % b not in minima or w < minima[j % b][1]:  # smallest part on ties
+                minima[j % b] = (j, w)
+    graph = ResidueGraph(b, tuple((offset, *minima[offset]) for offset in sorted(minima)))
+    path = ()
+    if n % b:
+        path = shortest_paths(graph).get(n % b, (None, None))[1]
+    if path is None or sum(path) > n:
+        values, parts = reference_dp(table, n)
+        return graph, SolveResult(Partition.from_parts(parts[n]), values[n], "dp")
+    partition = Partition.from_parts(path + (b,) * ((n - sum(path)) // b))
+    return graph, SolveResult(partition, partition_objective(partition, table), "group_relaxation")
+
+
+def assert_gr_matches_reference(table, order_seed=0):
+    order = list(range(2, table.max_part + 1))
+    random.Random(order_seed).shuffle(order)  # grow the records and reuse paths from anywhere
+    for n in order:
+        graph, result = reference_group_relaxation(table, n)
+        assert build_residue_graph(table, n) == graph, n
+        assert solve_group_relaxation(n, table) == result, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(cs=st.lists(positive, min_size=1, max_size=28), order_seed=st.integers(0, 2**16))
+def test_gr_random_tables(cs, order_seed):
+    assert_gr_matches_reference(table_of(cs), order_seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ties=st.lists(st.booleans(), min_size=1, max_size=28),
+    order_seed=st.integers(0, 2**16),
+)
+def test_gr_tie_heavy_tables(ties, order_seed):
+    # C_j = j/2 ties every ratio C_j / j of the tie parts and makes
+    # their penalties 0: every comparison is an exact tie
+    cs = [Fraction(j, 2) if tie else Fraction(j * j, 2 * j + 1)
+          for j, tie in enumerate(ties, start=2)]
+    assert_gr_matches_reference(table_of(cs), order_seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ties=st.lists(st.booleans(), min_size=3, max_size=24),
+    rate=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=97),
+    bumped=st.integers(0, 100),
+    sign=st.sampled_from([-1, 1]),
+    exponent=st.integers(12, 20),
+    order_seed=st.integers(0, 2**16),
+)
+def test_gr_best_part_near_ties(ties, rate, bumped, sign, exponent, order_seed):
+    # C_j / j = rate for the tie parts, and one part's ratio off it by a
+    # relative 10**-exponent: the best part is a near tie the floats
+    # cannot order from about 1e-16 down
+    cs = [rate * j if tie else rate * j * (1 - Fraction(1, j + 2))
+          for j, tie in enumerate(ties, start=2)]
+    k = bumped % len(cs)
+    cs[k] = rate * (k + 2) * (1 + Fraction(sign, 10**exponent))
+    assert_gr_matches_reference(table_of(cs), order_seed)
+
+
+def penalty_near_tie_table(size, b, rate, pick, sign, exponent):
+    # b is the strict best part and every other w_k = k * rate / (k + 2)
+    # rises with k, so the smallest part r of a class holds its record;
+    # a later classmate j gets w_j = w_r * (1 + sign * 10**-exponent)
+    cs = {j: rate * j * (1 - Fraction(1, j + 2)) for j in range(2, size + 2)}
+    cs[b] = rate * b
+    pairs = [(r, j) for r in range(2, size + 2) if r % b for j in range(r + b, size + 2, b)]
+    r, j = pairs[pick % len(pairs)]
+    cs[j] = j * rate - (r * rate - cs[r]) * (1 + Fraction(sign, 10**exponent))
+    return table_of([cs[k] for k in range(2, size + 2)]), r, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(7, 24),
+    b=st.integers(2, 5),
+    rate=st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=97),
+    pick=st.integers(0, 10**6),
+    sign=st.sampled_from([-1, 0, 1]),
+    exponent=st.integers(12, 20),
+    order_seed=st.integers(0, 2**16),
+)
+def test_gr_penalty_near_ties(size, b, rate, pick, sign, exponent, order_seed):
+    table, _, _ = penalty_near_tie_table(size, b, rate, pick, sign, exponent)
+    assert_gr_matches_reference(table, order_seed)
+
+
+def test_gr_near_ties_decide_exactly():
+    # ties 1e-17 apart, below float resolution: only the exact
+    # comparison orders them
+    for sign in (-1, 1):
+        cs = [Fraction(1), Fraction(3, 2), Fraction(2) * (1 + Fraction(sign, 10**17))]
+        cs += [Fraction(j, 2) * (1 - Fraction(1, j + 2)) for j in range(5, 12)]
+        table = table_of(cs)
+        assert float(table.c(4) / 4) == 0.5
+        assert build_residue_graph(table, 6).modulus == (4 if sign > 0 else 2)
+        assert_gr_matches_reference(table)
+        table, r, j = penalty_near_tie_table(12, 4, Fraction(1, 2), 3, sign, 17)
+        steps = dict((offset, part) for offset, part, _ in build_residue_graph(table, 13).steps)
+        assert steps[r % 4] == (j if sign < 0 else r)
+        assert_gr_matches_reference(table)
+
+
+def test_gr_shifting_modulus_table():
+    # C_j / j rises to a new maximum at j = 3, 7 and 12, so the modulus
+    # changes three times as n grows; swept in several orders
+    boost = {3: Fraction(11, 10), 7: Fraction(6, 5), 12: Fraction(5, 4)}
+    cs = [Fraction(j, 2) * boost.get(j, 1 - Fraction(1, j + 5)) for j in range(2, 25)]
+    for order_seed in range(4):
+        assert_gr_matches_reference(table_of(cs), order_seed)

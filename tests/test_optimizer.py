@@ -14,11 +14,14 @@ from fractions import Fraction
 
 import pytest
 
+from grouprange import coefficients
 from grouprange import (
+    CoefficientEntry,
     Partition,
     build_residue_graph,
     enumerate_admissible,
     exponential_table,
+    generalized_harmonic,
     load_table,
     partition_objective,
     rule_of_fours,
@@ -164,6 +167,34 @@ def test_solvers_share_custom_table_state_under_thread_contention():
         contend(workers, functools.partial(run, [make() for make in makers]))
     assert len(results) == rounds * workers * len(ns) * len(makers)
     assert [key for key, result in results if result != serial[key]] == []
+
+
+def test_lazy_table_under_thread_contention():
+    # Threads read the exact entries and the floats of one exponential
+    # table, each in its own order, from an empty float memo; every
+    # value must equal a serial build, and each entry is one object.
+    span = range(2, 301)
+    eager = {j: CoefficientEntry(j, generalized_harmonic(j - 1, 1), generalized_harmonic(j - 1, 2))
+             for j in span}
+    floats = {j: exponential_table(300).c_float(j) for j in span}
+    workers, rounds = 4, 4
+    for _ in range(rounds):
+        with coefficients._float_lock:
+            del coefficients._float_c[2:]
+            coefficients._sums[:] = [0.0] * 4
+        table = exponential_table(300)
+        seen: list[tuple[int, object, float]] = []
+
+        def run(index: int) -> None:
+            order = list(span)
+            random.Random(index).shuffle(order)
+            for j in order:
+                seen.append((j, table.entry(j), table.c_float(j)))
+
+        contend(workers, run)
+        assert len(seen) == workers * len(span)
+        assert [j for j, entry, f in seen if entry != eager[j] or f != floats[j]] == []
+        assert all(entry is table.entry(j) for j, entry, _ in seen)
 
 
 def test_dp_tie_prefers_fewer_parts():
