@@ -2,7 +2,7 @@
 
 Commands
     optimal N      optimal allocation of N observations, with weights;
-                   N <= 10000 except for the closed form
+                   N <= 10000, or N <= 1000000 with the closed form
     table A B      optimal allocation for every n in A..B, B <= 5000
     simulate N     seeded Monte-Carlo run of an estimator plan
     verify         peak-ratio check plus solver-agreement sweep, to 5000
@@ -53,10 +53,12 @@ FORMATS = ("text", "json", "csv")
 FORMAT_ENV = "GROUPRANGE_FORMAT"
 # The largest n each command takes, checked before any work.  Cold on a
 # 2-core host: count 1.4 to 1.6 s and 22 MB (and below 76,568, where the
-# float asymptotic estimate would overflow); optimal 0.9 s and 125 MB, the
-# DP's parts tuples (--method closed is unbounded); table 0.7 s and 37 MB;
-# verify at both bounds 2.2 s and 76 MB.
+# float asymptotic estimate would overflow); optimal 0.3 s and 20 MB;
+# optimal --method closed 0.2 to 0.4 s and 37 MB, its plan and parts
+# being O(n) (10**7 takes 1.1 s and 226 MB); table 0.8 s and 37 MB;
+# verify at both bounds 2.0 s and 54 MB.
 COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
+CLOSED_MAX = 1_000_000
 
 
 class UsageError(Exception):
@@ -168,8 +170,10 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     custom = args.table is not None
     if args.method == "closed" and custom:
         raise UsageError("the closed-form method applies only to the built-in exponential table")
+    if args.method == "closed" and n > CLOSED_MAX:
+        raise UsageError(f"n must be <= {CLOSED_MAX} with --method closed, got {n}")
     if args.method != "closed" and n > OPTIMAL_MAX:
-        raise UsageError(f"n must be <= {OPTIMAL_MAX} (any n with --method closed), got {n}")
+        raise UsageError(f"n must be <= {OPTIMAL_MAX} ({CLOSED_MAX} with --method closed), got {n}")
 
     agreement = None
     cross_checked = False
@@ -490,7 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimal", help="optimal allocation for one n")
     p.add_argument("n", type=int, help=f"number of observations, 2..{OPTIMAL_MAX} "
-                                       "(any n >= 2 with --method closed)")
+                                       f"(2..{CLOSED_MAX} with --method closed)")
     p.add_argument("--method", choices=("dp", "gr", "closed", "all"), default="gr",
                    help="solver (default: group relaxation with dp cross-check)")
     p.add_argument("--table", metavar="FILE",

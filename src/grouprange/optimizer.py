@@ -14,7 +14,9 @@ Three independent solvers are provided; their objectives must agree.
 
 solve_dp
     Exact dynamic program over capacities 0..n.  Ties are broken by
-    fewer parts, then descending lexicographic part tuple.  A part j
+    fewer parts, then descending lexicographic part tuple.  A capacity
+    keeps its optimum as (part, multiplicity) pairs, at most three on
+    the exponential table: O(n * d) state for d distinct parts.  A part j
     whose own capacity fills with other parts is dominated, the
     unbounded-knapsack dominance rule: no optimum of any n uses it, and
     later capacities no longer try it.  On the exponential table only
@@ -67,6 +69,7 @@ import math
 import operator
 import threading
 import weakref
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -127,19 +130,19 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 # residue graph.
 class _TableState:
     __slots__ = (
-        "values", "parts", "fv", "fc", "undominated", "runs",
+        "values", "keys", "fv", "fc", "undominated", "runs",
         "best", "best_ratio", "modulus", "penalized", "records", "latest", "paths",
     )
 
     def __init__(self) -> None:
-        # DP by capacity: exact value and tie-broken parts (None when
-        # infeasible), the value's float image (-inf when infeasible),
-        # and fc[j] = table.c_float(j), which every scan reads.
+        # DP by capacity: exact value and key (-part count, pairs by
+        # descending part), None when infeasible; the value's float image
+        # (-inf when infeasible); fc[j] = table.c_float(j), read by every scan.
         self.values: list[Fraction | None] = [Fraction(0), None]
-        self.parts: list[tuple[int, ...] | None] = [(), None]
+        self.keys: list[tuple[int, tuple[tuple[int, int], ...]] | None] = [(0, ()), None]
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
-        # The filled capacities j whose parts are (j,), the parts no
+        # The filled capacities j whose optimum is (j,), the parts no
         # filled capacity dominates: ascending, and as runs of
         # consecutive j for the float slices.
         self.undominated: list[int] = []
@@ -276,15 +279,24 @@ def shortest_paths(
     return {v: (d, parts) for v, (d, _, parts) in dist.items()}
 
 
-_FILTER = 1 - 1e-9  # candidates within this relative factor of the float best
+def _with_part(key: tuple[int, tuple[tuple[int, int], ...]], j: int) -> tuple:
+    """The DP key (-part count, pairs by descending part) after one more part j."""
+    count, pairs = key
+    i = sum(part > j for part, _ in pairs)
+    same = i < len(pairs) and pairs[i][0] == j
+    return count - 1, (*pairs[:i], (j, pairs[i][1] + 1 if same else 1), *pairs[i + same :])
 
 
 def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     """Fill capacities len(state.values)..n.
 
+    Capacity w keeps its largest (value, key): tied candidates have equal
+    sums, so their pairs order as their descending part tuples and the
+    key breaks ties by fewer parts, then descending lexicographic.
+
     Dominance: once capacity j is filled with parts other than (j,),
     values[j] > C_j strictly, since a tie would have kept the one-part
-    (j,).  Swapping part j for parts[j] then strictly improves every
+    (j,).  Swapping part j for that optimum then strictly improves every
     allocation that uses j, so no exact maximizer of any capacity does,
     and j leaves the candidates for good.  Capacity w tries only the
     undominated parts below w, plus w itself: {2, 3, 4, 5} plus w on the
@@ -296,14 +308,14 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     candidate fv[w-j] + fc[j] lies within a factor (1 +- delta)(1 +- u)
     of its exact value.  An exact maximizer's float is therefore at least
     (1 - 2 * (delta + u)) times the float best, and the filter keeps every
-    candidate within 1e-9, about 4 * 10**4 times that bound: all exact
+    candidate within _TIE, about 4 * 10**4 times that bound: all exact
     maximizers, ties included, reach the exact comparison, and the
     result equals the plain exact fill's.  The bound needs
     normal floats, which ``CoefficientEntry``'s bounds on d and k_sq
     guarantee for every C_j, value and sum.  Capacity 1 is infeasible
     and its float -inf keeps it out of every candidate list.
     """
-    values, parts, fv, fc = state.values, state.parts, state.fv, _floats(state, table, n)
+    values, keys, fv, fc = state.values, state.keys, state.fv, _floats(state, table, n)
     undominated, runs = state.undominated, state.runs
     for w in range(len(values), n + 1):
         # the undominated parts ascending, then w, whose fv[0] + fc[w] is fc[w]
@@ -313,23 +325,15 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
             floats += map(operator.add, fv[w - run.start : w - run.stop : -1],
                           fc[run.start : run.stop])
         floats.append(fc[w])
-        floor = max(floats) * _FILTER
-        best_value: Fraction | None = None
-        best_parts: tuple[int, ...] | None = None
-        for j in [tried[i] for i, f in enumerate(floats) if f >= floor]:
-            cand = values[w - j] + table.c(j)
-            if best_value is None or cand > best_value:
-                best_value = cand
-                best_parts = tuple(sorted(parts[w - j] + (j,), reverse=True))
-            elif cand == best_value:
-                cand_parts = tuple(sorted(parts[w - j] + (j,), reverse=True))
-                # fewer parts first, then descending lexicographic
-                if (-len(cand_parts), cand_parts) > (-len(best_parts), best_parts):
-                    best_parts = cand_parts
+        floor = max(floats) * (1 - _TIE)
+        best_value, best_key = max(
+            (values[w - j] + table.c(j), _with_part(keys[w - j], j))
+            for j, f in zip(tried, floats) if f >= floor
+        )
         values.append(best_value)
-        parts.append(best_parts)
+        keys.append(best_key)
         fv.append(float(best_value))
-        if best_parts == (w,):
+        if best_key == (-1, ((w, 1),)):
             undominated.append(w)
             if runs and runs[-1].stop == w:
                 runs[-1] = range(runs[-1].start, w + 1)
@@ -345,10 +349,10 @@ def solve_dp(n: int, table: CoefficientTable) -> SolveResult:
         if len(state.values) <= n:
             _dp_extend(state, n, table)
         value = state.values[n]
-        parts = state.parts[n]
+        key = state.keys[n]
     # n >= 2 is always feasible (greedy 2s and one 3 cover any n)
-    assert value is not None and parts is not None
-    return SolveResult(Partition.from_parts(parts), value, "dp")
+    assert value is not None and key is not None
+    return SolveResult(Partition(n, key[1][::-1]), value, "dp")
 
 
 def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
@@ -380,12 +384,8 @@ def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
     if f_b < 0:
         return solve_dp(n, table)
 
-    freq: dict[int, int] = {}
-    for j in path_parts:
-        freq[j] = freq.get(j, 0) + 1
-    if f_b:
-        freq[b] = freq.get(b, 0) + f_b
-    partition = Partition.from_frequencies(freq)
+    # no path part is a multiple of b: self loops never help
+    partition = Partition.from_frequencies({**Counter(path_parts), b: f_b})
     return SolveResult(partition, partition_objective(partition, table), "group_relaxation")
 
 

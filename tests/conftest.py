@@ -2,8 +2,14 @@
 
 The exponential tables are session scoped on purpose: the dynamic
 program caches its fill per table object, so reusing one object makes
-ascending sweeps cost a single O(n**2) fill instead of one per test.
+ascending sweeps cost a single fill instead of one per test.  cli_peak
+measures a cold command's peak memory.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +34,33 @@ def table400():
 @pytest.fixture(scope="session")
 def table1000():
     return exponential_table(1000)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_LAUNCHER = ("import os, subprocess, sys\n"
+             "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+             "_, status, usage = os.wait4(proc.pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+@pytest.fixture(scope="session")
+def cli_peak():
+    """Run ``grouprange.cli`` cold; return its exit code and peak RSS in bytes.
+
+    A small launcher process starts the command and reads its peak with
+    wait4: a child started from this process directly would report this
+    process's peak too, since Linux carries the peak of the image a
+    process replaces at exec into its own.
+    """
+    env = dict(os.environ)
+    env.pop("GROUPRANGE_FORMAT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def peak(*args: str) -> tuple[int, int]:
+        argv = [sys.executable, "-m", "grouprange.cli", *args]
+        proc = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
+        return code, peak_kib * 1024
+
+    return peak

@@ -268,18 +268,30 @@ def test_count_limit(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["optimal", "10001"], "n must be <= 10000 (any n with --method closed), got 10001"),
+    (["optimal", "10001"], "n must be <= 10000 (1000000 with --method closed), got 10001"),
     (["optimal", "10001", "--method", "dp"],
-     "n must be <= 10000 (any n with --method closed), got 10001"),
+     "n must be <= 10000 (1000000 with --method closed), got 10001"),
     (["table", "2", "5001"], "n_to must be <= 5000, got 5001"),
     (["verify", "--lemma-max", "5001"], "--lemma-max must be <= 5000, got 5001"),
     (["verify", "--agree-max", "5001"], "--agree-max must be <= 5000, got 5001"),
+    (["optimal", "1000001", "--method", "closed"],
+     "n must be <= 1000000 with --method closed, got 1000001"),
+    (["optimal", "100000000000", "--method", "closed"],
+     "n must be <= 1000000 with --method closed, got 100000000000"),
 ])
 def test_size_limits(capsys, argv, message):
     # one past each bound exits 2 before any work, with a message naming it
     start = time.perf_counter()
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert time.perf_counter() - start < 1
+
+
+def test_optimal_dp_at_the_bound_is_small(cli_peak):
+    # the DP keeps (part, multiplicity) pairs per capacity, O(n) state on
+    # the exponential table: cold, the bound peaks near 20 MB
+    code, peak = cli_peak("optimal", "10000", "--method", "dp")
+    assert code == 0
+    assert peak < 40e6
 
 
 def test_size_limits_keep_the_defaults(capsys):

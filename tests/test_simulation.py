@@ -1,10 +1,6 @@
 """Seeded sampling, block scheduling, and Monte-Carlo summaries."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +18,6 @@ from grouprange import (
 )
 from grouprange import simulation
 from grouprange.optimizer import rule_of_fours
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 
 class _FixedStream:
     """Stands in for a Generator; hands back prescribed uniforms."""
@@ -290,28 +283,13 @@ def test_monte_carlo_matches_reference_in_few_row_chunks(table401, monkeypatch, 
     _assert_matches_reference(monkeypatch, plan, 1.0, replicates, 3)
 
 
-def test_simulation_memory_is_bounded():
+def test_simulation_memory_is_bounded(cli_peak):
     """simulate 1500 --reps 65536 peaks under 150 MB.
 
     One block of 65536 x 1500 doubles is 786 MB before any temporary;
     drawing it in chunks leaves a few MiB of chunk arrays plus the
     estimates.
-    A small launcher process starts the command and reads its peak with
-    wait4: a child started from this process directly would report this
-    process's peak too, since Linux carries the peak of the image a
-    process replaces at exec into its own.
     """
-    env = dict(os.environ)
-    env.pop("GROUPRANGE_FORMAT", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    launcher = ("import os, subprocess, sys\n"
-                "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-                "_, status, usage = os.wait4(proc.pid, 0)\n"
-                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
-    argv = [sys.executable, "-m", "grouprange.cli", "simulate", "1500", "--reps", "65536",
-            "--format", "json"]
-    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux
+    code, peak = cli_peak("simulate", "1500", "--reps", "65536", "--format", "json")
     assert code == 0
-    assert peak_kib * 1024 < 150e6
+    assert peak < 150e6
