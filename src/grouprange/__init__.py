@@ -13,78 +13,19 @@ estimator weights, and verifies the whole construction exactly and by
 seeded Monte Carlo.
 """
 
-from .coefficients import (
-    CoefficientEntry,
-    CoefficientTable,
-    CoefficientTableError,
-    export_table,
-    exponential_table,
-    load_table,
-)
-from .estimator import EstimatorPlan, estimate, make_plan, theoretical_variance
-from .exactmath import generalized_harmonic
-from .lemma import PEAK_RATIO, LemmaReport, envelope_h, ratio, verify_lemma
-from .optimizer import (
-    ResidueGraph,
-    SolveResult,
-    build_residue_graph,
-    partition_objective,
-    rule_of_fours,
-    shortest_paths,
-    solve_dp,
-    solve_group_relaxation,
-)
-from .partitions import (
-    Partition,
-    asymptotic_admissible,
-    asymptotic_unrestricted,
-    count_admissible,
-    count_unrestricted,
-    enumerate_admissible,
-)
+# Each module's __all__ is its public API; the package lists no name of its own.
+from . import coefficients, estimator, exactmath, lemma, optimizer, partitions
+from .coefficients import *
+from .estimator import *
+from .exactmath import *
+from .lemma import *
+from .optimizer import *
+from .partitions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BLOCK_REPLICATES",
-    "CoefficientEntry",
-    "CoefficientTable",
-    "CoefficientTableError",
-    "EstimatorPlan",
-    "LemmaReport",
-    "PEAK_RATIO",
-    "Partition",
-    "ResidueGraph",
-    "SimulationReport",
-    "SolveResult",
-    "asymptotic_admissible",
-    "asymptotic_unrestricted",
-    "build_residue_graph",
-    "count_admissible",
-    "count_unrestricted",
-    "enumerate_admissible",
-    "envelope_h",
-    "estimate",
-    "export_table",
-    "exponential_table",
-    "generalized_harmonic",
-    "load_table",
-    "make_plan",
-    "monte_carlo",
-    "partition_objective",
-    "ratio",
-    "replicate_stream",
-    "rule_of_fours",
-    "sample_exponential",
-    "shortest_paths",
-    "solve_dp",
-    "solve_group_relaxation",
-    "theoretical_variance",
-    "verify_lemma",
-]
-
 # Served by __getattr__ so that importing the package, and every CLI
-# command but `simulate`, never loads numpy.
+# command but `simulate`, never loads numpy; simulation.__all__ lists the same.
 _SIMULATION_NAMES = frozenset({
     "BLOCK_REPLICATES",
     "SimulationReport",
@@ -92,6 +33,10 @@ _SIMULATION_NAMES = frozenset({
     "replicate_stream",
     "sample_exponential",
 })
+
+__all__ = sorted(_SIMULATION_NAMES.union(*(
+    module.__all__ for module in (coefficients, estimator, exactmath, lemma, optimizer, partitions)
+)))
 
 
 def __getattr__(name: str):

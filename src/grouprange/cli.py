@@ -4,7 +4,8 @@ Commands
     optimal N      optimal allocation of N observations, with weights;
                    N <= 10000, or N <= 1000000 with the closed form
     table A B      optimal allocation for every n in A..B, B <= 5000
-    simulate N     seeded Monte-Carlo run of an estimator plan
+    simulate N     seeded Monte-Carlo run of an estimator plan; N <= 10000,
+                   --reps <= 20000000 and N * reps <= 500000000 draws
     verify         peak-ratio check plus solver-agreement sweep, to 5000
     count N        number of admissible partitions of N, for N <= 50000
 
@@ -28,7 +29,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .coefficients import (
     CoefficientTable,
@@ -56,9 +57,15 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # float asymptotic estimate would overflow); optimal 0.3 s and 20 MB;
 # optimal --method closed 0.2 to 0.4 s and 37 MB, its plan and parts
 # being O(n) (10**7 takes 1.1 s and 226 MB); table 0.8 s and 37 MB;
-# verify at both bounds 2.0 s and 54 MB.
+# verify at both bounds 2.0 s and 54 MB.  simulate peaks near 16 bytes
+# per replicate (the estimates and the variance's temporary): 2e7
+# replicates take 344 MB; 5e8 draws take 8 s for the optimal plan at
+# n = 10000, 11 s at n = 25 and 2e7 replicates, and 29 s for n = 9869
+# split into 139 distinct part sizes, the most runs a plan of n <= 10000
+# has.
 COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
 CLOSED_MAX = 1_000_000
+SIMULATE_MAX, REPS_MAX, DRAWS_MAX = 10_000, 20_000_000, 500_000_000
 
 
 class UsageError(Exception):
@@ -130,6 +137,23 @@ def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
     return [list(payload), list(payload.values())]
 
 
+def _csv_fields(record: dict[str, Any]) -> Iterator[tuple[str, Any]]:
+    for key, value in record.items():
+        if key == "weights":
+            yield key, " ".join(f"{w['part']}:{w['weight']}" for w in value)
+        else:
+            yield key, value
+            if isinstance(value, Fraction):
+                yield f"{key}_float", float(value)
+
+
+def _records_csv(records: list[dict[str, Any]]) -> list[list[Any]]:
+    """A header and one row per record: its fields in order, ``<field>_float``
+    after each Fraction, and weights as ``part:weight`` pairs."""
+    rows = [dict(_csv_fields(record)) for record in records]
+    return [list(rows[0])] + [list(row.values()) for row in rows]
+
+
 # ---------------------------------------------------------------- optimal
 
 
@@ -147,22 +171,6 @@ def _optimal_text(payload: dict[str, Any]) -> None:
               f"{'objectives equal' if ok else 'OBJECTIVES DIFFER'}")
 
 
-def _optimal_csv(payload: dict[str, Any]) -> list[list[Any]]:
-    header = [
-        "method", "partition", "objective", "objective_float",
-        "variance_factor", "variance_factor_float", "weights",
-    ]
-    return [header] + [
-        [
-            res["method"], res["partition"],
-            res["objective"], float(res["objective"]),
-            res["variance_factor"], float(res["variance_factor"]),
-            " ".join(f"{w['part']}:{w['weight']}" for w in res["weights"]),
-        ]
-        for res in payload["results"]
-    ]
-
-
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
     if n < 2:
@@ -175,41 +183,35 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     if args.method != "closed" and n > OPTIMAL_MAX:
         raise UsageError(f"n must be <= {OPTIMAL_MAX} ({CLOSED_MAX} with --method closed), got {n}")
 
-    agreement = None
-    cross_checked = False
     table = _load_cli_table(args, n)
-    if args.method == "closed":
+    results = []
+    if args.method in ("dp", "all"):
+        results.append(solve_dp(n, table))
+    if args.method in ("gr", "all"):
+        results.append(solve_group_relaxation(n, table))
+    if args.method == "closed" or (args.method == "all" and not custom):
         part = rule_of_fours(n)
-        results = [SolveResult(part, partition_objective(part, table), "closed_form")]
-    elif args.method == "dp":
-        results = [solve_dp(n, table)]
-    elif args.method == "gr":
-        gr = solve_group_relaxation(n, table)
-        results = [gr]
-        cross_checked = True
-        if solve_dp(n, table).objective != gr.objective:
-            agreement = {"methods": ["group_relaxation", "dp"], "objectives_equal": False}
-    else:  # all
-        results = [solve_dp(n, table), solve_group_relaxation(n, table)]
-        methods = ["dp", "group_relaxation"]
-        if not custom:
-            part = rule_of_fours(n)
-            results.append(SolveResult(part, partition_objective(part, table), "closed_form"))
-            methods.append("closed_form")
-        objectives = {r.objective for r in results}
-        agreement = {"methods": methods, "objectives_equal": len(objectives) == 1}
+        results.append(SolveResult(part, partition_objective(part, table), "closed_form"))
+    agreement = None
+    if args.method == "gr" and solve_dp(n, table).objective != results[0].objective:
+        agreement = {"methods": ["group_relaxation", "dp"], "objectives_equal": False}
+    elif args.method == "all":
+        methods = ["dp", "group_relaxation", "closed_form"][: len(results)]
+        agreement = {"methods": methods,
+                     "objectives_equal": len({r.objective for r in results}) == 1}
 
     payload: dict[str, Any] = {
         "n": n,
         "table": table.distribution_label,
         "results": [_result_payload(r, table) for r in results],
     }
-    if cross_checked:
+    if args.method == "gr":
         payload["cross_checked"] = True
     if agreement is not None:
         payload["agreement"] = agreement
 
-    _emit("optimal", args.format, payload, _optimal_text, _optimal_csv)
+    _emit("optimal", args.format, payload, _optimal_text,
+          lambda shown: _records_csv(shown["results"]))
     if agreement is not None and not agreement["objectives_equal"]:
         print("error: solver objectives disagree", file=sys.stderr)
         return 4
@@ -225,21 +227,6 @@ def _table_text(payload: dict[str, Any]) -> None:
     for row in payload["rows"]:
         print(f"{row['n']:>5}  {float(row['objective']):>16.10g}"
               f"  {float(row['variance_factor']):>16.10g}  {row['partition']}")
-
-
-def _table_csv(payload: dict[str, Any]) -> list[list[Any]]:
-    header = [
-        "n", "partition", "objective", "objective_float",
-        "variance_factor", "variance_factor_float",
-    ]
-    return [header] + [
-        [
-            row["n"], row["partition"],
-            row["objective"], float(row["objective"]),
-            row["variance_factor"], float(row["variance_factor"]),
-        ]
-        for row in payload["rows"]
-    ]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -265,7 +252,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         "table": table.distribution_label,
         "rows": rows,
     }
-    _emit("table", args.format, payload, _table_text, _table_csv)
+    _emit("table", args.format, payload, _table_text,
+          lambda shown: _records_csv(shown["rows"]))
     return 0
 
 
@@ -301,6 +289,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = args.n
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
+    if n > SIMULATE_MAX:
+        raise UsageError(f"n must be <= {SIMULATE_MAX}, got {n}")
     if args.theta <= 0:
         raise UsageError(f"--theta must be > 0, got {args.theta}")
     try:
@@ -309,6 +299,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(str(error)) from None
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
+    if args.reps > REPS_MAX:
+        raise UsageError(f"--reps must be <= {REPS_MAX}, got {args.reps}")
+    if n * args.reps > DRAWS_MAX:
+        raise UsageError(f"n * --reps must be <= {DRAWS_MAX} draws, got {n * args.reps}")
     if not 0 <= args.seed < 2**64:
         raise UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
 
@@ -509,10 +503,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("simulate", help="Monte-Carlo run of an estimator plan")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"number of observations, 2..{SIMULATE_MAX}")
     p.add_argument("--theta", type=float, default=1.0, help="true scale (default 1.0)")
     p.add_argument("--reps", type=int, default=100_000,
-                   help="number of replicates (default 100000)")
+                   help=f"number of replicates (default 100000, at most {REPS_MAX} "
+                        f"and {DRAWS_MAX} draws, n per replicate)")
     p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     p.add_argument("--partition", metavar="SPEC",
                    help="comma-separated parts, e.g. 5,5,4,4,4 (default: optimal)")

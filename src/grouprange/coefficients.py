@@ -261,13 +261,14 @@ def load_table(
 ) -> CoefficientTable:
     """Parse a coefficient CSV (UTF-8, header ``j,d,k_sq``).
 
-    Row numbers in error messages count the header as row 1.
+    Bytes may start with a UTF-8 byte-order mark, as spreadsheet tools
+    write it.  Row numbers in error messages count the header as row 1.
     """
     raw = source if isinstance(source, (bytes, str)) else source.read()
     try:
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
+    except UnicodeDecodeError as exc:  # exc.object is raw without its mark
+        line = exc.object[:exc.start].count(b"\n") + 1
         raise CoefficientTableError(f"row {line}: not valid UTF-8 ({exc.reason})") from None
 
     reader = csv.reader(io.StringIO(text))

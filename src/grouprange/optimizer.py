@@ -250,18 +250,16 @@ def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
     return ResidueGraph(b, tuple(steps))
 
 
-def shortest_paths(
-    graph: ResidueGraph, source: int = 0
-) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
-    """Minimum-penalty paths from ``source`` to every reachable vertex.
+def shortest_paths(graph: ResidueGraph) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
+    """Minimum-penalty paths from vertex 0 to every reachable vertex.
 
     Returns target -> (total weight, parts used, descending).  Ties in
     total weight prefer fewer parts, as the solvers' tie-break does.
+    Every vertex has the same steps, so these paths, shifted, are the
+    paths from any other vertex.
     """
-    dist: dict[int, tuple[Fraction, int, tuple[int, ...]]] = {
-        source: (Fraction(0), 0, ())
-    }
-    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, source)]
+    dist: dict[int, tuple[Fraction, int, tuple[int, ...]]] = {0: (Fraction(0), 0, ())}
+    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, 0)]
     done: set[int] = set()
     while heap:
         d, hops, v = heapq.heappop(heap)
@@ -373,7 +371,7 @@ def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
             state = _table_state(table)
         last = state.paths  # one read: another thread may replace it
         if last is None or last[0] != graph:
-            last = state.paths = (graph, shortest_paths(graph, 0))
+            last = state.paths = (graph, shortest_paths(graph))
         reached = last[1]
         if r not in reached:
             return solve_dp(n, table)

@@ -1,4 +1,4 @@
-"""Admissible integer partitions: representation, enumeration, counting.
+"""Admissible integer partitions: representation and counting.
 
 A partition of n is *admissible* when every part is at least 2.  A
 subsample of size 1 has range zero, so it contributes nothing to a
@@ -13,8 +13,9 @@ p(n) is the unrestricted partition count: striking one part equal to
 partitions of n-1.  Both come from one prefix of Euler's pentagonal
 recurrence, O(n**1.5) big-integer additions summed block-wise at C
 speed: under 0.1 s at n = 8000 and about 1.5 s at n = 50,000 on a
-2-core host.  The functions take any n; the CLI's ``count`` stops at
-50,000.
+2-core host.  ``count_admissible`` takes any n; the CLI's ``count``
+stops at 50,000.  Enumeration is left to the tests, as the brute-force
+reference the counts and the solvers are checked against.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ import math
 import operator
 from typing import Iterable, Iterator, Mapping
 
-__all__ = [
-    "Partition",
-    "enumerate_admissible",
-    "count_admissible",
-    "count_unrestricted",
-    "asymptotic_admissible",
-    "asymptotic_unrestricted",
-]
+__all__ = ["Partition", "count_admissible", "asymptotic_admissible"]
 
 
 class _Frozen:
@@ -105,31 +99,6 @@ class Partition(_Frozen):
         return ",".join(str(p) for p in self.parts)
 
 
-def enumerate_admissible(n: int) -> Iterator[Partition]:
-    """Yield every admissible partition of n exactly once.
-
-    Order: descending lexicographic on the descending part tuples, so
-    (n) comes first and (2, 2, ..., 2) last when n is even.  Intended
-    for moderate n; the count grows subexponentially but fast.
-    """
-    if n < 2:
-        raise ValueError(f"enumeration needs n >= 2, got {n}")
-
-    def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for k in range(min(cap, remaining), 1, -1):
-            # a leftover of exactly 1 can never be completed
-            if remaining - k == 1:
-                continue
-            for rest in rec(remaining - k, k):
-                yield (k, *rest)
-
-    for parts in rec(n, n):
-        yield Partition.from_parts(parts)
-
-
 _BLOCK = 64  # capacities filled per block of the pentagonal recurrence
 
 
@@ -169,13 +138,6 @@ def _pentagonal_prefix(n: int) -> list[int]:
     return p[_BLOCK:]
 
 
-def count_unrestricted(n: int) -> int:
-    """Exact unrestricted partition count p(n)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _pentagonal_prefix(n)[n]
-
-
 def count_admissible(n: int) -> int:
     """Exact number of partitions of n with every part >= 2.
 
@@ -197,9 +159,3 @@ def asymptotic_admissible(n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     return math.pi / (12 * math.sqrt(2) * n**1.5) * math.exp(math.pi * math.sqrt(2 * n / 3))
 
-
-def asymptotic_unrestricted(n: int) -> float:
-    """Hardy-Ramanujan estimate of p(n): exp(pi sqrt(2n/3)) / (4 sqrt(3) n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return math.exp(math.pi * math.sqrt(2 * n / 3)) / (4 * math.sqrt(3) * n)

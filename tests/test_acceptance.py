@@ -15,8 +15,6 @@ from grouprange import (
     asymptotic_admissible,
     build_residue_graph,
     count_admissible,
-    count_unrestricted,
-    enumerate_admissible,
     envelope_h,
     make_plan,
     monte_carlo,
@@ -28,6 +26,8 @@ from grouprange import (
     solve_group_relaxation,
     verify_lemma,
 )
+
+from partition_reference import count_unrestricted, enumerate_admissible
 
 SEED = 42
 REPLICATES = 10**6

@@ -278,6 +278,12 @@ def test_count_limit(capsys):
      "n must be <= 1000000 with --method closed, got 1000001"),
     (["optimal", "100000000000", "--method", "closed"],
      "n must be <= 1000000 with --method closed, got 100000000000"),
+    (["simulate", "10001", "--reps", "1"], "n must be <= 10000, got 10001"),
+    (["simulate", "2", "--reps", "20000001"], "--reps must be <= 20000000, got 20000001"),
+    (["simulate", "10", "--reps", "1000000000000"],
+     "--reps must be <= 20000000, got 1000000000000"),
+    (["simulate", "1000", "--reps", "500001"],
+     "n * --reps must be <= 500000000 draws, got 500001000"),
 ])
 def test_size_limits(capsys, argv, message):
     # one past each bound exits 2 before any work, with a message naming it
@@ -299,7 +305,7 @@ def test_size_limits_keep_the_defaults(capsys):
     # table's bound and the closed form far past optimal's
     for argv in (["verify"], ["verify", "--lemma-max", "500", "--agree-max", "250"],
                  ["optimal", "1000"], ["table", "2", "330"], ["table", "5000", "5000"],
-                 ["optimal", "3000", "--method", "closed"]):
+                 ["optimal", "3000", "--method", "closed"], ["simulate", "10000", "--reps", "1"]):
         assert run(capsys, *argv)[0] == 0, argv
     code, out, _ = run(capsys, "optimal", "1000000", "--method", "closed", "--format", "json")
     assert code == 0
@@ -317,6 +323,9 @@ def test_custom_table_round_trip(tmp_path, capsys):
     payload = envelope["payload"]
     assert payload["table"] == "expo.csv"
     assert payload["results"][0]["partition"]["parts"] == [5, 5]
+    # saved as "CSV UTF-8" by a spreadsheet tool: a leading byte-order mark
+    path.write_bytes(b"\xef\xbb\xbf" + export_table(exponential_table(12)))
+    assert run_json(capsys, "optimal", "10", "--table", str(path)) == (code, envelope, err)
 
 
 def test_custom_table_all_skips_closed_form(tmp_path, capsys):

@@ -149,6 +149,15 @@ def test_load_accepts_bytes_and_streams(tmp_path):
         assert load_table(handle) == load_table(text)
 
 
+def test_load_accepts_a_byte_order_mark():
+    # spreadsheet tools save "CSV UTF-8" with a leading BOM
+    text = "j,d,k_sq\n2,1,1\n3,3/2,5/4\n"
+    assert load_table(b"\xef\xbb\xbf" + text.encode()) == load_table(text)
+    # an invalid byte after the mark is still reported on its own row
+    with pytest.raises(CoefficientTableError, match="row 2: not valid UTF-8"):
+        load_table(b"\xef\xbb\xbfj,d,k_sq\n\xff")
+
+
 def test_load_decimals_exactly():
     t = load_table("j,d,k_sq\n2,0.1,1.25\n")
     assert t.d(2) == Fraction(1, 10)  # not the nearest double to 0.1

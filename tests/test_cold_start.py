@@ -29,8 +29,14 @@ import grouprange
 from grouprange import (
     Partition,
     build_residue_graph,
+    coefficients,
+    estimator,
+    exactmath,
     exponential_table,
+    lemma,
     make_plan,
+    optimizer,
+    partitions,
     simulation,
     solve_dp,
     verify_lemma,
@@ -81,6 +87,9 @@ SIMULATE_USAGE_ERRORS = [
     ["simulate", "10", "--theta", "nan"],
     ["simulate", "10", "--reps", "0"],
     ["simulate", "10", "--partition", "4,1,5"],
+    ["simulate", "10001"],
+    ["simulate", "10", "--reps", "1000000000000"],
+    ["simulate", "1000", "--reps", "500001"],
 ]
 
 
@@ -177,6 +186,17 @@ def test_bare_package_import_never_loads_numpy(workdir):
 def test_every_public_name_resolves():
     for name in grouprange.__all__:
         assert getattr(grouprange, name) is not None, name
+
+
+def test_public_names_are_each_modules_own():
+    # the package lists no name of its own: its __all__ is the modules'
+    modules = (coefficients, estimator, exactmath, lemma, optimizer, partitions)
+    assert set(grouprange.__all__) == set().union(*(m.__all__ for m in modules), LAZY_NAMES)
+    assert len(grouprange.__all__) == len(set(grouprange.__all__)) == 32
+    assert grouprange._SIMULATION_NAMES == set(simulation.__all__) == set(LAZY_NAMES)
+    # the tests' brute-force references, not the package's API
+    for name in ("enumerate_admissible", "count_unrestricted", "asymptotic_unrestricted"):
+        assert name not in grouprange.__all__ and not hasattr(grouprange, name), name
 
 
 def test_lazy_names_are_the_simulation_objects():

@@ -12,7 +12,6 @@ from hypothesis import given, strategies as st
 
 from grouprange import (
     Partition,
-    enumerate_admissible,
     estimate,
     exponential_table,
     make_plan,
@@ -20,6 +19,8 @@ from grouprange import (
     solve_dp,
     theoretical_variance,
 )
+
+from partition_reference import enumerate_admissible
 
 
 def d_oracle(j: int) -> Fraction:

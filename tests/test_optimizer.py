@@ -19,7 +19,6 @@ from grouprange import (
     CoefficientEntry,
     Partition,
     build_residue_graph,
-    enumerate_admissible,
     exponential_table,
     generalized_harmonic,
     load_table,
@@ -29,6 +28,8 @@ from grouprange import (
     solve_dp,
     solve_group_relaxation,
 )
+
+from partition_reference import enumerate_admissible
 
 
 def harmonic_oracle(n: int, j: int) -> Fraction:
