@@ -37,7 +37,7 @@ from .coefficients import (
     exponential_table,
     load_table,
 )
-from .estimator import check_theta, make_plan
+from .estimator import check_seed, check_theta, make_plan
 from .lemma import verify_lemma
 from .optimizer import (
     SolveResult,
@@ -74,6 +74,22 @@ class UsageError(Exception):
 
 class InputError(Exception):
     exit_code = 3
+
+
+def _check_bounds(name: str, value: int, low: int, high: int | None = None) -> None:
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise UsageError(f"{name} must be <= {high}, got {value}")
+
+
+@contextlib.contextmanager
+def _reraise(error: type[Exception], prefix: str = "") -> Iterator[None]:
+    """Raise a ValueError from the block as ``error``, its message after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{prefix}{exc}") from None
 
 
 # ---------------------------------------------------------------- rendering
@@ -115,21 +131,21 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
     }
 
 
+_UNPRINTABLE = "cannot print an exact value of the result: "  # past the int-to-str limit
+
+
 def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> None:
     # Rendered whole first, so a value that cannot be printed leaves no partial output.
     rendered = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(rendered):
-            if fmt == "json":
-                envelope = {"command": command, "format": "json", "payload": payload}
-                print(json.dumps(envelope, indent=2, default=_json_value))
-            elif fmt == "csv":
-                # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
-                csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
-            else:
-                to_text(payload)
-    except ValueError as exc:  # an exact value past the int-to-str digit limit
-        raise InputError(f"cannot print an exact value of the result: {exc}") from None
+    with _reraise(InputError, _UNPRINTABLE), contextlib.redirect_stdout(rendered):
+        if fmt == "json":
+            envelope = {"command": command, "format": "json", "payload": payload}
+            print(json.dumps(envelope, indent=2, default=_json_value))
+        elif fmt == "csv":
+            # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
+            csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
+        else:
+            to_text(payload)
     sys.stdout.write(rendered.getvalue())
 
 
@@ -173,8 +189,7 @@ def _optimal_text(payload: dict[str, Any]) -> None:
 
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 2:
-        raise UsageError(f"n must be >= 2, got {n}")
+    _check_bounds("n", n, 2)
     custom = args.table is not None
     if args.method == "closed" and custom:
         raise UsageError("the closed-form method applies only to the built-in exponential table")
@@ -230,12 +245,10 @@ def _table_text(payload: dict[str, Any]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.n_from < 2:
-        raise UsageError(f"n_from must be >= 2, got {args.n_from}")
+    _check_bounds("n_from", args.n_from, 2)
     if args.n_to < args.n_from:
         raise UsageError(f"n_to must be >= n_from, got {args.n_to} < {args.n_from}")
-    if args.n_to > TABLE_MAX:
-        raise UsageError(f"n_to must be <= {TABLE_MAX}, got {args.n_to}")
+    _check_bounds("n_to", args.n_to, args.n_from, TABLE_MAX)
     table = exponential_table(args.n_to)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
@@ -287,24 +300,16 @@ def _parse_partition_spec(spec: str, n: int) -> Partition:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 2:
-        raise UsageError(f"n must be >= 2, got {n}")
-    if n > SIMULATE_MAX:
-        raise UsageError(f"n must be <= {SIMULATE_MAX}, got {n}")
+    _check_bounds("n", n, 2, SIMULATE_MAX)
     if args.theta <= 0:
         raise UsageError(f"--theta must be > 0, got {args.theta}")
-    try:
+    with _reraise(UsageError):
         check_theta("--theta", args.theta)
-    except ValueError as error:
-        raise UsageError(str(error)) from None
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {args.reps}")
-    if args.reps > REPS_MAX:
-        raise UsageError(f"--reps must be <= {REPS_MAX}, got {args.reps}")
+    _check_bounds("--reps", args.reps, 1, REPS_MAX)
     if n * args.reps > DRAWS_MAX:
         raise UsageError(f"n * --reps must be <= {DRAWS_MAX} draws, got {n * args.reps}")
-    if not 0 <= args.seed < 2**64:
-        raise UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+    with _reraise(UsageError):
+        check_seed("--seed", args.seed)
 
     table = exponential_table(n)
     if args.partition is not None:
@@ -312,6 +317,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         partition = solve_group_relaxation(n, table).partition
     plan = make_plan(partition, table)
+    with _reraise(InputError, _UNPRINTABLE):  # the one exact value shown; fail before simulating
+        str(plan.variance_factor)
     # Imported here, after the usage checks, so that only a run that
     # simulates loads numpy.
     from .simulation import monte_carlo
@@ -356,32 +363,23 @@ def _verify_text(payload: dict[str, Any]) -> None:
 def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
     lemma = payload["lemma"]
     agreement = payload["agreement"]
-    return [
-        ["check", "status", "detail"],
-        [
-            "peak_ratio",
-            "PASS" if lemma["holds"] else "FAIL",
-            f"max at n={lemma['max_ratio_at']} value {lemma['max_ratio']} "
-            f"checked 2..{lemma['checked_upper']} tail from {lemma['tail_bound_start']}",
-        ],
-        [
-            "solver_agreement",
-            "PASS" if agreement["objectives_equal"] else "FAIL",
-            f"n=2..{agreement['n_max']} mismatches={len(agreement['mismatches'])} "
-            f"ties={len(agreement['ties'])}",
-        ],
-        ["overall", "PASS" if payload["passed"] else "FAIL", ""],
+    checks = [
+        ("peak_ratio", lemma["holds"],
+         f"max at n={lemma['max_ratio_at']} value {lemma['max_ratio']} "
+         f"checked 2..{lemma['checked_upper']} tail from {lemma['tail_bound_start']}"),
+        ("solver_agreement", agreement["objectives_equal"],
+         f"n=2..{agreement['n_max']} mismatches={len(agreement['mismatches'])} "
+         f"ties={len(agreement['ties'])}"),
+        ("overall", payload["passed"], ""),
+    ]
+    return [["check", "status", "detail"]] + [
+        [check, "PASS" if ok else "FAIL", detail] for check, ok, detail in checks
     ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.lemma_max < 34:
-        raise UsageError(f"--lemma-max must be >= 34, got {args.lemma_max}")
-    if args.agree_max < 2:
-        raise UsageError(f"--agree-max must be >= 2, got {args.agree_max}")
-    for flag, value in (("--lemma-max", args.lemma_max), ("--agree-max", args.agree_max)):
-        if value > VERIFY_MAX:
-            raise UsageError(f"{flag} must be <= {VERIFY_MAX}, got {value}")
+    _check_bounds("--lemma-max", args.lemma_max, 34, VERIFY_MAX)
+    _check_bounds("--agree-max", args.agree_max, 2, VERIFY_MAX)
 
     table = exponential_table(max(args.lemma_max, args.agree_max))
     report = verify_lemma(args.lemma_max, table)
@@ -400,15 +398,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     passed = report.holds and not mismatches
     payload = {
-        "lemma": {
-            "checked_upper": report.checked_upper,
-            "max_ratio_at": report.max_ratio_at,
-            "max_ratio": report.max_ratio,
-            "tail_bound_start": report.tail_bound_start,
-            "envelope_ok": report.envelope_ok,
-            "exact_ok": report.exact_ok,
-            "holds": report.holds,
-        },
+        "lemma": {**report._asdict(), "holds": report.holds},
         "agreement": {
             "n_max": args.agree_max,
             "objectives_equal": not mismatches,
@@ -435,10 +425,7 @@ def _count_text(payload: dict[str, Any]) -> None:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise UsageError(f"n must be >= 0, got {args.n}")
-    if args.n > COUNT_MAX:
-        raise UsageError(f"n must be <= {COUNT_MAX}, got {args.n}")
+    _check_bounds("n", args.n, 0, COUNT_MAX)
     payload: dict[str, Any] = {"n": args.n, "admissible": count_admissible(args.n)}
     if args.asymptotic:
         if args.n < 1:

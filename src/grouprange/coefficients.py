@@ -96,17 +96,6 @@ class CoefficientEntry(_Frozen):
                 raise ValueError(f"{name} outside [1e-50, 1e50]")
         vars(self).update(j=j, d=d, k_sq=k_sq, c=d ** 2 / k_sq)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.j, self.d, self.k_sq, self.c) == (other.j, other.d, other.k_sq, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.j, self.d, self.k_sq, self.c))
-
-    def __repr__(self) -> str:
-        return f"CoefficientEntry(j={self.j!r}, d={self.d!r}, k_sq={self.k_sq!r}, c={self.c!r})"
-
 
 class _ExponentialEntries(Sequence):
     """Exponential entries 2..max_part, each built when first read; len()
@@ -178,18 +167,6 @@ class CoefficientTable(_Frozen):
                         f"part sizes must be contiguous from 2: expected {expected}, got {entry.j}"
                     )
         vars(self).update(distribution_label=distribution_label, entries=entries)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.distribution_label, self.entries) == (other.distribution_label, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.distribution_label, self.entries))
-
-    def __repr__(self) -> str:
-        return (f"CoefficientTable(distribution_label={self.distribution_label!r}, "
-                f"entries={self.entries!r})")
 
     @property
     def max_part(self) -> int:

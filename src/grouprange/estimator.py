@@ -41,6 +41,12 @@ def check_theta(name: str, theta: float) -> None:
         raise ValueError(f"{name} must be finite and in [1e-100, 1e100], got {theta}")
 
 
+def check_seed(name: str, seed: int) -> None:
+    """Raise ValueError unless 0 <= seed < 2**64, the range of a Philox key word."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+
+
 class EstimatorPlan(NamedTuple):
     """Exact weights for one partition.
 

@@ -360,7 +360,6 @@ def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
     nonnegative; otherwise the result comes from solve_dp and carries
     method "dp".
     """
-    _require_coverage(table, n)
     graph = build_residue_graph(table, n)
     b = graph.modulus
     r = n % b

@@ -23,18 +23,34 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = ["Partition", "count_admissible", "asymptotic_admissible"]
 
 
 class _Frozen:
-    """Base of the validated records: __init__ sets the fields, nothing changes them."""
+    """Base of the validated records: __init__ sets the fields, nothing changes them.
+
+    Identity is every field, in the order __init__ sets them: a record
+    equals only its own class with equal fields, hashes as the tuple of
+    their values and prints as ``Name(field=value, ...)``.
+    """
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
 class Partition(_Frozen):
@@ -63,24 +79,9 @@ class Partition(_Frozen):
             raise ValueError(f"parts sum to {total}, expected n = {n}")
         vars(self).update(n=n, frequencies=frequencies)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.frequencies) == (other.n, other.frequencies)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.frequencies))
-
-    def __repr__(self) -> str:
-        return f"Partition(n={self.n!r}, frequencies={self.frequencies!r})"
-
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
-        seq = list(parts)
-        freq: dict[int, int] = {}
-        for part in seq:
-            freq[part] = freq.get(part, 0) + 1
-        return cls(sum(seq), tuple(sorted(freq.items())))
+        return cls.from_frequencies(Counter(parts))
 
     @classmethod
     def from_frequencies(cls, frequencies: Mapping[int, int]) -> "Partition":

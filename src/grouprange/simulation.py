@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import EstimatorPlan, check_theta, theoretical_variance
+from .estimator import EstimatorPlan, check_seed, check_theta, theoretical_variance
 from .partitions import Partition
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 BLOCK_REPLICATES = 1 << 16
-
-_SEED_LIMIT = 1 << 64
 
 # Bytes of uniforms drawn per chunk.  Measured on a host with 2 MiB of L2
 # per core, over rule-of-fours plans at n = 13 to 1500 and single parts of
@@ -75,11 +73,6 @@ class SimulationReport(NamedTuple):
     plan_partition: Partition
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-
 def replicate_stream(seed: int, block: int) -> np.random.Generator:
     """Independent Philox substream for one block of replicates.
 
@@ -87,7 +80,7 @@ def replicate_stream(seed: int, block: int) -> np.random.Generator:
     counter-based streams, which is what makes the block schedule
     irrelevant to the results.
     """
-    _check_seed(seed)
+    check_seed("seed", seed)
     if block < 0:
         raise ValueError(f"block index must be >= 0, got {block}")
     key = np.array([seed, block], dtype=np.uint64)
@@ -135,7 +128,7 @@ def monte_carlo(
     check_theta("theta", theta)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    _check_seed(seed)
+    check_seed("seed", seed)
 
     n = plan.partition.n
     weights = np.array([float(a) for _, a in plan.weights])

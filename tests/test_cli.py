@@ -284,6 +284,8 @@ def test_count_limit(capsys):
      "--reps must be <= 20000000, got 1000000000000"),
     (["simulate", "1000", "--reps", "500001"],
      "n * --reps must be <= 500000000 draws, got 500001000"),
+    # two errors: each option's bounds are checked in turn, --lemma-max first
+    (["verify", "--lemma-max", "6000", "--agree-max", "1"], "--lemma-max must be <= 5000, got 6000"),
 ])
 def test_size_limits(capsys, argv, message):
     # one past each bound exits 2 before any work, with a message naming it
@@ -417,6 +419,18 @@ def test_over_long_exact_result_exits_3(tmp_path, capsys, fmt):
     table = tmp_path / "long.csv"
     table.write_text("j,d,k_sq\n2,1." + "0" * 3999 + "1,1\n3,1,1\n4,1,1\n")
     code, out, err = run(capsys, "optimal", "4", "--table", str(table), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot print an exact value of the result: ")
+    assert "integer string conversion" in err and err.count("\n") == 1
+
+
+def test_simulate_over_long_exact_result_exits_3(capsys):
+    # the variance factor is checked before the draws (29 s of them), with
+    # _emit's message
+    spec = ",".join(map(str, range(2, 141)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simulate", "9869", "--reps", "50663", "--partition", spec)
+    assert time.perf_counter() - start < 5
     assert (code, out) == (3, "")
     assert err.startswith("error: cannot print an exact value of the result: ")
     assert "integer string conversion" in err and err.count("\n") == 1

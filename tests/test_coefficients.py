@@ -111,6 +111,11 @@ def test_tables_compare_by_value():
     b = exponential_table(6)
     assert a == b and hash(a) == hash(b)
     assert a != exponential_table(7)
+    # built lazily or loaded, the same entries make the same table
+    loaded = load_table(export_table(exponential_table(3)), label="exponential")
+    assert loaded == exponential_table(3) and hash(loaded) == hash(exponential_table(3))
+    assert repr(loaded) == repr(exponential_table(3))
+    assert load_table(export_table(exponential_table(3))) != exponential_table(3)  # the label
 
 
 def test_tables_are_weak_referenceable():

@@ -90,6 +90,7 @@ SIMULATE_USAGE_ERRORS = [
     ["simulate", "10001"],
     ["simulate", "10", "--reps", "1000000000000"],
     ["simulate", "1000", "--reps", "500001"],
+    ["simulate", "10", "--seed", "18446744073709551616"],
 ]
 
 
@@ -171,6 +172,14 @@ def test_records_refuse_assignment(name, records):
 @pytest.mark.parametrize("argv", SIMULATE_USAGE_ERRORS, ids=" ".join)
 def test_simulate_usage_error_fails_before_numpy(argv, workdir):
     assert cli_in_child(argv, workdir) == {"code": 2, "numpy": False}
+
+
+def test_simulate_unprintable_result_fails_before_numpy(workdir):
+    # 139 distinct part sizes: the exact variance factor passes the
+    # interpreter's 4,300-digit limit for printing an int, which exits 3
+    # before the Monte Carlo runs
+    argv = ["simulate", "9869", "--reps", "1", "--partition", ",".join(map(str, range(2, 141)))]
+    assert cli_in_child(argv, workdir) == {"code": 3, "numpy": False}
 
 
 def test_simulate_loads_numpy(workdir):

@@ -9,7 +9,13 @@ computed it before it summed the far terms block-wise.
 
 import pytest
 
-from grouprange import Partition, asymptotic_admissible, count_admissible
+from grouprange import (
+    Partition,
+    asymptotic_admissible,
+    count_admissible,
+    exponential_table,
+    load_table,
+)
 from grouprange.partitions import _pentagonal_prefix
 
 from partition_reference import count_unrestricted, enumerate_admissible
@@ -53,6 +59,18 @@ def test_partition_from_parts():
     assert p.parts == (5, 5, 4, 4, 4)
     assert p.frequencies == ((4, 3), (5, 2))
     assert str(p) == "5,5,4,4,4"
+    assert Partition.from_parts([3, 2]).frequencies == ((2, 1), (3, 1))
+    assert Partition.from_parts(iter([2, 5, 2])).parts == (5, 2, 2)
+    # the errors are Partition's own, whatever the order of the parts
+    for parts, message in [
+        ([], "admissible partitions need n >= 2, got 0"),
+        ([1, 3], "part 1 is inadmissible (every part must be >= 2)"),
+        ([3, 2, 1], "part 1 is inadmissible (every part must be >= 2)"),
+        ([4, 0, 2], "part 0 is inadmissible (every part must be >= 2)"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            Partition.from_parts(parts)
+        assert str(error.value) == message
 
 
 def test_partition_from_frequencies():
@@ -66,7 +84,8 @@ def test_partition_equality_and_hash():
     a = Partition.from_parts([4, 4, 3])
     b = Partition.from_frequencies({3: 1, 4: 2})
     assert a == b
-    assert hash(a) == hash(b)
+    assert hash(a) == hash(b) == hash((11, ((3, 1), (4, 2))))
+    assert a != (11, ((3, 1), (4, 2))) and a != Partition.from_parts([4, 4, 2, 2])
 
 
 def test_partition_rejects_invalid():
@@ -80,6 +99,39 @@ def test_partition_rejects_invalid():
         Partition(4, ((2, -2),))  # bad multiplicity
     with pytest.raises(ValueError):
         Partition(7, ((3, 1), (2, 2)))  # unsorted frequencies
+
+
+# The validated records take equality, hash and repr from their fields,
+# in the order __init__ sets them; each repr below is pinned as it was
+# when every record wrote its own.
+IDENTITY_CASES = [
+    (lambda: Partition.from_parts([5, 5, 4, 4, 4]),
+     "Partition(n=22, frequencies=((4, 3), (5, 2)))"),
+    (lambda: exponential_table(4).entry(3),
+     "CoefficientEntry(j=3, d=Fraction(3, 2), k_sq=Fraction(5, 4), c=Fraction(9, 5))"),
+    (lambda: load_table("j,d,k_sq\n2,1,3\n3,3/2,5/4\n"),
+     "CoefficientTable(distribution_label='custom', entries=("
+     "CoefficientEntry(j=2, d=Fraction(1, 1), k_sq=Fraction(3, 1), c=Fraction(1, 3)), "
+     "CoefficientEntry(j=3, d=Fraction(3, 2), k_sq=Fraction(5, 4), c=Fraction(9, 5))))"),
+    (lambda: exponential_table(3),
+     "CoefficientTable(distribution_label='exponential', entries=("
+     "CoefficientEntry(j=2, d=Fraction(1, 1), k_sq=Fraction(1, 1), c=Fraction(1, 1)), "
+     "CoefficientEntry(j=3, d=Fraction(3, 2), k_sq=Fraction(5, 4), c=Fraction(9, 5))))"),
+]
+
+
+@pytest.mark.parametrize("build, text", IDENTITY_CASES,
+                         ids=["partition", "entry", "loaded_table", "exponential_table"])
+def test_records_derive_identity_from_fields(build, text):
+    record, twin = build(), build()
+    assert repr(record) == text
+    assert record is not twin and record == twin and hash(record) == hash(twin)
+    assert hash(record) == hash(tuple(vars(record).values()))
+    # another class with the very same fields never compares equal
+    lookalike = object.__new__(type("Lookalike", (type(record),), {}))
+    vars(lookalike).update(vars(record))
+    assert record != lookalike and lookalike != record
+    assert record != tuple(vars(record).values())
 
 
 # ------------------------------------------------------------- enumeration
