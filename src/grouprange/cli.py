@@ -6,7 +6,7 @@ Commands
     table A B      optimal allocation for every n in A..B, B <= 5000
     simulate N     seeded Monte-Carlo run of an estimator plan; N <= 10000,
                    --reps <= 20000000 and N * reps <= 500000000 draws
-    verify         peak-ratio check plus solver-agreement sweep, to 5000
+    verify         peak-ratio scan to 50000, solver-agreement sweep to 5000
     count N        number of admissible partitions of N, for N <= 50000
 
 Every command accepts --format {text,json,csv}; the default comes from
@@ -15,7 +15,8 @@ JSON output is an envelope {command, format, payload} that validates
 against schema/output.schema.json; exact rationals appear as
 {"exact": "p/q", "float": ...} so nothing is reduced to a lossy float.
 
-Exit codes: 0 success, 2 usage error, 3 input or table parse error,
+Exit codes: 0 success, 1 output not written (a full disk; a closed pipe
+is no error), 2 usage error, 3 input or table parse error,
 4 verification failure (solver disagreement or a failed check).
 """
 
@@ -23,13 +24,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NoReturn, Sequence
 
 from .coefficients import (
     CoefficientTable,
@@ -48,7 +47,7 @@ from .optimizer import (
 )
 from .partitions import Partition, asymptotic_admissible, count_admissible
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 FORMATS = ("text", "json", "csv")
 FORMAT_ENV = "GROUPRANGE_FORMAT"
@@ -57,14 +56,14 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # float asymptotic estimate would overflow); optimal 0.3 s and 20 MB;
 # optimal --method closed 0.2 to 0.4 s and 37 MB, its plan and parts
 # being O(n) (10**7 takes 1.1 s and 226 MB); table 0.8 s and 37 MB;
-# verify at both bounds 2.0 s and 54 MB.  simulate peaks near 16 bytes
-# per replicate (the estimates and the variance's temporary): 2e7
-# replicates take 344 MB; 5e8 draws take 8 s for the optimal plan at
-# n = 10000, 11 s at n = 25 and 2e7 replicates, and 29 s for n = 9869
-# split into 139 distinct part sizes, the most runs a plan of n <= 10000
-# has.
+# verify at both bounds 2.0 s and 54 MB, its peak-ratio scan alone at
+# 50,000 0.35 s and 23 MB.  simulate peaks near 16 bytes per replicate
+# (the estimates and the variance's temporary): 2e7 replicates take
+# 344 MB; 5e8 draws take 8 s for the optimal plan at n = 10000, 11 s at
+# n = 25 and 2e7 replicates, and 29 s for n = 9869 split into 139
+# distinct part sizes, the most runs a plan of n <= 10000 has.
 COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
-CLOSED_MAX = 1_000_000
+CLOSED_MAX, LEMMA_MAX = 1_000_000, 50_000
 SIMULATE_MAX, REPS_MAX, DRAWS_MAX = 10_000, 20_000_000, 500_000_000
 
 
@@ -74,6 +73,10 @@ class UsageError(Exception):
 
 class InputError(Exception):
     exit_code = 3
+
+
+class OutputError(Exception):
+    exit_code = 1
 
 
 def _check_bounds(name: str, value: int, low: int, high: int | None = None) -> None:
@@ -132,6 +135,7 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
 
 
 _UNPRINTABLE = "cannot print an exact value of the result: "  # past the int-to-str limit
+_UNWRITABLE = "cannot write output: "
 
 
 def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> None:
@@ -139,14 +143,21 @@ def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> N
     rendered = io.StringIO()
     with _reraise(InputError, _UNPRINTABLE), contextlib.redirect_stdout(rendered):
         if fmt == "json":
+            import json  # here and csv below, so a command loads only the one it prints
             envelope = {"command": command, "format": "json", "payload": payload}
             print(json.dumps(envelope, indent=2, default=_json_value))
         elif fmt == "csv":
+            import csv
             # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
             csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
         else:
             to_text(payload)
-    sys.stdout.write(rendered.getvalue())
+    try:
+        sys.stdout.write(rendered.getvalue())
+    except BrokenPipeError:
+        raise  # the reader has gone: main ends quietly
+    except OSError as exc:
+        raise OutputError(f"{_UNWRITABLE}{exc}") from None
 
 
 def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
@@ -378,7 +389,7 @@ def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_bounds("--lemma-max", args.lemma_max, 34, VERIFY_MAX)
+    _check_bounds("--lemma-max", args.lemma_max, 34, LEMMA_MAX)
     _check_bounds("--agree-max", args.agree_max, 2, VERIFY_MAX)
 
     table = exponential_table(max(args.lemma_max, args.agree_max))
@@ -503,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="peak-ratio and solver-agreement checks")
     p.add_argument("--lemma-max", type=int, default=1000,
-                   help=f"upper end of the exact ratio scan (default 1000, 34..{VERIFY_MAX})")
+                   help=f"upper end of the peak-ratio scan (default 1000, 34..{LEMMA_MAX})")
     p.add_argument("--agree-max", type=int, default=400,
                    help=f"upper end of the solver-agreement sweep (default 400, 2..{VERIFY_MAX})")
     _add_format_flag(p)
@@ -521,15 +532,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_format(args: argparse.Namespace) -> None:
     if args.format is None:
-        env = os.environ.get(FORMAT_ENV)
-        if env is None or env == "":
-            args.format = "text"
-        elif env in FORMATS:
-            args.format = env
-        else:
-            raise UsageError(
-                f"{FORMAT_ENV}={env!r} is not a valid format (expected one of {', '.join(FORMATS)})"
-            )
+        args.format = os.environ.get(FORMAT_ENV) or "text"
+        if args.format not in FORMATS:
+            raise UsageError(f"{FORMAT_ENV}={args.format!r} is not a valid format "
+                             f"(expected one of {', '.join(FORMATS)})")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -541,12 +547,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _resolve_format(args)
         return args.func(args)
-    except (UsageError, InputError) as exc:
+    except (UsageError, InputError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except BrokenPipeError:
         return 0
 
 
+def run() -> NoReturn:
+    """Process entry: ``main()``, then flush the output and end the process
+    without the interpreter's teardown (10 to 30 ms on a 2-core host)."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass
+    except OSError as exc:
+        print(f"error: {_UNWRITABLE}{exc}", file=sys.stderr)
+        code = 1
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -38,7 +38,6 @@ entry's error with its ``row N:``.
 
 from __future__ import annotations
 
-import csv
 import io
 import re
 import threading
@@ -248,8 +247,9 @@ def load_table(
         line = exc.object[:exc.start].count(b"\n") + 1
         raise CoefficientTableError(f"row {line}: not valid UTF-8 ({exc.reason})") from None
 
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader]
+    import csv  # here, so that only a command reading a table loads it
+
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise CoefficientTableError("row 1: missing header (expected j,d,k_sq)")
 

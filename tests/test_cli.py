@@ -272,7 +272,7 @@ def test_count_limit(capsys):
     (["optimal", "10001", "--method", "dp"],
      "n must be <= 10000 (1000000 with --method closed), got 10001"),
     (["table", "2", "5001"], "n_to must be <= 5000, got 5001"),
-    (["verify", "--lemma-max", "5001"], "--lemma-max must be <= 5000, got 5001"),
+    (["verify", "--lemma-max", "50001"], "--lemma-max must be <= 50000, got 50001"),
     (["verify", "--agree-max", "5001"], "--agree-max must be <= 5000, got 5001"),
     (["optimal", "1000001", "--method", "closed"],
      "n must be <= 1000000 with --method closed, got 1000001"),
@@ -285,7 +285,8 @@ def test_count_limit(capsys):
     (["simulate", "1000", "--reps", "500001"],
      "n * --reps must be <= 500000000 draws, got 500001000"),
     # two errors: each option's bounds are checked in turn, --lemma-max first
-    (["verify", "--lemma-max", "6000", "--agree-max", "1"], "--lemma-max must be <= 5000, got 6000"),
+    (["verify", "--lemma-max", "60000", "--agree-max", "1"],
+     "--lemma-max must be <= 50000, got 60000"),
 ])
 def test_size_limits(capsys, argv, message):
     # one past each bound exits 2 before any work, with a message naming it

@@ -1,5 +1,6 @@
-"""Start-up cost: only `simulate` loads numpy, and no command loads
-`dataclasses` or `inspect`.
+"""Start-up cost: only `simulate` loads numpy, no command loads
+`dataclasses` or `inspect`, and a command loads `json` and `csv` only
+to print that format or to read a `--table`.
 
 Every command but `simulate` is exact and needs no numpy, and numpy is
 most of the package's import time.  Each case runs one CLI command in
@@ -106,10 +107,12 @@ def test_exact_command_never_loads_numpy(argv, workdir):
 
 
 MODULES_CHILD = """
-import json, sys
+import sys
 from grouprange.cli import main
-main(json.loads(sys.argv[1]))
-print(json.dumps(sorted(sys.modules)))
+main(sys.argv[1:])
+loaded = sorted(sys.modules)  # before the json this child needs to report them
+import json
+print(json.dumps(loaded))
 """
 
 SLOW_IMPORTS = {"dataclasses", "inspect"}
@@ -124,12 +127,24 @@ def bare_modules(tmp_path_factory):
     return set(proc.stdout.split())
 
 
+def modules_loaded(argv: list[str], cwd: Path, bare_modules: set[str]) -> set[str]:
+    """The modules a command loads beyond what the bare interpreter loads."""
+    proc = run_child(argv, cwd, MODULES_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1])) - bare_modules
+
+
 @pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
 def test_exact_command_never_loads_dataclasses_or_inspect(argv, workdir, bare_modules):
-    proc = run_child([json.dumps(argv)], workdir, MODULES_CHILD)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1])) - bare_modules
-    assert loaded & SLOW_IMPORTS == set()
+    assert modules_loaded(argv, workdir, bare_modules) & SLOW_IMPORTS == set()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
+def test_command_loads_only_the_format_it_prints(argv, fmt, workdir, bare_modules):
+    expected = ({fmt} - {"text"}) | ({"csv"} if "--table" in argv else set())  # csv reads tables
+    loaded = modules_loaded([*argv, "--format", fmt], workdir, bare_modules)
+    assert loaded & {"json", "csv"} == expected
 
 
 RECORDS = ["Partition", "CoefficientEntry", "CoefficientTable", "SolveResult",

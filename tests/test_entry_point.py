@@ -1,0 +1,105 @@
+"""The process entry: `python -m grouprange.cli`, like the `grouprange`
+console script, runs `cli.run`, which ends the process without the
+interpreter's teardown once the output is flushed.
+
+A child prints what in-process `main()` prints, byte for byte, and
+exits with its code; a large output arrives whole through a pipe; a
+reader that closes the pipe early sees exit 0 and no stderr; output
+that cannot be written ends in one `error:` line and exit 1.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from grouprange.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+BAD_TABLE = "j,d,k_sq\n2,1,1\n3,0,5/4\n4,11/6,49/36\n"
+
+PARITY_CASES = [
+    (["optimal", "22"], 0),
+    (["verify", "--lemma-max", "40", "--agree-max", "30"], 0),
+    (["optimal", "1"], 2),
+    (["optimal", "x"], 2),  # argparse's own usage error
+    (["optimal", "5", "--table", "bad_d.csv"], 3),
+]
+
+
+def child(argv: list[str], cwd: Path, unbuffered: bool = False, **kwargs) -> subprocess.Popen:
+    env = dict(os.environ)
+    env.pop("GROUPRANGE_FORMAT", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "grouprange.cli", *argv], cwd=cwd, env=env,
+                            **kwargs)
+
+
+def run_child(argv: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
+    with child(argv, cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+def run_main(capsysbinary, argv: list[str]) -> tuple[int, bytes, bytes]:
+    code = main(argv)
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    (tmp_path / "bad_d.csv").write_text(BAD_TABLE)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("GROUPRANGE_FORMAT", raising=False)
+    return tmp_path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv, code", PARITY_CASES, ids=[" ".join(a) for a, _ in PARITY_CASES])
+def test_child_matches_main(argv, code, fmt, workdir, capsysbinary):
+    argv = [*argv, "--format", fmt]
+    in_process = run_main(capsysbinary, argv)
+    assert in_process[0] == code
+    assert run_child(argv, workdir) == in_process
+
+
+def test_large_output_arrives_whole_through_a_pipe(workdir, capsysbinary):
+    argv = ["table", "2", "5000", "--format", "json"]
+    in_process = run_main(capsysbinary, argv)
+    assert in_process[0] == 0 and len(in_process[1]) > 2_000_000
+    assert run_child(argv, workdir) == in_process
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["table", "2", "5000", "--format", "json"], 1),  # still writing: fails in _emit
+    (["count", "0"], 0),  # closed before the child writes: fails at run()'s flush
+])
+def test_closed_pipe_ends_quietly(argv, read, workdir):
+    with child(argv, workdir, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", [
+    (["count", "0"], False),  # fails at run()'s flush
+    (["count", "0"], True),  # fails at _emit's write
+    (["table", "2", "3000", "--format", "json"], False),  # past the buffer: at _emit's write
+])
+def test_unwritable_output_exits_1(argv, unbuffered, workdir):
+    with open("/dev/full", "wb") as full, child(argv, workdir, unbuffered, stdout=full,
+                                                 stderr=subprocess.PIPE) as proc:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b"error: cannot write output: [Errno 28] No space left on device\n"

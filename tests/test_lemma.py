@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from grouprange import PEAK_RATIO, envelope_h, ratio, verify_lemma
+from grouprange import (
+    PEAK_RATIO,
+    CoefficientEntry,
+    CoefficientTable,
+    envelope_h,
+    exponential_table,
+    ratio,
+    verify_lemma,
+)
 
 
 def harmonic_oracle(n: int, j: int) -> Fraction:
@@ -84,3 +92,20 @@ def test_holds_requires_peak_at_four(table100):
         exact_ok=report.exact_ok,
     )
     assert not shifted.holds
+
+
+@pytest.mark.parametrize("offset, peak_at", [(1, 8), (-1, 4)])
+def test_float_tie_is_decided_exactly(offset, peak_at):
+    # C_8 / 8 is 1e-20 above or below C_4 / 4: the same float, so only the
+    # exact comparison can place the strict maximum
+    c8 = 8 * PEAK_RATIO * (1 + Fraction(offset, 10**20))
+    exponential = exponential_table(34)
+    entries = [CoefficientEntry(8, c8, c8) if j == 8 else exponential.entry(j)
+               for j in range(2, 35)]
+    table = CoefficientTable("near-tie", tuple(entries))
+    assert table.c_float(8) / 8 == table.c_float(4) / 4
+    report = verify_lemma(34, table)
+    assert report.max_ratio_at == peak_at
+    assert report.max_ratio == max(c8 / 8, PEAK_RATIO)
+    assert report.exact_ok and report.envelope_ok
+    assert report.holds == (peak_at == 4)
