@@ -57,11 +57,11 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # optimal --method closed 0.2 to 0.4 s and 37 MB, its plan and parts
 # being O(n) (10**7 takes 1.1 s and 226 MB); table 0.8 s and 37 MB;
 # verify at both bounds 2.0 s and 54 MB, its peak-ratio scan alone at
-# 50,000 0.35 s and 23 MB.  simulate peaks near 16 bytes per replicate
-# (the estimates and the variance's temporary): 2e7 replicates take
-# 344 MB; 5e8 draws take 8 s for the optimal plan at n = 10000, 11 s at
-# n = 25 and 2e7 replicates, and 29 s for n = 9869 split into 139
-# distinct part sizes, the most runs a plan of n <= 10000 has.
+# 50,000 0.35 s and 23 MB.  simulate peaks near 8 bytes per replicate
+# (the estimates): 2e7 replicates of n = 2 take 190 MB; 5e8 draws take
+# 8 s for the optimal plan at n = 10000, 9 s at n = 25 and 2e7
+# replicates, and 29 s for n = 9869 split into 139 distinct part sizes,
+# the most runs a plan of n <= 10000 has.
 COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
 CLOSED_MAX, LEMMA_MAX = 1_000_000, 50_000
 SIMULATE_MAX, REPS_MAX, DRAWS_MAX = 10_000, 20_000_000, 500_000_000
@@ -152,8 +152,12 @@ def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> N
             csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
         else:
             to_text(payload)
+    _write(sys.stdout, rendered.getvalue())
+
+
+def _write(stream: Any, text: str) -> None:
     try:
-        sys.stdout.write(rendered.getvalue())
+        stream.write(text)
     except BrokenPipeError:
         raise  # the reader has gone: main ends quietly
     except OSError as exc:
@@ -469,6 +473,17 @@ def _load_cli_table(args: argparse.Namespace, n: int) -> CoefficientTable:
     return table
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help that cannot be written fails as other output does (argparse
+    drops a failed write); messages to stderr keep argparse's handling."""
+
+    def _print_message(self, message: str, file: Any = None) -> None:
+        if file is sys.stdout:
+            _write(file, message)
+        else:
+            super()._print_message(message, file)
+
+
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=FORMATS, default=None,
@@ -477,7 +492,7 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grouprange",
         description="Minimum-variance unbiased weighted-range estimation "
                     "of an exponential scale parameter.",
@@ -539,14 +554,12 @@ def _resolve_format(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         _resolve_format(args)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on usage errors
+        return int(exc.code or 0)
     except (UsageError, InputError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

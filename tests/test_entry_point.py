@@ -81,6 +81,7 @@ def test_large_output_arrives_whole_through_a_pipe(workdir, capsysbinary):
 @pytest.mark.parametrize("argv, read", [
     (["table", "2", "5000", "--format", "json"], 1),  # still writing: fails in _emit
     (["count", "0"], 0),  # closed before the child writes: fails at run()'s flush
+    (["--help"], 0),  # argparse's write, then run()'s flush
 ])
 def test_closed_pipe_ends_quietly(argv, read, workdir):
     with child(argv, workdir, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
@@ -96,6 +97,9 @@ def test_closed_pipe_ends_quietly(argv, read, workdir):
     (["count", "0"], False),  # fails at run()'s flush
     (["count", "0"], True),  # fails at _emit's write
     (["table", "2", "3000", "--format", "json"], False),  # past the buffer: at _emit's write
+    (["--help"], False),  # argparse's own write, which it would let fail silently
+    (["--help"], True),
+    (["optimal", "--help"], True),  # a subcommand's parser
 ])
 def test_unwritable_output_exits_1(argv, unbuffered, workdir):
     with open("/dev/full", "wb") as full, child(argv, workdir, unbuffered, stdout=full,

@@ -59,6 +59,19 @@ def test_sample_exponential_rejects_bad_args():
             sample_exponential(5, theta, stream)
 
 
+def test_sample_exponential_into_a_reused_buffer():
+    buf = np.empty(10)
+    stream = replicate_stream(5, 1)
+    first = sample_exponential(7, 1.5, stream, out=buf).copy()
+    second = sample_exponential(4, 1.5, stream, out=buf)
+    fresh = replicate_stream(5, 1)
+    assert np.array_equal(first, sample_exponential(7, 1.5, fresh))
+    assert np.array_equal(second, sample_exponential(4, 1.5, fresh))
+    assert second.base is buf and np.array_equal(second, buf[:4])
+    with pytest.raises(ValueError, match="fewer than n"):
+        sample_exponential(11, 1.5, stream, out=buf)
+
+
 # --------------------------------------------------------------------- streams
 
 
@@ -293,3 +306,14 @@ def test_simulation_memory_is_bounded(cli_peak):
     code, peak = cli_peak("simulate", "1500", "--reps", "65536", "--format", "json")
     assert code == 0
     assert peak < 150e6
+
+
+def test_simulation_takes_8_bytes_per_replicate(cli_peak):
+    """The estimates are the one per-replicate array: 4e6 replicates of
+    n = 2 peak under 12 bytes each above a single replicate.  Holding
+    their variance's temporary too takes about 16."""
+    replicates = 4_000_000
+    code, peak = cli_peak("simulate", "2", "--reps", str(replicates), "--format", "json")
+    base_code, base = cli_peak("simulate", "2", "--reps", "1", "--format", "json")
+    assert code == base_code == 0
+    assert peak - base < 12 * replicates
