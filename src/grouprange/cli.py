@@ -54,14 +54,15 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # The largest n each command takes, checked before any work.  Cold on a
 # 2-core host: count 1.4 to 1.6 s and 22 MB (and below 76,568, where the
 # float asymptotic estimate would overflow); optimal 0.3 s and 20 MB;
-# optimal --method closed 0.2 to 0.4 s and 37 MB, its plan and parts
-# being O(n) (10**7 takes 1.1 s and 226 MB); table 0.8 s and 37 MB;
-# verify at both bounds 2.0 s and 54 MB, its peak-ratio scan alone at
-# 50,000 0.35 s and 23 MB.  simulate peaks near 8 bytes per replicate
-# (the estimates): 2e7 replicates of n = 2 take 190 MB; 5e8 draws take
-# 8 s for the optimal plan at n = 10000, 9 s at n = 25 and 2e7
-# replicates, and 29 s for n = 9869 split into 139 distinct part sizes,
-# the most runs a plan of n <= 10000 has.
+# optimal --method closed 0.1 to 0.4 s and 35 MB, its parts being O(n)
+# (10**7 takes 0.6 s and 207 MB); table 0.6 s and 36 MB in text, 0.7 s
+# and 38 MB in csv, 3 s and 116 MB in json; verify at both bounds 0.5 s
+# and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
+# simulate peaks near 8 bytes per replicate (the estimates): 2e7
+# replicates of n = 2 take 190 MB; 5e8 draws take 8 s for the optimal
+# plan at n = 10000, 9 s at n = 25 and 2e7 replicates, and 29 s for
+# n = 9869 split into 139 distinct part sizes, the most runs a plan of
+# n <= 10000 has.
 COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
 CLOSED_MAX, LEMMA_MAX = 1_000_000, 50_000
 SIMULATE_MAX, REPS_MAX, DRAWS_MAX = 10_000, 20_000_000, 500_000_000
@@ -77,6 +78,10 @@ class InputError(Exception):
 
 class OutputError(Exception):
     exit_code = 1
+
+
+class VerificationError(Exception):
+    exit_code = 4
 
 
 def _check_bounds(name: str, value: int, low: int, high: int | None = None) -> None:
@@ -121,16 +126,12 @@ def _approx(x: Fraction) -> str:
 
 def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, Any]:
     plan = make_plan(result.partition, table)
-    by_part = dict(plan.weights)  # weights depend only on the part size
     return {
         "method": result.method,
         "partition": result.partition,
         "objective": result.objective,
         "variance_factor": plan.variance_factor,
-        "weights": [
-            {"part": j, "weight": by_part[j]}
-            for j in sorted(by_part, reverse=True)
-        ],
+        "weights": [{"part": j, "weight": a} for j, _, a in plan.weights],
     }
 
 
@@ -145,7 +146,8 @@ def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> N
         if fmt == "json":
             import json  # here and csv below, so a command loads only the one it prints
             envelope = {"command": command, "format": "json", "payload": payload}
-            print(json.dumps(envelope, indent=2, default=_json_value))
+            json.dump(envelope, rendered, indent=2, default=_json_value)
+            rendered.write("\n")
         elif fmt == "csv":
             import csv
             # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
@@ -243,8 +245,7 @@ def cmd_optimal(args: argparse.Namespace) -> int:
     _emit("optimal", args.format, payload, _optimal_text,
           lambda shown: _records_csv(shown["results"]))
     if agreement is not None and not agreement["objectives_equal"]:
-        print("error: solver objectives disagree", file=sys.stderr)
-        return 4
+        raise VerificationError("solver objectives disagree")
     return 0
 
 
@@ -424,8 +425,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     _emit("verify", args.format, payload, _verify_text, _verify_csv)
     if not passed:
-        print("error: verification failed", file=sys.stderr)
-        return 4
+        raise VerificationError("verification failed")
     return 0
 
 
@@ -553,6 +553,12 @@ def _resolve_format(args: argparse.Namespace) -> None:
                              f"(expected one of {', '.join(FORMATS)})")
 
 
+def _error(message: str) -> None:
+    """The one ``error:`` line; a stderr that cannot take it keeps the exit code."""
+    with contextlib.suppress(OSError):
+        print(f"error: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -560,8 +566,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on usage errors
         return int(exc.code or 0)
-    except (UsageError, InputError, OutputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, InputError, OutputError, VerificationError) as exc:
+        _error(str(exc))
         return exc.exit_code
     except BrokenPipeError:
         return 0
@@ -576,7 +582,7 @@ def run() -> NoReturn:
     except BrokenPipeError:
         pass
     except OSError as exc:
-        print(f"error: {_UNWRITABLE}{exc}", file=sys.stderr)
+        _error(f"{_UNWRITABLE}{exc}")
         code = 1
     with contextlib.suppress(OSError):
         sys.stderr.flush()

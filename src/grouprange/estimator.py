@@ -50,25 +50,26 @@ def check_seed(name: str, seed: int) -> None:
 class EstimatorPlan(NamedTuple):
     """Exact weights for one partition.
 
-    ``weights`` holds one (block size, weight) pair per subsample in
-    canonical order (descending block sizes), aligned with how
-    ``estimate`` slices the sample.  ``variance_factor`` is
+    ``weights`` holds one (block size, block count, weight) triple per
+    distinct block size, in descending size order, which is how
+    ``estimate`` slices the sample.  The weight is that of each block's
+    range, not of the size's blocks together.  ``variance_factor`` is
     Var(sigma_hat) / sigma**2, exact.
     """
 
     partition: Partition
-    weights: tuple[tuple[int, Fraction], ...]
+    weights: tuple[tuple[int, int, Fraction], ...]
     variance_factor: Fraction
 
 
 def make_plan(partition: Partition, table: CoefficientTable) -> EstimatorPlan:
     """Exact estimator weights and variance factor for a partition."""
     total = partition_objective(partition, table)  # raises if a part is not covered
-    # one weight per distinct size, shared by all its blocks
-    by_size = {j: (j, (table.d(j) / table.k_sq(j)) / total) for j, _ in partition.frequencies}
+    weights = tuple(
+        (j, m, (table.d(j) / table.k_sq(j)) / total) for j, m in reversed(partition.frequencies)
+    )
     # unbiasedness is an algebraic identity; recheck it exactly
-    assert sum(m * by_size[j][1] * table.d(j) for j, m in partition.frequencies) == 1
-    weights = tuple(by_size[j] for j in partition.parts)
+    assert sum(m * a * table.d(j) for j, m, a in weights) == 1
     return EstimatorPlan(partition, weights, 1 / total)
 
 
@@ -86,10 +87,11 @@ def estimate(sample: Sequence[float], plan: EstimatorPlan) -> float:
         raise ValueError("sample contains a non-finite observation")
     total = 0.0
     position = 0
-    for size, weight in plan.weights:
-        block = sample[position : position + size]
-        position += size
-        total += float(weight) * (max(block) - min(block))
+    for size, count, weight in plan.weights:
+        for _ in range(count):
+            block = sample[position : position + size]
+            position += size
+            total += float(weight) * (max(block) - min(block))
     return total
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import pairwise
 from typing import NamedTuple
 
 from .coefficients import CoefficientTable
@@ -94,26 +95,16 @@ def verify_lemma(n_max: int, table: CoefficientTable) -> LemmaReport:
     max_ratio = ratios[max_ratio_at]
     exact_ok = all(r < max_ratio for n, r in ratios.items() if n != max_ratio_at)
 
-    # envelope layer, floats with a hard margin
-    envelope_ok = True
-    previous = envelope_h(4)
-    for n in range(5, n_max + 1):
-        current = envelope_h(n)
-        if not previous - current > _MARGIN:  # h must strictly decrease
-            envelope_ok = False
-        if not current - floats[n] > _MARGIN:  # h must dominate
-            envelope_ok = False
-        previous = current
+    # envelope layer, floats with a hard margin: h strictly decreases on
+    # 4..n_max and dominates the ratio on 5..n_max
+    span = range(4, n_max + 1)
+    decreasing = all(a - b > _MARGIN for a, b in pairwise(map(envelope_h, span)))
+    dominating = all(envelope_h(n) - floats[n] > _MARGIN for n in span[1:])
 
     # tail layer: first integer where the envelope falls below the peak
     peak = float(PEAK_RATIO)
-    tail_bound_start = 0
-    for n in range(4, n_max + 1):
-        if peak - envelope_h(n) > _MARGIN:
-            tail_bound_start = n
-            break
-    if tail_bound_start == 0:
-        envelope_ok = False
+    tail_bound_start = next((n for n in span if peak - envelope_h(n) > _MARGIN), 0)
+    envelope_ok = decreasing and dominating and tail_bound_start != 0
 
     return LemmaReport(
         checked_upper=n_max,

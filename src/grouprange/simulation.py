@@ -16,8 +16,8 @@ pairwise summation over a single array, so a report depends only on
 Memory: a block's rows are drawn in chunks of about _CHUNK_BYTES of
 uniforms.  Successive draws from one Philox stream continue the same
 sequence, so the chunks of a block together draw exactly what one
-draw of the whole block would.  Within a chunk, each run of equal-size
-parts (contiguous in the plan's descending order) is reduced at once:
+draw of the whole block would.  Within a chunk, the parts of each size
+in the plan (its run of equal, contiguous parts) are reduced at once:
 the k-th entries of its parts are folded in halves with elementwise
 maximum and minimum, about log2(size) calls per run for narrow and wide
 parts alike, which give the same exact extremes as a per-part max and
@@ -32,7 +32,6 @@ n = 2 peak at 190 MB.
 from __future__ import annotations
 
 import math
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -142,9 +141,8 @@ def monte_carlo(
     check_seed("seed", seed)
 
     n = plan.partition.n
-    weights = np.array([float(a) for _, a in plan.weights])
-    # equal sizes are contiguous in the plan's descending order
-    runs = [(size, len(list(group))) for size, group in groupby(size for size, _ in plan.weights)]
+    # one float weight per part, in the plan's order
+    weights = np.repeat([float(a) for _, _, a in plan.weights], [m for _, m, _ in plan.weights])
     chunk = max(1, min(BLOCK_REPLICATES, replicates, _CHUNK_BYTES // (8 * n)))
     highs = np.empty((chunk, len(weights)))
     lows = np.empty((chunk, len(weights)))
@@ -160,7 +158,7 @@ def monte_carlo(
             rows = min(chunk, block_end - start)
             x = sample_exponential(rows * n, theta, stream, draws).reshape(rows, n)
             column = offset = 0
-            for size, count in runs:
+            for size, count, _ in plan.weights:
                 parts = x[:, offset : offset + size * count].reshape(rows, count, size)
                 # entries[k] holds entry k of every part of the run, (rows, count)
                 entries = parts.transpose(2, 0, 1)

@@ -143,7 +143,7 @@ def test_criterion_4_partition_counts():
 def test_criterion_5_unbiasedness_identity(table100):
     def identity_holds(partition):
         plan = make_plan(partition, table100)
-        return sum(a * table100.d(j) for j, a in plan.weights) == 1
+        return sum(m * a * table100.d(j) for j, m, a in plan.weights) == 1
 
     bad = []
     for n in range(2, 41):
@@ -156,9 +156,9 @@ def test_criterion_5_unbiasedness_identity(table100):
     # 2940/27133 (size 5) and 2706/27133 (size 4); the multiplicity-folded
     # values 5880/27133 and 8118/27133 fail this same identity per range
     plan22 = make_plan(Partition.from_parts([5, 5, 4, 4, 4]), table100)
-    per_size = dict(plan22.weights)
-    correct = (
-        per_size[5] == Fraction(2940, 27133) and per_size[4] == Fraction(2706, 27133)
+    correct = plan22.weights == (
+        (5, 2, Fraction(2940, 27133)),
+        (4, 3, Fraction(2706, 27133)),
     )
     folded_sum = (
         2 * Fraction(5880, 27133) * table100.d(5)

@@ -5,7 +5,8 @@ interpreter's teardown once the output is flushed.
 A child prints what in-process `main()` prints, byte for byte, and
 exits with its code; a large output arrives whole through a pipe; a
 reader that closes the pipe early sees exit 0 and no stderr; output
-that cannot be written ends in one `error:` line and exit 1.
+that cannot be written ends in one `error:` line and exit 1; an
+`error:` line that cannot be written keeps the exit code.
 """
 
 from __future__ import annotations
@@ -107,3 +108,17 @@ def test_unwritable_output_exits_1(argv, unbuffered, workdir):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
     assert err == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, code", [
+    (["optimal", "1"], 2),
+    (["optimal", "4", "--table", "missing.csv"], 3),
+])
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, unbuffered, workdir):
+    with open("/dev/full", "wb") as full, child(argv, workdir, unbuffered, stdout=subprocess.PIPE,
+                                                 stderr=full) as proc:
+        out = proc.stdout.read()
+        assert proc.wait(timeout=120) == code
+    assert out == b""

@@ -16,6 +16,7 @@ from grouprange import (
     exponential_table,
     make_plan,
     partition_objective,
+    rule_of_fours,
     solve_dp,
     theoretical_variance,
 )
@@ -44,23 +45,25 @@ def weight_oracle(partition: Partition) -> dict[int, Fraction]:
 
 def test_frozen_weights_for_optimal_22(table40):
     plan = make_plan(Partition.from_parts([5, 5, 4, 4, 4]), table40)
-    per_size = dict(plan.weights)  # collapses duplicates; sizes repeat weights
-    assert per_size[5] == Fraction(2940, 27133)
-    assert per_size[4] == Fraction(2706, 27133)
+    # one (size, count, weight) per size; the weight is each range's
     assert plan.weights == (
-        (5, Fraction(2940, 27133)),
-        (5, Fraction(2940, 27133)),
-        (4, Fraction(2706, 27133)),
-        (4, Fraction(2706, 27133)),
-        (4, Fraction(2706, 27133)),
+        (5, 2, Fraction(2940, 27133)),
+        (4, 3, Fraction(2706, 27133)),
     )
     assert plan.variance_factor == Fraction(2009, 27133)
 
 
 def test_frozen_weights_small_plans(table40):
-    assert make_plan(Partition.from_parts([2]), table40).weights == ((2, Fraction(1)),)
+    assert make_plan(Partition.from_parts([2]), table40).weights == ((2, 1, Fraction(1)),)
     plan44 = make_plan(Partition.from_parts([4, 4]), table40)
-    assert plan44.weights == ((4, Fraction(3, 11)), (4, Fraction(3, 11)))
+    assert plan44.weights == ((4, 2, Fraction(3, 11)),)
+
+
+def test_closed_form_plan_stores_one_weight_per_size():
+    table = exponential_table(10**6)
+    for n, sizes in ((10**6, [(4, 250_000)]), (10**6 - 2, [(5, 2), (4, 249_997)])):
+        plan = make_plan(rule_of_fours(n), table)
+        assert [(j, m) for j, m, _ in plan.weights] == sizes
 
 
 def test_weights_match_oracle(table40):
@@ -68,7 +71,7 @@ def test_weights_match_oracle(table40):
         p = solve_dp(n, table40).partition
         expected = weight_oracle(p)
         plan = make_plan(p, table40)
-        assert plan.weights == tuple((j, expected[j]) for j in p.parts)
+        assert plan.weights == tuple((j, m, expected[j]) for j, m in reversed(p.frequencies))
 
 
 def test_weights_are_per_range_not_per_size():
@@ -82,20 +85,25 @@ def test_weights_are_per_range_not_per_size():
     assert per_range_misuse != 1
     per_size_mean = sum(folded[j] * d_oracle(j) for j, _ in p.frequencies)
     assert per_size_mean == 1
+    # a plan stores the per-range weight with its count, never the folded one
+    plan = make_plan(p, exponential_table(5))
+    assert [(j, m * a) for j, m, a in plan.weights] == sorted(folded.items(), reverse=True)
 
 
 def test_unbiasedness_identity_exact(table40):
     for n in range(2, 26):
         for p in enumerate_admissible(n):
             plan = make_plan(p, table40)
-            assert sum(a * d_oracle(j) for j, a in plan.weights) == 1
+            assert sum(m * a * d_oracle(j) for j, m, a in plan.weights) == 1
 
 
 def test_weights_align_with_parts(table40):
     p = Partition.from_parts([5, 3, 3, 2])
     plan = make_plan(p, table40)
-    assert tuple(j for j, _ in plan.weights) == p.parts
-    assert all(a > 0 for _, a in plan.weights)
+    # expanded by count, the sizes are the parts in the order estimate slices them
+    assert tuple(j for j, m, _ in plan.weights for _ in range(m)) == p.parts
+    assert [j for j, _, _ in plan.weights] == [5, 3, 2]
+    assert all(a > 0 for _, _, a in plan.weights)
 
 
 def test_make_plan_requires_covered_parts():

@@ -207,8 +207,8 @@ def reference_monte_carlo(plan, theta, replicates, seed):
     over that part's columns.
     """
     n = plan.partition.n
-    sizes = [size for size, _ in plan.weights]
-    weights = np.array([float(a) for _, a in plan.weights])
+    sizes = [size for size, count, _ in plan.weights for _ in range(count)]
+    weights = np.array([float(a) for _, count, a in plan.weights for _ in range(count)])
     offsets = np.concatenate(([0], np.cumsum(sizes)))
 
     estimates = np.empty(replicates)
