@@ -13,39 +13,34 @@ estimator weights, and verifies the whole construction exactly and by
 seeded Monte Carlo.
 """
 
-# Each module's __all__ is its public API; the package lists no name of its own.
-from . import coefficients, estimator, exactmath, lemma, optimizer, partitions
-from .coefficients import *
-from .estimator import *
-from .exactmath import *
-from .lemma import *
-from .optimizer import *
-from .partitions import *
+import importlib
 
 __version__ = "0.1.0"
 
-# Served by __getattr__ so that importing the package, and every CLI
-# command but `simulate`, never loads numpy; simulation.__all__ lists the same.
-_SIMULATION_NAMES = frozenset({
-    "BLOCK_REPLICATES",
-    "SimulationReport",
-    "monte_carlo",
-    "replicate_stream",
-    "sample_exponential",
-})
+# Each module's __all__ is its public API; the package lists no name of its own.  __getattr__
+# serves every name, so importing the package loads none of its modules: a name loads the exact
+# modules up to its own, cheapest first, and a name simulation.__all__ lists loads numpy.
+_EXACT_MODULES = ("partitions", "exactmath", "coefficients", "optimizer", "estimator", "lemma")
+_SIMULATION_NAMES = frozenset({"BLOCK_REPLICATES", "SimulationReport", "monte_carlo",
+                               "replicate_stream", "sample_exponential"})
 
-__all__ = sorted(_SIMULATION_NAMES.union(*(
-    module.__all__ for module in (coefficients, estimator, exactmath, lemma, optimizer, partitions)
-)))
+
+def _module(short: str):
+    return importlib.import_module(f"{__name__}.{short}")
 
 
 def __getattr__(name: str):
+    if name == "__all__":
+        return sorted(_SIMULATION_NAMES.union(*(_module(m).__all__ for m in _EXACT_MODULES)))
     if name in _SIMULATION_NAMES:
-        from . import simulation
-
-        return getattr(simulation, name)
+        return getattr(_module("simulation"), name)
+    if name in _EXACT_MODULES:  # `grouprange.lemma` after a bare `import grouprange`
+        return _module(name)
+    for module in map(_module, _EXACT_MODULES):
+        if name in module.__all__:
+            return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SIMULATION_NAMES)
+    return sorted(set(globals()).union(__getattr__("__all__")))

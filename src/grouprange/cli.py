@@ -27,25 +27,14 @@ import contextlib
 import io
 import os
 import sys
-from fractions import Fraction
-from typing import Any, Iterator, NoReturn, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, NoReturn, Sequence
 
-from .coefficients import (
-    CoefficientTable,
-    CoefficientTableError,
-    exponential_table,
-    load_table,
-)
-from .estimator import check_seed, check_theta, make_plan
-from .lemma import verify_lemma
-from .optimizer import (
-    SolveResult,
-    partition_objective,
-    rule_of_fours,
-    solve_dp,
-    solve_group_relaxation,
-)
 from .partitions import Partition, asymptotic_admissible, count_admissible
+
+if TYPE_CHECKING:  # for annotations only: each command imports the modules it runs
+    from fractions import Fraction
+    from .coefficients import CoefficientTable
+    from .optimizer import SolveResult
 
 __all__ = ["main", "run"]
 
@@ -109,6 +98,7 @@ def _reraise(error: type[Exception], prefix: str = "") -> Iterator[None]:
 
 def _json_value(x: Any) -> Any:
     """``json.dumps`` hook for the exact values in a payload."""
+    from fractions import Fraction  # loaded already by any payload that holds one
     if isinstance(x, Fraction):
         return {"exact": str(x), "float": float(x)}
     if isinstance(x, Partition):
@@ -125,6 +115,7 @@ def _approx(x: Fraction) -> str:
 
 
 def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, Any]:
+    from .estimator import make_plan
     plan = make_plan(result.partition, table)
     return {
         "method": result.method,
@@ -171,6 +162,7 @@ def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
 
 
 def _csv_fields(record: dict[str, Any]) -> Iterator[tuple[str, Any]]:
+    from fractions import Fraction
     for key, value in record.items():
         if key == "weights":
             yield key, " ".join(f"{w['part']}:{w['weight']}" for w in value)
@@ -205,6 +197,9 @@ def _optimal_text(payload: dict[str, Any]) -> None:
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
+    from .optimizer import (SolveResult, partition_objective, rule_of_fours, solve_dp,
+                            solve_group_relaxation)
+
     n = args.n
     _check_bounds("n", n, 2)
     custom = args.table is not None
@@ -261,6 +256,9 @@ def _table_text(payload: dict[str, Any]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from .coefficients import exponential_table
+    from .optimizer import solve_group_relaxation
+
     _check_bounds("n_from", args.n_from, 2)
     if args.n_to < args.n_from:
         raise UsageError(f"n_to must be >= n_from, got {args.n_to} < {args.n_from}")
@@ -315,6 +313,10 @@ def _parse_partition_spec(spec: str, n: int) -> Partition:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .coefficients import exponential_table
+    from .estimator import check_seed, check_theta, make_plan
+    from .optimizer import solve_group_relaxation
+
     n = args.n
     _check_bounds("n", n, 2, SIMULATE_MAX)
     if args.theta <= 0:
@@ -335,10 +337,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     plan = make_plan(partition, table)
     with _reraise(InputError, _UNPRINTABLE):  # the one exact value shown; fail before simulating
         str(plan.variance_factor)
-    # Imported here, after the usage checks, so that only a run that
-    # simulates loads numpy.
-    from .simulation import monte_carlo
-
+    from .simulation import monte_carlo  # after the checks: only a run that simulates loads numpy
     report = monte_carlo(plan, args.theta, args.reps, args.seed)
 
     payload = {
@@ -394,6 +393,10 @@ def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .coefficients import exponential_table
+    from .lemma import verify_lemma
+    from .optimizer import partition_objective, rule_of_fours, solve_dp, solve_group_relaxation
+
     _check_bounds("--lemma-max", args.lemma_max, 34, LEMMA_MAX)
     _check_bounds("--agree-max", args.agree_max, 2, VERIFY_MAX)
 
@@ -447,8 +450,9 @@ def cmd_count(args: argparse.Namespace) -> int:
             raise UsageError("--asymptotic needs n >= 1")
         approx = asymptotic_admissible(args.n)
         payload["asymptotic"] = approx
-        # the ratio is O(1) even when the count overflows a float
-        payload["ratio"] = float(Fraction(payload["admissible"]) / Fraction(approx))
+        # one correctly rounded division of exact integers; O(1) though the count overflows a float
+        num, den = approx.as_integer_ratio()
+        payload["ratio"] = payload["admissible"] * den / num
     _emit("count", args.format, payload, _count_text, _single_row_csv)
     return 0
 
@@ -457,6 +461,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _load_cli_table(args: argparse.Namespace, n: int) -> CoefficientTable:
+    from .coefficients import CoefficientTableError, exponential_table, load_table
     if args.table is None:
         return exponential_table(n)
     try:

@@ -5,6 +5,7 @@ the whole command path runs except the interpreter bootstrap.  The one
 exception runs a child process, so that a hang fails on a timeout.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -12,14 +13,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from grouprange import Partition, export_table, exponential_table
+from grouprange import Partition, count_admissible, export_table, exponential_table
 from grouprange.cli import _json_value, main
+from grouprange.partitions import _pentagonal_prefix
 
 SCHEMA = json.loads(files("grouprange").joinpath("schema/output.schema.json").read_text())
 
@@ -249,6 +252,28 @@ def test_count_asymptotic_json(capsys):
     assert payload["ratio"] == pytest.approx(0.8349, abs=5e-4)
 
 
+def fraction_ratio(payload):
+    """The count over its asymptotic estimate as a quotient of Fractions, rounded once."""
+    return float(Fraction(payload["admissible"]) / Fraction(payload["asymptotic"]))
+
+
+def test_count_ratio_is_the_fraction_quotient_bit_for_bit(monkeypatch, capsys):
+    # the CLI divides exact integers, admissible * den / num with the
+    # estimate num / den: one correctly rounded division, so the same float
+    import grouprange.cli as cli_mod
+
+    p = _pentagonal_prefix(3000)  # one prefix serves every count up to 3000
+    monkeypatch.setattr(cli_mod, "count_admissible", lambda n: p[n] - p[n - 1])
+    for n in range(1, 3001):  # the command's handler, without building the parser 3000 times
+        assert cli_mod.cmd_count(argparse.Namespace(n=n, asymptotic=True, format="json")) == 0
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert payload["admissible"] == p[n] - p[n - 1]
+        assert payload["ratio"].hex() == fraction_ratio(payload).hex(), n
+    assert payload["admissible"] == count_admissible(3000)
+    code, out, err = run(capsys, "count", "1", "--asymptotic", "--format", "json")
+    assert json.loads(out)["payload"]["ratio"] == 0.0  # no admissible partition of 1
+
+
 def test_count_rejects_negative(capsys):
     code, out, err = run(capsys, "count", "-1")
     assert code == 2
@@ -261,6 +286,7 @@ def test_count_limit(capsys):
     code, envelope, err = run_json(capsys, "count", "50000", "--asymptotic")
     assert code == 0
     assert 0.99 < envelope["payload"]["ratio"] < 1
+    assert envelope["payload"]["ratio"].hex() == fraction_ratio(envelope["payload"]).hex()
     start = time.perf_counter()
     code, out, err = run(capsys, "count", "50001", "--asymptotic")
     assert time.perf_counter() - start < 1
@@ -477,16 +503,17 @@ def test_usage_exit_codes(capsys):
 
 def test_solver_disagreement_exits_4(monkeypatch, capsys):
     # unreachable with correct solvers; inject a wrong dp objective to
-    # prove a cross-check miss is rendered and exits 4
-    import grouprange.cli as cli_mod
+    # prove a cross-check miss is rendered and exits 4; `optimal` imports
+    # solve_dp from the optimizer when it runs, so the patch goes there
+    import grouprange.optimizer as optimizer_mod
 
-    real = cli_mod.solve_dp
+    real = optimizer_mod.solve_dp
 
     def lying_dp(n, table):
         result = real(n, table)
         return type(result)(result.partition, result.objective + 1, result.method)
 
-    monkeypatch.setattr(cli_mod, "solve_dp", lying_dp)
+    monkeypatch.setattr(optimizer_mod, "solve_dp", lying_dp)
     code, out, err = run(capsys, "optimal", "10")
     assert code == 4
     assert "disagree" in err

@@ -1,6 +1,8 @@
-"""Start-up cost: only `simulate` loads numpy, no command loads
-`dataclasses` or `inspect`, and a command loads `json` and `csv` only
-to print that format or to read a `--table`.
+"""Start-up cost: each command loads only the modules it runs.  Only
+`simulate` loads numpy, no command loads `dataclasses` or `inspect`, a
+command loads `json` and `csv` only to print that format or to read a
+`--table`, `count` loads no solver module and neither `fractions` nor
+`decimal`, and only `verify` loads `grouprange.lemma`.
 
 Every command but `simulate` is exact and needs no numpy, and numpy is
 most of the package's import time.  Each case runs one CLI command in
@@ -14,6 +16,15 @@ cost an exact command had left after numpy.  The records are therefore
 NamedTuples and plain classes; the tests below check that they stay
 immutable and that no exact command loads either module beyond what a
 bare interpreter (with this environment's site hooks) already loads.
+
+`count` is the paper's partition count and the benchmark's start-up
+probe (`count 0 --format json`); it needs `grouprange.partitions` and
+integers only.  The package therefore serves every public name on
+first access, and `cli` imports the solver modules inside the commands
+that run them: a bare `import grouprange` loads no module of the
+package.  The cases that check the commands run `python -m
+grouprange.cli`, the benchmark's entry point, and read what it loads
+from `-X importtime`.
 """
 
 from __future__ import annotations
@@ -59,12 +70,16 @@ LAZY_NAMES = ("BLOCK_REPLICATES", "SimulationReport", "monte_carlo",
               "replicate_stream", "sample_exponential")
 
 
-def run_child(args: list[str], cwd: Path, code: str = CHILD) -> subprocess.CompletedProcess:
+def run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env.pop("GROUPRANGE_FORMAT", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def run_child(args: list[str], cwd: Path, code: str = CHILD) -> subprocess.CompletedProcess:
+    return run_python(["-c", code, *args], cwd)
 
 
 def cli_in_child(argv: list[str], cwd: Path) -> dict:
@@ -145,6 +160,43 @@ def test_command_loads_only_the_format_it_prints(argv, fmt, workdir, bare_module
     expected = ({fmt} - {"text"}) | ({"csv"} if "--table" in argv else set())  # csv reads tables
     loaded = modules_loaded([*argv, "--format", fmt], workdir, bare_modules)
     assert loaded & {"json", "csv"} == expected
+
+
+def entry_point_loads(argv: list[str], cwd: Path) -> set[str]:
+    """The modules `python -m grouprange.cli`, the benchmark's entry point,
+    loads beyond the bare interpreter, as ``-X importtime`` lists them."""
+    proc = run_python(["-X", "importtime", "-m", "grouprange.cli", *argv], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+SOLVER_STACK = {"fractions", "decimal", "grouprange.coefficients", "grouprange.optimizer",
+                "grouprange.estimator", "grouprange.lemma", "grouprange.exactmath"}
+COUNT_CASES = [["count", "50", "--asymptotic"], ["count", "0", "--format", "json"]]
+
+
+@pytest.mark.parametrize("argv", COUNT_CASES, ids=" ".join)
+def test_count_loads_no_solver_and_no_fractions(argv, workdir):
+    loaded = entry_point_loads(argv, workdir)
+    assert "grouprange.partitions" in loaded  # the listing names the package's modules
+    assert loaded & SOLVER_STACK == set()
+
+
+@pytest.mark.parametrize("argv", [*EXACT_CASES, ["simulate", "8", "--reps", "10"]], ids=" ".join)
+def test_only_verify_loads_lemma(argv, workdir):
+    assert ("grouprange.lemma" in entry_point_loads(argv, workdir)) == (argv[0] == "verify")
+
+
+def test_bare_package_import_loads_no_submodule(workdir):
+    # a submodule is still an attribute of the package, loaded on first access
+    code = ("import sys, grouprange\n"
+            "loaded = lambda: sorted(m for m in sys.modules if 'grouprange.' in m)\n"
+            "print(loaded())\n"
+            "print(grouprange.partitions.__name__, loaded())\n")
+    proc = run_child([], workdir, code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "grouprange.partitions ['grouprange.partitions']"]
 
 
 RECORDS = ["Partition", "CoefficientEntry", "CoefficientTable", "SolveResult",
