@@ -63,6 +63,11 @@ _HEADER = ("j", "d", "k_sq")
 # (u) and a Neumaier sum adds 2u + O(m u**2) (Higham, Accuracy and Stability,
 # sec. 4.3), under 4u per sum for m < 2**40, so h1 * h1 / h2 is within 14u.
 FLOAT_C_ERROR = 1e-14
+# The solvers' and the lemma's float comparisons decide unless their sides
+# lie within this relative margin; then the exact one does.  c_float(j) / j
+# is within a relative FLOAT_C_ERROR + u of C_j / j, so two ratios FLOAT_TIE
+# apart, 4 * 10**4 times their combined error, order as the exact ones do.
+FLOAT_TIE = 1e-9
 _MIN_VALUE, _MAX_VALUE = Fraction(1, 10**50), Fraction(10**50)  # bounds on d and k_sq
 
 

@@ -30,8 +30,7 @@ from fractions import Fraction
 from itertools import pairwise
 from typing import NamedTuple
 
-from .coefficients import CoefficientTable
-from .optimizer import _TIE
+from .coefficients import FLOAT_TIE, CoefficientTable
 
 __all__ = ["PEAK_RATIO", "LemmaReport", "ratio", "envelope_h", "verify_lemma"]
 
@@ -89,7 +88,7 @@ def verify_lemma(n_max: int, table: CoefficientTable) -> LemmaReport:
 
     # exact layer: strict maximum location, exact only near the float peak
     floats = {n: table.c_float(n) / n for n in range(2, n_max + 1)}
-    floor = max(floats.values()) * (1 - _TIE)
+    floor = max(floats.values()) * (1 - FLOAT_TIE)
     ratios = {n: ratio(n, table) for n, r in floats.items() if r >= floor}
     max_ratio_at = max(ratios, key=ratios.__getitem__)  # max keeps the first, smallest n
     max_ratio = ratios[max_ratio_at]

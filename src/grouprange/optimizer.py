@@ -45,10 +45,12 @@ solve_group_relaxation
     f_b = (n - sum of path parts) / b.  When f_b >= 0 the relaxation
     is tight and the result is exactly optimal; otherwise the solver
     falls back to solve_dp and the result is labeled "dp".  For the
-    exponential table the only fallback at n <= 400 is n = 6.  The
-    best-part scan and the per-class penalty minima are cached
-    per table and grown with n, so a sweep n = 2..N costs O(N) float
-    operations, and Dijkstra runs once per distinct graph.
+    exponential table the only fallback at n <= 400 is n = 6.  Each
+    table keeps the best part and one penalty minimum per class over
+    the parts scanned, so an ascending sweep n = 2..N costs O(N) float
+    operations, and Dijkstra runs once per distinct graph.  A smaller n
+    reuses them when they all lie at or below it (every n >= 6 on the
+    exponential table) and rescans 2..n otherwise.
 
 Every scan compares the table's float C_j first and goes exact only
 within a relative 1e-9 of a tie: on the exponential table the exact
@@ -63,7 +65,6 @@ rule_of_fours
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import operator
@@ -71,9 +72,10 @@ import threading
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
-from .coefficients import CoefficientTable
+from .coefficients import FLOAT_TIE, CoefficientTable
 from .partitions import Partition
 
 __all__ = [
@@ -126,13 +128,11 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 
 # Everything the solvers reuse for one table object lives in one
 # record, keyed by the table's identity and released through a weakref
-# finalizer, so ascending sweeps n = 2..N fill one DP and grow one
-# residue graph.
+# finalizer, so ascending sweeps n = 2..N fill one DP and scan each part
+# for the residue graph once.
 class _TableState:
-    __slots__ = (
-        "values", "keys", "fv", "fc", "undominated", "runs",
-        "best", "best_ratio", "modulus", "penalized", "records", "latest", "paths",
-    )
+    __slots__ = ("values", "keys", "fv", "fc", "runs",
+                 "scanned", "best", "best_ratio", "minima", "paths")
 
     def __init__(self) -> None:
         # DP by capacity: exact value and key (-part count, pairs by
@@ -143,22 +143,17 @@ class _TableState:
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
         # The filled capacities j whose optimum is (j,), the parts no
-        # filled capacity dominates: ascending, and as runs of
-        # consecutive j for the float slices.
-        self.undominated: list[int] = []
+        # filled capacity dominates, as ascending runs of consecutive j.
         self.runs: list[range] = []
-        # Residue graph: best[n] is the argmax of C_j / j over 2..n
-        # (smallest j on ties), best_ratio fc[b] / b for b = best[-1].
-        # For the current modulus b and the parts 2 <= j <= penalized:
-        # records[offset] lists the (j, w_j) at which the minimum of the
-        # class j = offset (mod b) drops, latest[offset] its last float.
+        # Residue graph over the parts 2..scanned: best is the argmax b of
+        # C_j / j (smallest j on ties), best_ratio its float fc[b] / b, and
+        # minima[offset] = (j, w_j, float(w_j)) the minimum of the class
+        # j = offset (mod b), smallest j on ties.
         # paths: the last graph solved and its shortest paths from 0.
-        self.best: list[int] = [0, 0]
+        self.scanned = 1
+        self.best = 0
         self.best_ratio = 0.0
-        self.modulus = 0
-        self.penalized = 1
-        self.records: dict[int, list[tuple[int, Fraction]]] = {}
-        self.latest: dict[int, float] = {}
+        self.minima: dict[int, tuple[int, Fraction, float]] = {}
         self.paths: tuple[ResidueGraph, dict] | None = None
 
 
@@ -177,13 +172,6 @@ def _table_state(table: CoefficientTable) -> _TableState:
     return state
 
 
-# A float comparison decides unless its sides lie within this relative
-# margin; then the exact one does.  fc[j] / j is within delta + u of C_j / j
-# (delta = FLOAT_C_ERROR = 1e-14, u = 2**-53), so two ratios _TIE apart,
-# 4 * 10**4 times their combined error, order as the exact ratios do.
-_TIE = 1e-9
-
-
 def _floats(state: _TableState, table: CoefficientTable, n: int) -> list[float]:
     fc = state.fc
     if len(fc) <= n:
@@ -191,48 +179,46 @@ def _floats(state: _TableState, table: CoefficientTable, n: int) -> list[float]:
     return fc
 
 
-def _best_part(state: _TableState, table: CoefficientTable, n: int) -> int:
-    best, fc = state.best, _floats(state, table, n)
-    b, ratio = best[-1], state.best_ratio  # ratio 0.0 before the first part
-    for j in range(len(best), n + 1):
+def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
+    """Bring the best part and the class minima to the parts 2..n.
+
+    Below the parts scanned, the state still holds when the best part
+    and every class minimum are <= n: an argmax or argmin over 2..N that
+    lies in 2..n is also the one over 2..n, smallest part on ties;
+    otherwise the scan starts over from part 2.
+    """
+    if n < state.scanned:
+        if state.best <= n and all(j <= n for j, _, _ in state.minima.values()):
+            return
+        state.scanned, state.best, state.best_ratio, state.minima = 1, 0, 0.0, {}
+    fc, b, ratio = _floats(state, table, n), state.best, state.best_ratio
+    for j in range(state.scanned + 1, n + 1):
         r = fc[j] / j
-        if r > ratio * (1 + _TIE) or (
-            r >= ratio * (1 - _TIE) and table.c(j) / j > table.c(b) / b  # smallest j on ties
+        if r > ratio * (1 + FLOAT_TIE) or (
+            r >= ratio * (1 - FLOAT_TIE) and table.c(j) / j > table.c(b) / b  # smallest j on ties
         ):
             b, ratio = j, r
-        best.append(b)
-    state.best_ratio = ratio
-    return best[n]
-
-
-def _grow_class_minima(state: _TableState, table: CoefficientTable, b: int, n: int) -> None:
+    if b != state.best:  # a new modulus: its classes are scanned from part 2
+        state.scanned, state.best, state.best_ratio, state.minima = 1, b, ratio, {}
     # b maximizes C_j / j over 2..n, so every w_j with j <= n is >= 0.
-    # The n with the same best part form one interval, so the minima
-    # kept for b stay valid until the modulus changes.
     # w_j is a difference, so its float error is absolute: below
-    # (FLOAT_C_ERROR + 5 * 2**-53) * (j * C_b / b + C_j), the record's
+    # (FLOAT_C_ERROR + 5 * 2**-53) * (j * C_b / b + C_j), the minimum's
     # float included (its w is at most r * C_b / b with r < j).
-    if state.modulus != b:
-        state.modulus, state.penalized, state.records, state.latest = b, 1, {}, {}
-    if n <= state.penalized:
-        return
-    fc, per_unit, latest = state.fc, state.fc[b] / b, state.latest
-    for j in range(state.penalized + 1, n + 1):
+    per_unit, minima = fc[b] / b, state.minima
+    for j in range(state.scanned + 1, n + 1):
         offset = j % b
         if not offset:  # self loops never help a shortest path
             continue
-        w = j * per_unit - fc[j]
-        records = state.records.setdefault(offset, [])
-        if records:
-            margin = _TIE * (j * per_unit + fc[j])
-            if w > latest[offset] + margin or (  # smallest part on ties
-                w >= latest[offset] - margin
-                and not j * table.c(b) / b - table.c(j) < records[-1][1]
+        w, known = j * per_unit - fc[j], minima.get(offset)
+        if known:
+            margin = FLOAT_TIE * (j * per_unit + fc[j])
+            if w > known[2] + margin or (  # smallest part on ties
+                w >= known[2] - margin and not j * table.c(b) / b - table.c(j) < known[1]
             ):
                 continue
-        records.append((j, j * table.c(b) / b - table.c(j)))  # a new record, exact
-        latest[offset] = float(records[-1][1])
-    state.penalized = n
+        exact = j * table.c(b) / b - table.c(j)
+        minima[offset] = (j, exact, float(exact))
+    state.scanned = n
 
 
 def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
@@ -240,14 +226,9 @@ def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
     _require_coverage(table, n)
     with _lock:
         state = _table_state(table)
-        b = _best_part(state, table, n)
-        _grow_class_minima(state, table, b, n)
-        steps = []
-        for offset, records in sorted(state.records.items()):
-            i = bisect.bisect_right(records, n, key=operator.itemgetter(0))
-            if i:
-                steps.append((offset, *records[i - 1]))
-    return ResidueGraph(b, tuple(steps))
+        _scan(state, table, n)
+        steps = tuple((offset, j, w) for offset, (j, w, _) in sorted(state.minima.items()))
+        return ResidueGraph(state.best, steps)
 
 
 def shortest_paths(graph: ResidueGraph) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
@@ -306,7 +287,7 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     candidate fv[w-j] + fc[j] lies within a factor (1 +- delta)(1 +- u)
     of its exact value.  An exact maximizer's float is therefore at least
     (1 - 2 * (delta + u)) times the float best, and the filter keeps every
-    candidate within _TIE, about 4 * 10**4 times that bound: all exact
+    candidate within FLOAT_TIE, about 4 * 10**4 times that bound: all exact
     maximizers, ties included, reach the exact comparison, and the
     result equals the plain exact fill's.  The bound needs
     normal floats, which ``CoefficientEntry``'s bounds on d and k_sq
@@ -314,16 +295,16 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     and its float -inf keeps it out of every candidate list.
     """
     values, keys, fv, fc = state.values, state.keys, state.fv, _floats(state, table, n)
-    undominated, runs = state.undominated, state.runs
+    runs = state.runs
     for w in range(len(values), n + 1):
         # the undominated parts ascending, then w, whose fv[0] + fc[w] is fc[w]
-        tried = undominated + [w]
+        tried = [*chain.from_iterable(runs), w]
         floats: list[float] = []
         for run in runs:
             floats += map(operator.add, fv[w - run.start : w - run.stop : -1],
                           fc[run.start : run.stop])
         floats.append(fc[w])
-        floor = max(floats) * (1 - _TIE)
+        floor = max(floats) * (1 - FLOAT_TIE)
         best_value, best_key = max(
             (values[w - j] + table.c(j), _with_part(keys[w - j], j))
             for j, f in zip(tried, floats) if f >= floor
@@ -332,7 +313,6 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
         keys.append(best_key)
         fv.append(float(best_value))
         if best_key == (-1, ((w, 1),)):
-            undominated.append(w)
             if runs and runs[-1].stop == w:
                 runs[-1] = range(runs[-1].start, w + 1)
             else:

@@ -1,11 +1,15 @@
-"""Brute-force partition references for the tests.
+"""Brute-force references for the tests.
 
 ``enumerate_admissible`` lists every admissible partition, the oracle
 the counts, the solvers and the estimator identities are checked
 against over small n.  ``count_unrestricted`` reads p(n) from the
-package's pentagonal prefix.
+package's pentagonal prefix.  ``harmonic_oracle`` sums a generalized
+harmonic number term by term, the reference for the harmonic memo, the
+exponential table's entries, the lemma's ratios and the solvers'
+efficiencies.
 """
 
+from fractions import Fraction
 from typing import Iterator
 
 from grouprange import Partition
@@ -38,3 +42,9 @@ def enumerate_admissible(n: int) -> Iterator[Partition]:
 
 def count_unrestricted(n: int) -> int:
     return _pentagonal_prefix(n)[n]
+
+
+def harmonic_oracle(n: int, j: int) -> Fraction:
+    """H(n, j) = sum of 1 / i**j over i = 1..n, summed directly: shares no
+    code with the package's memoized ``generalized_harmonic``."""
+    return sum((Fraction(1, i**j) for i in range(1, n + 1)), Fraction(0))

@@ -404,6 +404,20 @@ def test_custom_table_errors(tmp_path, capsys):
         assert err.startswith(f"error: bad coefficient table: {message}")
 
 
+def test_table_file_is_read_up_to_its_bound(tmp_path, capsys, monkeypatch):
+    # a file at the bound loads; one byte more, or an endless device,
+    # exits 3 with one line after reading at most bound + 1 bytes
+    monkeypatch.setattr("grouprange.cli.TABLE_BYTES_MAX", 200)
+    text = export_table(exponential_table(4))
+    at_bound, past = tmp_path / "at.csv", tmp_path / "past.csv"
+    at_bound.write_bytes(text + b"\n" * (200 - len(text)))
+    past.write_bytes(text + b"\n" * (201 - len(text)))
+    assert run(capsys, "optimal", "4", "--table", str(at_bound))[0] == 0
+    for path in (past, "/dev/zero"):
+        code, out, err = run(capsys, "optimal", "3", "--table", str(path))
+        assert (code, out, err) == (3, "", "error: table file is longer than 200 bytes\n")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_custom_table_value_errors_exit_3(tmp_path, capsys, fmt):
     # a value outside [1e-50, 1e50] and bytes that are not UTF-8 are

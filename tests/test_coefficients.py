@@ -18,9 +18,7 @@ from grouprange import (
 )
 from grouprange.coefficients import FLOAT_C_ERROR
 
-
-def harmonic_oracle(n: int, j: int) -> Fraction:
-    return sum((Fraction(1, i**j) for i in range(1, n + 1)), Fraction(0))
+from partition_reference import harmonic_oracle
 
 
 # ------------------------------------------------------------- exponential

@@ -14,9 +14,7 @@ from grouprange import (
     verify_lemma,
 )
 
-
-def harmonic_oracle(n: int, j: int) -> Fraction:
-    return sum((Fraction(1, i**j) for i in range(1, n + 1)), Fraction(0))
+from partition_reference import harmonic_oracle
 
 
 def ratio_oracle(n: int) -> Fraction:

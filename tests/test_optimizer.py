@@ -18,6 +18,7 @@ from grouprange import coefficients
 from grouprange import (
     CoefficientEntry,
     Partition,
+    ResidueGraph,
     build_residue_graph,
     exponential_table,
     generalized_harmonic,
@@ -28,12 +29,9 @@ from grouprange import (
     solve_dp,
     solve_group_relaxation,
 )
+from grouprange.optimizer import _states
 
-from partition_reference import enumerate_admissible
-
-
-def harmonic_oracle(n: int, j: int) -> Fraction:
-    return sum((Fraction(1, i**j) for i in range(1, n + 1)), Fraction(0))
+from partition_reference import enumerate_admissible, harmonic_oracle
 
 
 @functools.cache
@@ -328,6 +326,41 @@ def test_sweep_matches_fresh_tables(make):
     order = list(expected)
     for n in order + order[::-1] + order[1::7] + order[::5]:
         assert (build_residue_graph(swept, n), solve_group_relaxation(n, swept)) == expected[n]
+
+
+def test_descending_sweep_reuses_the_scan():
+    # on the exponential table the best part 4 and the class minima at
+    # parts 5, 6 and 3 lie at or below every n >= 7: a sweep down from
+    # 400 reads the scan of 2..400 and scans no part again
+    swept = exponential_table(400)
+    for n in range(2, 401):
+        build_residue_graph(swept, n)
+    state = _states[id(swept)]
+    for n in range(400, 6, -1):
+        fresh = exponential_table(n)
+        expected = build_residue_graph(fresh, n), solve_group_relaxation(n, fresh)
+        assert (build_residue_graph(swept, n), solve_group_relaxation(n, swept)) == expected
+        assert state.scanned == 400, n
+
+
+def test_smaller_n_rescans_below_a_class_minimum():
+    # part 6 undercuts part 2 on offset 2, so n = 5 cannot read the scan
+    # of 2..6 and scans 2..5 again
+    t = exponential_table(6)
+    assert build_residue_graph(t, 6) == build_residue_graph(exponential_table(6), 6)
+    state = _states[id(t)]
+    assert (state.scanned, state.minima[2][0]) == (6, 6)
+    assert build_residue_graph(t, 5) == build_residue_graph(exponential_table(5), 5)
+    assert (state.scanned, state.minima[2][0]) == (5, 2)
+
+
+def test_smallest_n_twice_on_a_fresh_table():
+    # n = 2 has the one part 2 and no class minimum: the second call
+    # reads a scan whose minima are empty
+    t = exponential_table(2)
+    assert build_residue_graph(t, 2) == ResidueGraph(2, ())
+    assert _states[id(t)].minima == {}
+    assert build_residue_graph(t, 2) == ResidueGraph(2, ())
 
 
 # ------------------------------------------------------------ group relaxation
