@@ -44,7 +44,7 @@ import threading
 from collections.abc import Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 from .partitions import _Frozen
 
@@ -239,8 +239,9 @@ def _parse_rational(text: str, row: int, column: str) -> Fraction:
 def load_table(
     source: Union[bytes, str, IO[bytes], IO[str]],
     label: str = "custom",
+    max_part: Optional[int] = None,
 ) -> CoefficientTable:
-    """Parse a coefficient CSV (UTF-8, header ``j,d,k_sq``).
+    """Parse a coefficient CSV (UTF-8, header ``j,d,k_sq``), stopping after part ``max_part``.
 
     Bytes may start with a UTF-8 byte-order mark, as spreadsheet tools
     write it.  Row numbers in error messages count the header as row 1.
@@ -254,42 +255,45 @@ def load_table(
 
     import csv  # here, so that only a command reading a table loads it
 
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise CoefficientTableError("row 1: missing header (expected j,d,k_sq)")
-
-    header = tuple(cell.strip() for cell in rows[0])
-    # a trailing c column is tolerated and ignored
-    if header[:3] != _HEADER or header[3:] not in ((), ("c",), ("C",)):
-        raise CoefficientTableError(
-            f"row 1: bad header {','.join(header)!r} (expected j,d,k_sq)"
-        )
-
-    entries = []
-    expected_j = 2
-    for index, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if not 3 <= len(row) <= len(header):
-            expected = 3 if len(row) < 3 else len(header)
-            raise CoefficientTableError(f"row {index}: expected {expected} columns, got {len(row)}")
-        try:
-            j = int(row[0].strip())
-        except ValueError:
+    rows = csv.reader(io.StringIO(text))
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise CoefficientTableError("row 1: missing header (expected j,d,k_sq)")
+        header = tuple(cell.strip() for cell in header)
+        # a trailing c column is tolerated and ignored
+        if header[:3] != _HEADER or header[3:] not in ((), ("c",), ("C",)):
             raise CoefficientTableError(
-                f"row {index}: cannot parse part size {row[0]!r}"
-            ) from None
-        if j != expected_j:
-            raise CoefficientTableError(
-                f"row {index}: part sizes must be contiguous from 2, expected {expected_j}, got {j}"
+                f"row 1: bad header {','.join(header)!r} (expected j,d,k_sq)"
             )
-        d = _parse_rational(row[1], index, "d")
-        k_sq = _parse_rational(row[2], index, "k_sq")
-        try:
-            entries.append(CoefficientEntry(j, d, k_sq))
-        except ValueError as exc:
-            raise CoefficientTableError(f"row {index}: {exc}") from None
-        expected_j += 1
+
+        entries = []
+        for index, row in enumerate(rows, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if not 3 <= len(row) <= len(header):
+                expected = 3 if len(row) < 3 else len(header)
+                raise CoefficientTableError(f"row {index}: expected {expected} columns, got {len(row)}")
+            try:
+                j = int(row[0].strip())
+            except ValueError:
+                raise CoefficientTableError(
+                    f"row {index}: cannot parse part size {row[0]!r}"
+                ) from None
+            if j != (expected_j := len(entries) + 2):
+                raise CoefficientTableError(
+                    f"row {index}: part sizes must be contiguous from 2, expected {expected_j}, got {j}"
+                )
+            d = _parse_rational(row[1], index, "d")
+            k_sq = _parse_rational(row[2], index, "k_sq")
+            try:
+                entries.append(CoefficientEntry(j, d, k_sq))
+            except ValueError as exc:
+                raise CoefficientTableError(f"row {index}: {exc}") from None
+            if j == max_part:
+                break
+    except csv.Error as exc:  # a field longer than csv's field size limit
+        raise CoefficientTableError(f"row {rows.line_num}: {exc}") from None
 
     if not entries:
         raise CoefficientTableError("row 2: no data rows")

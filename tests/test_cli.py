@@ -418,6 +418,28 @@ def test_table_file_is_read_up_to_its_bound(tmp_path, capsys, monkeypatch):
         assert (code, out, err) == (3, "", "error: table file is longer than 200 bytes\n")
 
 
+def test_table_file_is_parsed_up_to_part_n(tmp_path, capsys):
+    # optimal n reads parts 2..n: rows past n are not parsed, so neither
+    # their faults nor their number cost anything
+    table = tmp_path / "t.csv"
+    table.write_bytes(export_table(exponential_table(4)))
+    clean = run(capsys, "optimal", "4", "--table", str(table))
+    table.write_bytes(export_table(exponential_table(4)) + b"5,x,1\n" * 100_000)
+    assert run(capsys, "optimal", "4", "--table", str(table)) == clean
+    code, out, err = run(capsys, "optimal", "5", "--table", str(table))
+    assert (code, out) == (3, "")
+    assert err == "error: bad coefficient table: row 5: cannot parse d value 'x' as a rational\n"
+
+
+def test_table_field_past_the_csv_limit_exits_3(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("j,d,k_sq\n2,1,1\n3," + "1" * 200_000 + ",1\n")
+    code, out, err = run(capsys, "optimal", "3", "--table", str(big))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad coefficient table: row 3: field larger than field limit")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_custom_table_value_errors_exit_3(tmp_path, capsys, fmt):
     # a value outside [1e-50, 1e50] and bytes that are not UTF-8 are

@@ -285,6 +285,23 @@ def test_load_error_empty():
         load_table("j,d,k_sq\n")
 
 
+def test_load_stops_after_max_part():
+    # the rows after part max_part are not read, so their faults go unseen
+    text = "j,d,k_sq\n2,1,1\n3,1.5,1.25\n4,x,1\n5,1,1," + "1" * 200_000 + "\n"
+    assert load_table(text, max_part=3) == load_table("j,d,k_sq\n2,1,1\n3,1.5,1.25\n")
+    with pytest.raises(CoefficientTableError, match="row 4: cannot parse d"):
+        load_table(text, max_part=4)
+    assert load_table("j,d,k_sq\n2,1,1\n", max_part=9).max_part == 2  # a shorter table is whole
+
+
+def test_load_error_field_past_the_csv_limit():
+    # csv refuses a field longer than its size limit; the error names the row
+    with pytest.raises(CoefficientTableError, match=r"^row 3: field larger than field limit"):
+        load_table("j,d,k_sq\n2,1,1\n3," + "1" * 200_000 + ",1\n")
+    with pytest.raises(CoefficientTableError, match=r"^row 1: field larger than field limit"):
+        load_table("j" * 200_000 + ",d,k_sq\n2,1,1\n")
+
+
 # ---------------------------------------------------------------- exporting
 
 
