@@ -52,7 +52,7 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # plan at n = 10000, 9 s at n = 25 and 2e7 replicates, and 29 s for
 # n = 9869 split into 139 distinct part sizes, the most runs a plan of
 # n <= 10000 has.  A --table file is read up to 64 MB and parsed to part n
-# (64 MB: 0.4 s, 380 MB; export_table's 4,900 parts, 31 MB: 4 s, 225 MB).
+# (64 MB: 0.15 s, 77 MB; export_table's 4,900 parts, 31 MB: 3.2 to 3.6 s, 72 MB).
 COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
 CLOSED_MAX, LEMMA_MAX, TABLE_BYTES_MAX = 1_000_000, 50_000, 64_000_000
 SIMULATE_MAX, REPS_MAX, DRAWS_MAX = 10_000, 20_000_000, 500_000_000
@@ -64,10 +64,6 @@ class UsageError(Exception):
 
 class InputError(Exception):
     exit_code = 3
-
-
-class OutputError(Exception):
-    exit_code = 1
 
 
 class VerificationError(Exception):
@@ -128,7 +124,6 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
 
 
 _UNPRINTABLE = "cannot print an exact value of the result: "  # past the int-to-str limit
-_UNWRITABLE = "cannot write output: "
 
 
 def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> None:
@@ -146,16 +141,7 @@ def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> N
             csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
         else:
             to_text(payload)
-    _write(sys.stdout, rendered.getvalue())
-
-
-def _write(stream: Any, text: str) -> None:
-    try:
-        stream.write(text)
-    except BrokenPipeError:
-        raise  # the reader has gone: main ends quietly
-    except OSError as exc:
-        raise OutputError(f"{_UNWRITABLE}{exc}") from None
+    sys.stdout.write(rendered.getvalue())
 
 
 def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
@@ -486,7 +472,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message: str, file: Any = None) -> None:
         if file is sys.stdout:
-            _write(file, message)
+            file.write(message)
         else:
             super()._print_message(message, file)
 
@@ -566,6 +552,15 @@ def _error(message: str) -> None:
         print(f"error: {message}", file=sys.stderr)
 
 
+def _output_failed(exc: OSError, code: int) -> int:
+    """The exit code once stdout refuses output: a closed pipe keeps the
+    command's ``code`` quietly, any other error is 1 with one ``error:`` line."""
+    if isinstance(exc, BrokenPipeError):
+        return code
+    _error(f"cannot write output: {exc}")
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -573,11 +568,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on usage errors
         return int(exc.code or 0)
-    except (UsageError, InputError, OutputError, VerificationError) as exc:
+    except (UsageError, InputError, VerificationError) as exc:
         _error(str(exc))
         return exc.exit_code
-    except BrokenPipeError:
-        return 0
+    except OSError as exc:  # only stdout's: _load_cli_table turns a table read's into InputError
+        return _output_failed(exc, 0)
 
 
 def run() -> NoReturn:
@@ -586,11 +581,8 @@ def run() -> NoReturn:
     code = main()
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        pass
     except OSError as exc:
-        _error(f"{_UNWRITABLE}{exc}")
-        code = 1
+        code = _output_failed(exc, code)
     with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(code)

@@ -32,8 +32,8 @@ column, and no cell past the header's, is accepted.
 Where each check lives: ``CoefficientEntry`` requires d, k_sq > 0,
 bounds both to [1e-50, 1e50] and derives c itself; ``CoefficientTable``
 requires parts contiguous from 2; ``load_table`` checks only the CSV
-(encoding, header, columns, values, each row's j) and prefixes an
-entry's error with its ``row N:``.
+(encoding, header, columns, values, each row's j), each line decoded as
+the parse reaches it, and prefixes an entry's error with its ``row N:``.
 """
 
 from __future__ import annotations
@@ -247,19 +247,16 @@ def load_table(
     write it.  Row numbers in error messages count the header as row 1.
     """
     raw = source if isinstance(source, (bytes, str)) else source.read()
-    try:
-        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw
-    except UnicodeDecodeError as exc:  # exc.object is raw without its mark
-        line = exc.object[:exc.start].count(b"\n") + 1
-        raise CoefficientTableError(f"row {line}: not valid UTF-8 ({exc.reason})") from None
-
     import csv  # here, so that only a command reading a table loads it
 
-    rows = csv.reader(io.StringIO(text))
+    # each line is decoded as the parse reaches it, so rows past max_part cost nothing
+    rows = csv.reader(map(bytes.decode, io.BytesIO(raw)) if isinstance(raw, bytes)
+                      else io.StringIO(raw))
     try:
         header = next(rows, None)
         if header is None:
             raise CoefficientTableError("row 1: missing header (expected j,d,k_sq)")
+        header[:1] = [cell.removeprefix("\ufeff") for cell in header[:1]]  # a byte-order mark
         header = tuple(cell.strip() for cell in header)
         # a trailing c column is tolerated and ignored
         if header[:3] != _HEADER or header[3:] not in ((), ("c",), ("C",)):
@@ -294,6 +291,8 @@ def load_table(
                 break
     except csv.Error as exc:  # a field longer than csv's field size limit
         raise CoefficientTableError(f"row {rows.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # raised reading the line after line_num
+        raise CoefficientTableError(f"row {rows.line_num + 1}: not valid UTF-8 ({exc.reason})") from None
 
     if not entries:
         raise CoefficientTableError("row 2: no data rows")

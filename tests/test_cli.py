@@ -7,6 +7,7 @@ exception runs a child process, so that a hang fails on a timeout.
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -529,6 +530,26 @@ def test_format_env_invalid(monkeypatch, capsys):
     code, out, err = run(capsys, "count", "6")
     assert code == 2
     assert "not a valid format" in err
+
+
+@pytest.mark.parametrize("argv", [["count", "0"], ["--help"]])
+def test_stdout_that_refuses_output(monkeypatch, capsys, argv):
+    # a full disk is exit 1 with one error line; a closed pipe is the
+    # command's own code with no line, for a command's output and for help
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    for error, expected in [(full, (1, "", f"error: cannot write output: {full}\n")),
+                            (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), (0, "", ""))]:
+        def write(text, error=error):
+            raise error
+        monkeypatch.setattr(sys.stdout, "write", write)
+        assert run(capsys, *argv) == expected
+
+
+def test_unreadable_table_is_an_input_error(tmp_path, capsys):
+    # main maps an OSError it sees to stdout; a table read's must not reach it
+    code, out, err = run(capsys, "optimal", "3", "--table", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read table file: ") and err.count("\n") == 1
 
 
 def test_usage_exit_codes(capsys):

@@ -1,5 +1,6 @@
 """Coefficient tables and the CSV interchange format."""
 
+import tracemalloc
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -234,6 +235,12 @@ def test_load_error_not_utf8(tmp_path):
         load_table(b"j,\xc3d,k_sq\n2,1,1\n")
 
 
+def test_load_names_the_physical_line_of_a_bad_byte():
+    # a quoted field spans lines 3 and 4; the bad byte is on line 4
+    with pytest.raises(CoefficientTableError, match="^row 4: not valid UTF-8"):
+        load_table(b'j,d,k_sq\n2,1,1\n3,"3/2\n\xff",5/4\n')
+
+
 def test_load_far_exponents():
     # past 1e+-1000 a stand-in gets the entry's range message without the
     # exact value being built, and a malformed literal that far out is
@@ -292,6 +299,28 @@ def test_load_stops_after_max_part():
     with pytest.raises(CoefficientTableError, match="row 4: cannot parse d"):
         load_table(text, max_part=4)
     assert load_table("j,d,k_sq\n2,1,1\n", max_part=9).max_part == 2  # a shorter table is whole
+
+
+def test_load_decodes_no_line_past_max_part():
+    # a bad byte after part n's row is not read, as other faults there are not
+    data = b"j,d,k_sq\n2,1,1\n3,3/2,5/4\n4,1,\xff\n"
+    assert load_table(data, max_part=3) == load_table("j,d,k_sq\n2,1,1\n3,3/2,5/4\n")
+    with pytest.raises(CoefficientTableError, match="^row 4: not valid UTF-8"):
+        load_table(data)
+
+
+def test_load_holds_the_file_once():
+    # rows past max_part are neither decoded nor copied: the parse
+    # allocates a small fraction of the file's size
+    data = export_table(exponential_table(3)) + b"4,1,1\n" * 1_400_000
+    tracemalloc.start()
+    try:
+        table = load_table(data, max_part=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.entries == exponential_table(3).entries
+    assert peak < len(data) / 4
 
 
 def test_load_error_field_past_the_csv_limit():
