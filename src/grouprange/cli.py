@@ -15,9 +15,10 @@ JSON output is an envelope {command, format, payload} that validates
 against schema/output.schema.json; exact rationals appear as
 {"exact": "p/q", "float": ...} so nothing is reduced to a lossy float.
 
-Exit codes: 0 success, 1 output not written (a full disk; a closed pipe
-is no error), 2 usage error, 3 input or table parse error,
-4 verification failure (solver disagreement or a failed check).
+Output is written whole once a command ends.  Exit codes: 0 success,
+1 output not written (a full disk), 2 usage error, 3 input or table parse
+error, 4 verification failure (solver disagreement or a failed check).
+A closed pipe is no error: every code stands, 4 included.
 """
 
 from __future__ import annotations
@@ -127,21 +128,19 @@ _UNPRINTABLE = "cannot print an exact value of the result: "  # past the int-to-
 
 
 def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> None:
-    # Rendered whole first, so a value that cannot be printed leaves no partial output.
-    rendered = io.StringIO()
-    with _reraise(InputError, _UNPRINTABLE), contextlib.redirect_stdout(rendered):
+    # into main's buffer, which an InputError drops: an unprintable value shows nothing
+    with _reraise(InputError, _UNPRINTABLE):
         if fmt == "json":
             import json  # here and csv below, so a command loads only the one it prints
             envelope = {"command": command, "format": "json", "payload": payload}
-            json.dump(envelope, rendered, indent=2, default=_json_value)
-            rendered.write("\n")
+            json.dump(envelope, sys.stdout, indent=2, default=_json_value)
+            print()
         elif fmt == "csv":
             import csv
             # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
             csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
         else:
             to_text(payload)
-    sys.stdout.write(rendered.getvalue())
 
 
 def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
@@ -466,17 +465,6 @@ def _load_cli_table(args: argparse.Namespace, n: int) -> CoefficientTable:
     return table
 
 
-class _Parser(argparse.ArgumentParser):
-    """Help that cannot be written fails as other output does (argparse
-    drops a failed write); messages to stderr keep argparse's handling."""
-
-    def _print_message(self, message: str, file: Any = None) -> None:
-        if file is sys.stdout:
-            file.write(message)
-        else:
-            super()._print_message(message, file)
-
-
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=FORMATS, default=None,
@@ -485,7 +473,7 @@ def _add_format_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="grouprange",
         description="Minimum-variance unbiased weighted-range estimation "
                     "of an exponential scale parameter.",
@@ -552,37 +540,38 @@ def _error(message: str) -> None:
         print(f"error: {message}", file=sys.stderr)
 
 
-def _output_failed(exc: OSError, code: int) -> int:
-    """The exit code once stdout refuses output: a closed pipe keeps the
-    command's ``code`` quietly, any other error is 1 with one ``error:`` line."""
-    if isinstance(exc, BrokenPipeError):
-        return code
-    _error(f"cannot write output: {exc}")
-    return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; return its exit code.  Its output, ``--help`` included,
+    is written to stdout whole and flushed once the command ends."""
+    failed_check = None
+    with contextlib.redirect_stdout(io.StringIO()) as shown:
+        try:
+            args = _build_parser().parse_args(argv)
+            _resolve_format(args)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse exits 0 after --help, 2 on usage errors
+            code = int(exc.code or 0)
+        except (UsageError, InputError) as exc:  # what the command printed is dropped
+            _error(str(exc))
+            return exc.exit_code
+        except VerificationError as exc:  # the failed check's output is shown, then its error
+            code, failed_check = exc.exit_code, exc
     try:
-        args = _build_parser().parse_args(argv)
-        _resolve_format(args)
-        return args.func(args)
-    except SystemExit as exc:  # argparse exits 0 after --help, 2 on usage errors
-        return int(exc.code or 0)
-    except (UsageError, InputError, VerificationError) as exc:
-        _error(str(exc))
-        return exc.exit_code
-    except OSError as exc:  # only stdout's: _load_cli_table turns a table read's into InputError
-        return _output_failed(exc, 0)
+        with contextlib.suppress(BrokenPipeError):  # a reader that closed early: the code stands
+            sys.stdout.write(shown.getvalue())
+            sys.stdout.flush()
+    except OSError as exc:
+        _error(f"cannot write output: {exc}")
+        code = 1
+    if failed_check is not None:
+        _error(str(failed_check))
+    return code
 
 
 def run() -> NoReturn:
-    """Process entry: ``main()``, then flush the output and end the process
-    without the interpreter's teardown (10 to 30 ms on a 2-core host)."""
+    """Process entry: ``main()``, which writes and flushes the output, then end
+    the process without the interpreter's teardown (10 to 30 ms on a 2-core host)."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        code = _output_failed(exc, code)
     with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(code)

@@ -244,7 +244,7 @@ def load_table(
     """Parse a coefficient CSV (UTF-8, header ``j,d,k_sq``), stopping after part ``max_part``.
 
     Bytes may start with a UTF-8 byte-order mark, as spreadsheet tools
-    write it.  Row numbers in error messages count the header as row 1.
+    write it.  Error messages name the line a row ends on, the header being row 1.
     """
     raw = source if isinstance(source, (bytes, str)) else source.read()
     import csv  # here, so that only a command reading a table loads it
@@ -265,28 +265,29 @@ def load_table(
             )
 
         entries = []
-        for index, row in enumerate(rows, start=2):
+        for row in rows:
+            line = rows.line_num
             if not row or all(not cell.strip() for cell in row):
                 continue
             if not 3 <= len(row) <= len(header):
                 expected = 3 if len(row) < 3 else len(header)
-                raise CoefficientTableError(f"row {index}: expected {expected} columns, got {len(row)}")
+                raise CoefficientTableError(f"row {line}: expected {expected} columns, got {len(row)}")
             try:
                 j = int(row[0].strip())
             except ValueError:
                 raise CoefficientTableError(
-                    f"row {index}: cannot parse part size {row[0]!r}"
+                    f"row {line}: cannot parse part size {row[0]!r}"
                 ) from None
             if j != (expected_j := len(entries) + 2):
                 raise CoefficientTableError(
-                    f"row {index}: part sizes must be contiguous from 2, expected {expected_j}, got {j}"
+                    f"row {line}: part sizes must be contiguous from 2, expected {expected_j}, got {j}"
                 )
-            d = _parse_rational(row[1], index, "d")
-            k_sq = _parse_rational(row[2], index, "k_sq")
+            d = _parse_rational(row[1], line, "d")
+            k_sq = _parse_rational(row[2], line, "k_sq")
             try:
                 entries.append(CoefficientEntry(j, d, k_sq))
             except ValueError as exc:
-                raise CoefficientTableError(f"row {index}: {exc}") from None
+                raise CoefficientTableError(f"row {line}: {exc}") from None
             if j == max_part:
                 break
     except csv.Error as exc:  # a field longer than csv's field size limit

@@ -546,7 +546,7 @@ def test_stdout_that_refuses_output(monkeypatch, capsys, argv):
 
 
 def test_unreadable_table_is_an_input_error(tmp_path, capsys):
-    # main maps an OSError it sees to stdout; a table read's must not reach it
+    # a table read's OSError is an input error, not a failed write of the output
     code, out, err = run(capsys, "optimal", "3", "--table", str(tmp_path))
     assert (code, out) == (3, "")
     assert err.startswith("error: cannot read table file: ") and err.count("\n") == 1
@@ -558,7 +558,8 @@ def test_usage_exit_codes(capsys):
     assert run(capsys, "optimal")[0] == 2  # missing n
 
 
-def test_solver_disagreement_exits_4(monkeypatch, capsys):
+@pytest.fixture()
+def lying_dp(monkeypatch):
     # unreachable with correct solvers; inject a wrong dp objective to
     # prove a cross-check miss is rendered and exits 4; `optimal` imports
     # solve_dp from the optimizer when it runs, so the patch goes there
@@ -571,6 +572,10 @@ def test_solver_disagreement_exits_4(monkeypatch, capsys):
         return type(result)(result.partition, result.objective + 1, result.method)
 
     monkeypatch.setattr(optimizer_mod, "solve_dp", lying_dp)
+
+
+@pytest.mark.usefixtures("lying_dp")
+def test_solver_disagreement_exits_4(capsys):
     code, out, err = run(capsys, "optimal", "10")
     assert code == 4
     assert "disagree" in err
@@ -580,3 +585,21 @@ def test_solver_disagreement_exits_4(monkeypatch, capsys):
     envelope = loads_strict(out)
     jsonschema.validate(envelope, SCHEMA)
     assert envelope["payload"]["agreement"]["objectives_equal"] is False
+
+
+_FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.usefixtures("lying_dp")
+@pytest.mark.parametrize("error, expected", [
+    (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
+     (4, "", "error: solver objectives disagree\n")),
+    (_FULL, (1, "", f"error: cannot write output: {_FULL}\nerror: solver objectives disagree\n")),
+], ids=["closed pipe", "full disk"])
+def test_failed_check_survives_a_stdout_that_refuses_output(monkeypatch, capsys, error, expected):
+    # the check's error line follows the output, written or not; a closed
+    # pipe keeps exit 4, a full disk is exit 1 with both lines
+    def write(text):
+        raise error
+    monkeypatch.setattr(sys.stdout, "write", write)
+    assert run(capsys, "optimal", "22") == expected

@@ -241,6 +241,19 @@ def test_load_names_the_physical_line_of_a_bad_byte():
         load_table(b'j,d,k_sq\n2,1,1\n3,"3/2\n\xff",5/4\n')
 
 
+@pytest.mark.parametrize("line, message", [
+    (b"4,x,1", "cannot parse d value 'x' as a rational"),
+    (b"4,1,\xff", "not valid UTF-8"),
+    (b"4,1", "expected 3 columns, got 2"),
+    (b"5,1,1", "part sizes must be contiguous from 2, expected 4, got 5"),
+])
+def test_load_numbers_a_row_by_the_line_it_ends_on(line, message):
+    # a quoted field spans lines 3 and 4, so the next record is on line 5
+    # whichever fault it has
+    with pytest.raises(CoefficientTableError, match=f"^row 5: {message}"):
+        load_table(b'j,d,k_sq\n2,1,1\n3,"3/2\n",5/4\n' + line + b"\n")
+
+
 def test_load_far_exponents():
     # past 1e+-1000 a stand-in gets the entry's range message without the
     # exact value being built, and a malformed literal that far out is

@@ -1,6 +1,6 @@
 """The process entry: `python -m grouprange.cli`, like the `grouprange`
 console script, runs `cli.run`, which ends the process without the
-interpreter's teardown once the output is flushed.
+interpreter's teardown once `main` has written and flushed the output.
 
 A child prints what in-process `main()` prints, byte for byte, and
 exits with its code; a large output arrives whole through a pipe; a
@@ -80,9 +80,9 @@ def test_large_output_arrives_whole_through_a_pipe(workdir, capsysbinary):
 
 
 @pytest.mark.parametrize("argv, read", [
-    (["table", "2", "5000", "--format", "json"], 1),  # still writing: fails in _emit
-    (["count", "0"], 0),  # closed before the child writes: fails at run()'s flush
-    (["--help"], 0),  # argparse's write, then run()'s flush
+    (["table", "2", "5000", "--format", "json"], 1),  # still writing: fails at main's write
+    (["count", "0"], 0),  # closed before the child writes: fails at main's flush
+    (["--help"], 0),  # help goes to main's buffer, then fails at main's flush
 ])
 def test_closed_pipe_ends_quietly(argv, read, workdir):
     with child(argv, workdir, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
@@ -95,10 +95,10 @@ def test_closed_pipe_ends_quietly(argv, read, workdir):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv, unbuffered", [
-    (["count", "0"], False),  # fails at run()'s flush
-    (["count", "0"], True),  # fails at _emit's write
-    (["table", "2", "3000", "--format", "json"], False),  # past the buffer: at _emit's write
-    (["--help"], False),  # argparse's own write, which it would let fail silently
+    (["count", "0"], False),  # fails at main's flush
+    (["count", "0"], True),  # fails at main's write
+    (["table", "2", "3000", "--format", "json"], False),  # past the buffer: at main's write
+    (["--help"], False),  # argparse would let its own write fail silently; main's fails
     (["--help"], True),
     (["optimal", "--help"], True),  # a subcommand's parser
 ])
