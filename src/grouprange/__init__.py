@@ -23,6 +23,7 @@ __version__ = "0.1.0"
 _EXACT_MODULES = ("partitions", "exactmath", "coefficients", "optimizer", "estimator", "lemma")
 _SIMULATION_NAMES = frozenset({"BLOCK_REPLICATES", "SimulationReport", "monte_carlo",
                                "replicate_stream", "sample_exponential"})
+_SUBMODULES = (*_EXACT_MODULES, "simulation", "cli")
 
 
 def _module(short: str):
@@ -34,7 +35,7 @@ def __getattr__(name: str):
         return sorted(_SIMULATION_NAMES.union(*(_module(m).__all__ for m in _EXACT_MODULES)))
     if name in _SIMULATION_NAMES:
         return getattr(_module("simulation"), name)
-    if name in _EXACT_MODULES:  # `grouprange.lemma` after a bare `import grouprange`
+    if name in _SUBMODULES:  # `grouprange.cli` after a bare `import grouprange`
         return _module(name)
     for module in map(_module, _EXACT_MODULES):
         if name in module.__all__:

@@ -14,6 +14,12 @@ the GROUPRANGE_FORMAT environment variable, falling back to text.
 JSON output is an envelope {command, format, payload} that validates
 against schema/output.schema.json; exact rationals appear as
 {"exact": "p/q", "float": ...} so nothing is reduced to a lossy float.
+The JSON is written by _write_json, byte for byte what json.dump with
+indent=2 writes, without loading json.
+
+COMMANDS declares the command line once: _parse reads it with argparse's
+grammar (unique prefixes, --opt=value, -1 as a value, --) and --help is
+rendered from it.  A usage error is one "error:" line and exit 2.
 
 Output is written whole once a command ends.  Exit codes: 0 success,
 1 output not written (a full disk), 2 usage error, 3 input or table parse
@@ -23,12 +29,12 @@ A closed pipe is no error: every code stands, 4 included.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Iterator, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Sequence
 
 from .partitions import Partition, asymptotic_admissible, count_admissible
 
@@ -46,7 +52,7 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # float asymptotic estimate would overflow); optimal 0.3 s and 20 MB;
 # optimal --method closed 0.1 to 0.4 s and 35 MB, its parts being O(n)
 # (10**7 takes 0.6 s and 207 MB); table 0.6 s and 36 MB in text, 0.7 s
-# and 38 MB in csv, 3 s and 116 MB in json; verify at both bounds 0.5 s
+# and 38 MB in csv, 0.5 s and 114 MB in json; verify at both bounds 0.5 s
 # and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
 # simulate peaks near 8 bytes per replicate (the estimates): 2e7
 # replicates of n = 2 take 190 MB; 5e8 draws take 8 s for the optimal
@@ -94,18 +100,55 @@ def _reraise(error: type[Exception], prefix: str = "") -> Iterator[None]:
 # float, str.  Each form of output converts them only when it prints.
 
 
-def _json_value(x: Any) -> Any:
-    """``json.dumps`` hook for the exact values in a payload."""
-    from fractions import Fraction  # loaded already by any payload that holds one
-    if isinstance(x, Fraction):
-        return {"exact": str(x), "float": float(x)}
-    if isinstance(x, Partition):
-        return {
-            "n": x.n,
-            "parts": list(x.parts),
-            "frequencies": {str(j): m for j, m in x.frequencies},
-        }
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_str(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    import json  # to escape a name past printable ASCII, such as a --table file's
+    return json.dumps(s)
+
+
+def _write_json(x: Any, write: Callable[[str], Any], pad: str = "\n") -> None:
+    """Write ``x`` as ``json.dump(x, indent=2)`` would at indent ``pad``: a
+    Fraction as {"exact": "p/q", "float": ...}, a Partition as {n, parts,
+    frequencies} with each run of equal parts written by string repetition."""
+    inner = pad + "  "
+    if isinstance(x, str):
+        write(_json_str(x))
+    elif x is None or isinstance(x, bool):
+        write("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        write(int.__repr__(x))
+    elif isinstance(x, float):  # float.__repr__, as json does, for numpy's float64 too
+        text = float.__repr__(x)
+        write(_NON_FINITE.get(text, text))
+    elif isinstance(x, dict):
+        opening = "{"
+        for key, value in x.items():
+            write(f"{opening}{inner}{_json_str(key)}: ")
+            _write_json(value, write, inner)
+            opening = ","
+        write(pad + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        opening = "["
+        for value in x:
+            write(opening + inner)
+            _write_json(value, write, inner)
+            opening = ","
+        write(pad + "]" if x else "[]")
+    elif isinstance(x, Partition):
+        item = f",{inner}  "
+        parts = "".join(f"{item}{j}" * m for j, m in reversed(x.frequencies))
+        counts = item.join(f'"{j}": {m}' for j, m in x.frequencies)
+        write(f'{{{inner}"n": {x.n},{inner}"parts": [{parts[1:]}{inner}],'
+              f'{inner}"frequencies": {{{item[1:]}{counts}{inner}}}{pad}}}')
+    # a payload that holds a Fraction has loaded its module; count's never does
+    elif isinstance(x, getattr(sys.modules.get("fractions"), "Fraction", ())):
+        _write_json({"exact": str(x), "float": float(x)}, write, pad)
+    else:
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _approx(x: Fraction) -> str:
@@ -131,12 +174,23 @@ def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> N
     # into main's buffer, which an InputError drops: an unprintable value shows nothing
     with _reraise(InputError, _UNPRINTABLE):
         if fmt == "json":
-            import json  # here and csv below, so a command loads only the one it prints
-            envelope = {"command": command, "format": "json", "payload": payload}
-            json.dump(envelope, sys.stdout, indent=2, default=_json_value)
-            print()
+            # main's buffer keeps every string written to it until it is read, so hand it
+            # joins of about 1 MB: table 2 5000 then peaks at 114 MB, not 128 MB
+            chunks, size = [], 0
+
+            def put(text: str) -> None:
+                nonlocal size
+                chunks.append(text)
+                size += len(text)
+                if size > 1 << 20:
+                    sys.stdout.write("".join(chunks))
+                    chunks.clear()
+                    size = 0
+
+            _write_json({"command": command, "format": "json", "payload": payload}, put)
+            print("".join(chunks))
         elif fmt == "csv":
-            import csv
+            import csv  # here, so that only csv output (or a --table) loads it
             # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
             csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
         else:
@@ -182,7 +236,7 @@ def _optimal_text(payload: dict[str, Any]) -> None:
               f"{'objectives equal' if ok else 'OBJECTIVES DIFFER'}")
 
 
-def cmd_optimal(args: argparse.Namespace) -> int:
+def cmd_optimal(args: SimpleNamespace) -> int:
     from .optimizer import (SolveResult, partition_objective, rule_of_fours, solve_dp,
                             solve_group_relaxation)
 
@@ -241,7 +295,7 @@ def _table_text(payload: dict[str, Any]) -> None:
               f"  {float(row['variance_factor']):>16.10g}  {row['partition']}")
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     from .coefficients import exponential_table
     from .optimizer import solve_group_relaxation
 
@@ -298,7 +352,7 @@ def _parse_partition_spec(spec: str, n: int) -> Partition:
     return Partition.from_parts(parts)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     from .coefficients import exponential_table
     from .estimator import check_seed, check_theta, make_plan
     from .optimizer import solve_group_relaxation
@@ -378,7 +432,7 @@ def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
     ]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     from .coefficients import exponential_table
     from .lemma import verify_lemma
     from .optimizer import partition_objective, rule_of_fours, solve_dp, solve_group_relaxation
@@ -428,7 +482,7 @@ def _count_text(payload: dict[str, Any]) -> None:
         print(f"exact / asymptotic:  {payload['ratio']:.10g}")
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def cmd_count(args: SimpleNamespace) -> int:
     _check_bounds("n", args.n, 0, COUNT_MAX)
     payload: dict[str, Any] = {"n": args.n, "admissible": count_admissible(args.n)}
     if args.asymptotic:
@@ -446,7 +500,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- plumbing
 
 
-def _load_cli_table(args: argparse.Namespace, n: int) -> CoefficientTable:
+def _load_cli_table(args: SimpleNamespace, n: int) -> CoefficientTable:
     from .coefficients import CoefficientTableError, exponential_table, load_table
     if args.table is None:
         return exponential_table(n)
@@ -465,73 +519,137 @@ def _load_cli_table(args: argparse.Namespace, n: int) -> CoefficientTable:
     return table
 
 
-def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=FORMATS, default=None,
-        help=f"output format (default: ${FORMAT_ENV} or text)",
-    )
+# ---------------------------------------------------------------- command line
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grouprange",
-        description="Minimum-variance unbiased weighted-range estimation "
-                    "of an exponential scale parameter.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("optimal", help="optimal allocation for one n")
-    p.add_argument("n", type=int, help=f"number of observations, 2..{OPTIMAL_MAX} "
-                                       f"(2..{CLOSED_MAX} with --method closed)")
-    p.add_argument("--method", choices=("dp", "gr", "closed", "all"), default="gr",
-                   help="solver (default: group relaxation with dp cross-check)")
-    p.add_argument("--table", metavar="FILE",
-                   help="coefficient CSV for a non-exponential distribution")
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_optimal)
-
-    p = sub.add_parser("table", help="optimal allocations for a range of n")
-    p.add_argument("n_from", type=int)
-    p.add_argument("n_to", type=int, help=f"at most {TABLE_MAX}")
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo run of an estimator plan")
-    p.add_argument("n", type=int, help=f"number of observations, 2..{SIMULATE_MAX}")
-    p.add_argument("--theta", type=float, default=1.0, help="true scale (default 1.0)")
-    p.add_argument("--reps", type=int, default=100_000,
-                   help=f"number of replicates (default 100000, at most {REPS_MAX} "
-                        f"and {DRAWS_MAX} draws, n per replicate)")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    p.add_argument("--partition", metavar="SPEC",
-                   help="comma-separated parts, e.g. 5,5,4,4,4 (default: optimal)")
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="peak-ratio and solver-agreement checks")
-    p.add_argument("--lemma-max", type=int, default=1000,
-                   help=f"upper end of the peak-ratio scan (default 1000, 34..{LEMMA_MAX})")
-    p.add_argument("--agree-max", type=int, default=400,
-                   help=f"upper end of the solver-agreement sweep (default 400, 2..{VERIFY_MAX})")
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("count", help="count admissible partitions")
-    p.add_argument("n", type=int, help=f"number of observations, 0..{COUNT_MAX}")
-    p.add_argument("--asymptotic", action="store_true",
-                   help="include the asymptotic estimate and the exact/asymptotic ratio")
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_count)
-
-    return parser
+# The command line, declared once: _parse reads it and _help renders it.  Each command has
+# its handler, its help and its arguments in order, each as (type, default, help): a name
+# without dashes is a positional, a tuple type lists the choices, and a bool type is a flag.
+DESCRIPTION = ("Minimum-variance unbiased weighted-range estimation "
+               "of an exponential scale parameter.")
+_FORMAT = (FORMATS, None, f"output format (default: ${FORMAT_ENV} or text)")
+_HELP = (bool, False, "show this help and exit")
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, dict[str, tuple]]] = {
+    "optimal": (cmd_optimal, "optimal allocation for one n", {
+        "n": (int, None, f"number of observations, 2..{OPTIMAL_MAX} "
+                         f"(2..{CLOSED_MAX} with --method closed)"),
+        "--method": (("dp", "gr", "closed", "all"), "gr",
+                     "solver (default: group relaxation with dp cross-check)"),
+        "--table": (str, None, "coefficient CSV for a non-exponential distribution"),
+        "--format": _FORMAT}),
+    "table": (cmd_table, "optimal allocations for a range of n", {
+        "n_from": (int, None, "at least 2"), "n_to": (int, None, f"at most {TABLE_MAX}"),
+        "--format": _FORMAT}),
+    "simulate": (cmd_simulate, "Monte-Carlo run of an estimator plan", {
+        "n": (int, None, f"number of observations, 2..{SIMULATE_MAX}"),
+        "--theta": (float, 1.0, "true scale (default 1.0)"),
+        "--reps": (int, 100_000, f"number of replicates (default 100000, at most {REPS_MAX} "
+                                 f"and {DRAWS_MAX} draws, n per replicate)"),
+        "--seed": (int, 0, "64-bit seed (default 0)"),
+        "--partition": (str, None, "comma-separated parts, e.g. 5,5,4,4,4 (default: optimal)"),
+        "--format": _FORMAT}),
+    "verify": (cmd_verify, "peak-ratio and solver-agreement checks", {
+        "--lemma-max": (int, 1000, "upper end of the peak-ratio scan "
+                                   f"(default 1000, 34..{LEMMA_MAX})"),
+        "--agree-max": (int, 400, "upper end of the solver-agreement sweep "
+                                  f"(default 400, 2..{VERIFY_MAX})"),
+        "--format": _FORMAT}),
+    "count": (cmd_count, "count admissible partitions", {
+        "n": (int, None, f"number of observations, 0..{COUNT_MAX}"),
+        "--asymptotic": (bool, False,
+                         "include the asymptotic estimate and the exact/asymptotic ratio"),
+        "--format": _FORMAT}),
+}
 
 
-def _resolve_format(args: argparse.Namespace) -> None:
-    if args.format is None:
-        args.format = os.environ.get(FORMAT_ENV) or "text"
-        if args.format not in FORMATS:
-            raise UsageError(f"{FORMAT_ENV}={args.format!r} is not a valid format "
-                             f"(expected one of {', '.join(FORMATS)})")
+def _option(token: str, options: dict[str, tuple]) -> list[str] | None:
+    """The options ``token`` names before any '=', in full or as a prefix of a long
+    option; None for a value: not led by '-', or '-', a negative number or spaced."""
+    key = token.partition("=")[0]
+    if key in options:
+        return [key]
+    named = [name for name in options if key.startswith("--") and name.startswith(key)]
+    whole, dot, fraction = token[1:].partition(".")
+    number = (whole.isdecimal() or dot and not whole) and (not dot or fraction.isdecimal())
+    value = not token.startswith("-") or token == "-" or number or " " in token
+    return None if value and not named else named
+
+
+def _convert(name: str, kind: Any, token: str) -> Any:
+    if isinstance(kind, tuple) and token not in kind:
+        raise UsageError(f"argument {name}: invalid choice: {token!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+    try:
+        return token if isinstance(kind, tuple) else kind(token)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {token!r}") from None
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """Read ``argv`` by COMMANDS as argparse would: a long option may be any unique prefix
+    and take its value as --opt=value or as the next argument, a repeated option's last
+    value wins, -1 is a value, and after -- every argument is positional.  Return None
+    once --help is printed."""
+    command, spec, args, extras, dashes = None, {}, {}, [], False
+    options = {"-h": _HELP, "--help": _HELP}
+    tokens = iter(argv)
+    for token in tokens:
+        named = None if dashes else _option(token, options)
+        free = [name for name in spec if name[0] != "-" and name not in args]
+        if token == "--" and not dashes:
+            dashes = True
+        elif named is None and command is None:
+            command = _convert("command", tuple(COMMANDS), token)
+            spec = COMMANDS[command][2]
+            options.update((name, arg) for name, arg in spec.items() if name[0] == "-")
+            args = {name[2:].replace("-", "_"): default
+                    for name, (_, default, _) in spec.items() if name[0] == "-"}
+        elif named is None and free:
+            args[free[0]] = _convert(free[0], spec[free[0]][0], token)
+        elif not named:  # an extra positional or an unknown option
+            extras.append(token)
+        elif len(named) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(named)}")
+        else:
+            name, kind, value = named[0], options[named[0]][0], token.partition("=")[2]
+            if kind is bool and "=" in token:
+                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
+            if options[name] is _HELP:
+                print(_help(command), end="")
+                return None
+            if kind is not bool and "=" not in token:
+                value = next(tokens, None)
+                if value is None or _option(value, options) is not None:
+                    raise UsageError(f"argument {name}: expected one argument")
+            args[name[2:].replace("-", "_")] = kind is bool or _convert(name, kind, value)
+    missing = [name for name in spec if name[0] != "-" and name not in args]
+    if command is None or missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing or ['command'])}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    args["format"] = args["format"] or os.environ.get(FORMAT_ENV) or "text"
+    if args["format"] not in FORMATS:
+        raise UsageError(f"{FORMAT_ENV}={args['format']!r} is not a valid format "
+                         f"(expected one of {', '.join(FORMATS)})")
+    return SimpleNamespace(command=command, func=COMMANDS[command][0], **args)
+
+
+def _help(command: str | None) -> str:
+    """The --help text of the program or of one command, rendered from COMMANDS."""
+    if command is None:
+        usage, about = f"{{{','.join(COMMANDS)}}} ...", DESCRIPTION
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _, about, spec = COMMANDS[command]
+        rows = []
+        for name, (kind, _, text) in spec.items():
+            if name[0] == "-" and kind is not bool:
+                name += f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {name[2:].upper()}"
+            rows.append((name, text))
+        usage = " ".join([command, *(name if name[0] != "-" else f"[{name}]" for name, _ in rows)])
+    rows.append(("-h, --help", _HELP[2]))
+    return (f"usage: grouprange {usage}\n\n{about}\n\n"
+            + "".join(f"  {name:<28} {text}\n" for name, text in rows))
 
 
 def _error(message: str) -> None:
@@ -546,11 +664,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     failed_check = None
     with contextlib.redirect_stdout(io.StringIO()) as shown:
         try:
-            args = _build_parser().parse_args(argv)
-            _resolve_format(args)
-            code = args.func(args)
-        except SystemExit as exc:  # argparse exits 0 after --help, 2 on usage errors
-            code = int(exc.code or 0)
+            args = _parse(sys.argv[1:] if argv is None else argv)
+            code = 0 if args is None else args.func(args)
         except (UsageError, InputError) as exc:  # what the command printed is dropped
             _error(str(exc))
             return exc.exit_code

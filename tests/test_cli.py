@@ -11,6 +11,7 @@ import errno
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ import jsonschema
 import pytest
 
 from grouprange import Partition, count_admissible, export_table, exponential_table
-from grouprange.cli import _json_value, main
+from grouprange.cli import COMMANDS, _parse, _write_json, main
 from grouprange.partitions import _pentagonal_prefix
 
 SCHEMA = json.loads(files("grouprange").joinpath("schema/output.schema.json").read_text())
@@ -501,10 +502,64 @@ def test_simulate_over_long_exact_result_exits_3(capsys):
 
 
 def test_partition_is_json_encoded_by_the_hook():
-    # a tuple subclass would be written as an array without calling the hook
-    assert json.dumps(Partition.from_parts([5, 4, 4]), default=_json_value) == (
-        '{"n": 13, "parts": [5, 4, 4], "frequencies": {"4": 2, "5": 1}}'
-    )
+    # a tuple subclass would be written as an array without reaching the writer's Partition case
+    written = []
+    _write_json(Partition.from_parts([5, 4, 4]), written.append)
+    assert "".join(written) == json.dumps(
+        {"n": 13, "parts": [5, 4, 4], "frequencies": {"4": 2, "5": 1}}, indent=2)
+
+
+def json_dump_hook(x):
+    """The ``default`` hook of the ``json.dump`` the writer replaced."""
+    if isinstance(x, Fraction):
+        return {"exact": str(x), "float": float(x)}
+    if isinstance(x, Partition):
+        return {"n": x.n, "parts": list(x.parts), "frequencies": {str(j): m for j, m in x.frequencies}}
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def json_dump(value):
+    out = io.StringIO()
+    json.dump(value, out, indent=2, default=json_dump_hook)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("line", [
+    "table 2 400",
+    "optimal 10000 --method all",
+    "verify",
+    "simulate 22 --reps 3000 --seed 5 --theta 2.5",
+    "count 50000 --asymptotic",
+    "optimal 10 --table NAME",
+])
+def test_json_writer_matches_json_dump(line, tmp_path, monkeypatch, capsys):
+    # byte for byte, on every command's payload and on a --table name that needs escaping
+    import grouprange.cli as cli_mod
+
+    name = tmp_path / 'a "quote", a \\ backslash, \u00e4 and \x01.csv'
+    name.write_bytes(export_table(exponential_table(12)))
+    envelopes = []
+    real = cli_mod._write_json
+
+    def recording(value, write, *pad):  # the writer recurses through this too
+        envelopes.append(value)
+        real(value, write, *pad)
+
+    monkeypatch.setattr(cli_mod, "_write_json", recording)
+    argv = [str(name) if word == "NAME" else word for word in shlex.split(line)]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json_dump(envelopes[0]) + "\n"
+    if "--table" in argv:
+        assert json.loads(out)["payload"]["table"] == name.name
+
+
+def test_json_writer_matches_json_dump_on_edge_values():
+    values = [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 2**70, None, True, False,
+              "", "tab\there", "\u20ac\U0001f600", [], {}, (), [[]], {"a": {}}, (1, [2.5])]
+    written = []
+    _write_json(values, written.append)
+    assert "".join(written) == json_dump(values)
 
 
 # -------------------------------------------------------------------- plumbing
@@ -556,6 +611,82 @@ def test_usage_exit_codes(capsys):
     assert run(capsys)[0] == 2  # no command
     assert run(capsys, "frobnicate")[0] == 2  # unknown command
     assert run(capsys, "optimal")[0] == 2  # missing n
+
+
+# Command lines and the values they parse to; every row was first checked
+# against the argparse parser the declarative one replaced
+PARSE_DEFAULTS = {
+    "optimal": {"method": "gr", "table": None, "format": "text"},
+    "table": {"format": "text"},
+    "simulate": {"theta": 1.0, "reps": 100_000, "seed": 0, "partition": None, "format": "text"},
+    "verify": {"lemma_max": 1000, "agree_max": 400, "format": "text"},
+    "count": {"asymptotic": False, "format": "text"},
+}
+PARSED = [
+    ("count 5", {"n": 5}),
+    ("count 5 --asymptotic --format=json", {"n": 5, "asymptotic": True, "format": "json"}),
+    ("count --asym 5 --form=csv", {"n": 5, "asymptotic": True, "format": "csv"}),
+    ("count 5 --format json --format csv", {"n": 5, "format": "csv"}),
+    ("count -1", {"n": -1}),
+    ("count -- -1", {"n": -1}),
+    ("count 5 --", {"n": 5}),
+    ("count +7", {"n": 7}),
+    ("count 5_0", {"n": 50}),
+    ("optimal 22 --method=dp", {"n": 22, "method": "dp"}),
+    ("optimal --method all 22 --table t.csv", {"n": 22, "method": "all", "table": "t.csv"}),
+    ("optimal 22 --meth closed --method dp", {"n": 22, "method": "dp"}),
+    ("optimal 22 --tab -", {"n": 22, "table": "-"}),
+    ("optimal 22 --table=a=b", {"n": 22, "table": "a=b"}),
+    ("table --format json 2 5", {"n_from": 2, "n_to": 5, "format": "json"}),
+    ("table 2 --format json 5", {"n_from": 2, "n_to": 5, "format": "json"}),
+    ("table 2 -- 5", {"n_from": 2, "n_to": 5}),
+    ("simulate 10 --seed -1 --theta -1", {"n": 10, "seed": -1, "theta": -1.0}),
+    ("simulate 10 --theta=-.5 --reps 7 --part 4,3,3 --seed=3",
+     {"n": 10, "theta": -0.5, "reps": 7, "partition": "4,3,3", "seed": 3}),
+    ("simulate --theta 1e3 10", {"n": 10, "theta": 1000.0}),
+    ("verify", {}),
+    ("verify --lemma 50 --agree-max=60", {"lemma_max": 50, "agree_max": 60}),
+    ("verify --lemma-max 50 --lemma 70", {"lemma_max": 70}),
+]
+
+
+@pytest.mark.parametrize("line, given", PARSED, ids=[line for line, _ in PARSED])
+def test_parser_parity(line, given):
+    argv = shlex.split(line)
+    command = argv[0]
+    args = vars(_parse(argv))
+    assert args.pop("func") is COMMANDS[command][0]
+    assert args == {"command": command, **PARSE_DEFAULTS[command], **given}
+
+
+USAGE_ERRORS = [
+    "",  # no command
+    "frobnicate",
+    "--format json count 5",  # an option of a command before it
+    "optimal",
+    "table 2",
+    "count 5 6",
+    "verify 7",
+    "count x",
+    "count 5.0",
+    "simulate 10 --theta x",
+    "optimal 5 --method fast",
+    "count 5 --format yaml",
+    "count 5 --bogus",
+    "count 5 --asymptotic=yes",
+    "count 5 --=x",  # names every option
+    "optimal 5 --table",
+    "optimal 5 --method --format json",
+    "simulate 10 --seed --",
+    "simulate 10 --partition -5,5",
+]
+
+
+@pytest.mark.parametrize("line", USAGE_ERRORS, ids=lambda line: line or "(nothing)")
+def test_usage_error_is_one_line(capsys, line):
+    code, out, err = run(capsys, *shlex.split(line))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture()

@@ -27,7 +27,7 @@ PARITY_CASES = [
     (["optimal", "22"], 0),
     (["verify", "--lemma-max", "40", "--agree-max", "30"], 0),
     (["optimal", "1"], 2),
-    (["optimal", "x"], 2),  # argparse's own usage error
+    (["optimal", "x"], 2),  # a usage error of the parser
     (["optimal", "5", "--table", "bad_d.csv"], 3),
 ]
 
@@ -98,9 +98,9 @@ def test_closed_pipe_ends_quietly(argv, read, workdir):
     (["count", "0"], False),  # fails at main's flush
     (["count", "0"], True),  # fails at main's write
     (["table", "2", "3000", "--format", "json"], False),  # past the buffer: at main's write
-    (["--help"], False),  # argparse would let its own write fail silently; main's fails
+    (["--help"], False),  # help goes to main's buffer, so main's write fails
     (["--help"], True),
-    (["optimal", "--help"], True),  # a subcommand's parser
+    (["optimal", "--help"], True),  # a command's help
 ])
 def test_unwritable_output_exits_1(argv, unbuffered, workdir):
     with open("/dev/full", "wb") as full, child(argv, workdir, unbuffered, stdout=full,
