@@ -19,7 +19,9 @@ indent=2 writes, without loading json.
 
 COMMANDS declares the command line once: _parse reads it with argparse's
 grammar (unique prefixes, --opt=value, -1 as a value, --) and --help is
-rendered from it.  A usage error is one "error:" line and exit 2.
+rendered from it.  A usage error is one "error:" line and exit 2.  Each
+command also declares its text and CSV renderers: a handler checks its
+input and returns its payload, and main renders it in the chosen format.
 
 Output is written whole once a command ends.  Exit codes: 0 success,
 1 output not written (a full disk), 2 usage error, 3 input or table parse
@@ -76,12 +78,21 @@ class InputError(Exception):
 class VerificationError(Exception):
     exit_code = 4
 
+    def __init__(self, message: str, payload: dict[str, Any]) -> None:
+        super().__init__(message)
+        self.payload = payload
+
 
 def _check_bounds(name: str, value: int, low: int, high: int | None = None) -> None:
     if value < low:
         raise UsageError(f"{name} must be >= {low}, got {value}")
     if high is not None and value > high:
         raise UsageError(f"{name} must be <= {high}, got {value}")
+
+
+def _agree(values: list) -> bool:
+    """The one rule by which the solvers agree: every value equals the first."""
+    return values.count(values[0]) == len(values)
 
 
 @contextlib.contextmanager
@@ -170,7 +181,8 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
 _UNPRINTABLE = "cannot print an exact value of the result: "  # past the int-to-str limit
 
 
-def _emit(command: str, fmt: str, payload: dict[str, Any], to_text, to_csv) -> None:
+def _emit(command: str, fmt: str, payload: dict[str, Any]) -> None:
+    *_, to_text, to_csv = COMMANDS[command]
     # into main's buffer, which an InputError drops: an unprintable value shows nothing
     with _reraise(InputError, _UNPRINTABLE):
         if fmt == "json":
@@ -236,9 +248,8 @@ def _optimal_text(payload: dict[str, Any]) -> None:
               f"{'objectives equal' if ok else 'OBJECTIVES DIFFER'}")
 
 
-def cmd_optimal(args: SimpleNamespace) -> int:
-    from .optimizer import (SolveResult, partition_objective, rule_of_fours, solve_dp,
-                            solve_group_relaxation)
+def cmd_optimal(args: SimpleNamespace) -> dict[str, Any]:
+    from . import optimizer
 
     n = args.n
     _check_bounds("n", n, 2)
@@ -251,37 +262,24 @@ def cmd_optimal(args: SimpleNamespace) -> int:
         raise UsageError(f"n must be <= {OPTIMAL_MAX} ({CLOSED_MAX} with --method closed), got {n}")
 
     table = _load_cli_table(args, n)
-    results = []
-    if args.method in ("dp", "all"):
-        results.append(solve_dp(n, table))
-    if args.method in ("gr", "all"):
-        results.append(solve_group_relaxation(n, table))
-    if args.method == "closed" or (args.method == "all" and not custom):
-        part = rule_of_fours(n)
-        results.append(SolveResult(part, partition_objective(part, table), "closed_form"))
-    agreement = None
-    if args.method == "gr" and solve_dp(n, table).objective != results[0].objective:
-        agreement = {"methods": ["group_relaxation", "dp"], "objectives_equal": False}
-    elif args.method == "all":
-        methods = ["dp", "group_relaxation", "closed_form"][: len(results)]
-        agreement = {"methods": methods,
-                     "objectives_equal": len({r.objective for r in results}) == 1}
+    # looked up as the command runs, so a patched or traced solver is the one called
+    solvers = {"dp": optimizer.solve_dp, "gr": optimizer.solve_group_relaxation,
+               "closed": optimizer.solve_closed_form}
+    # the default gr is checked against dp, whose result it does not show
+    names = {"gr": ["gr", "dp"], "all": ["dp", "gr"] + ([] if custom else ["closed"])}
+    checked = [solvers[name](n, table) for name in names.get(args.method, [args.method])]
+    shown = checked[:1] if args.method == "gr" else checked
+    agreed = _agree([r.objective for r in checked])
 
-    payload: dict[str, Any] = {
-        "n": n,
-        "table": table.distribution_label,
-        "results": [_result_payload(r, table) for r in results],
-    }
+    payload: dict[str, Any] = {"n": n, "table": table.distribution_label,
+                               "results": [_result_payload(r, table) for r in shown]}
     if args.method == "gr":
         payload["cross_checked"] = True
-    if agreement is not None:
-        payload["agreement"] = agreement
-
-    _emit("optimal", args.format, payload, _optimal_text,
-          lambda shown: _records_csv(shown["results"]))
-    if agreement is not None and not agreement["objectives_equal"]:
-        raise VerificationError("solver objectives disagree")
-    return 0
+    if args.method == "all" or not agreed:
+        payload["agreement"] = {"methods": [r.method for r in checked], "objectives_equal": agreed}
+    if not agreed:
+        raise VerificationError("solver objectives disagree", payload)
+    return payload
 
 
 # ---------------------------------------------------------------- table
@@ -295,7 +293,7 @@ def _table_text(payload: dict[str, Any]) -> None:
               f"  {float(row['variance_factor']):>16.10g}  {row['partition']}")
 
 
-def cmd_table(args: SimpleNamespace) -> int:
+def cmd_table(args: SimpleNamespace) -> dict[str, Any]:
     from .coefficients import exponential_table
     from .optimizer import solve_group_relaxation
 
@@ -313,15 +311,12 @@ def cmd_table(args: SimpleNamespace) -> int:
             "objective": result.objective,
             "variance_factor": 1 / result.objective,
         })
-    payload = {
+    return {
         "n_from": args.n_from,
         "n_to": args.n_to,
         "table": table.distribution_label,
         "rows": rows,
     }
-    _emit("table", args.format, payload, _table_text,
-          lambda shown: _records_csv(shown["rows"]))
-    return 0
 
 
 # ---------------------------------------------------------------- simulate
@@ -352,7 +347,7 @@ def _parse_partition_spec(spec: str, n: int) -> Partition:
     return Partition.from_parts(parts)
 
 
-def cmd_simulate(args: SimpleNamespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> dict[str, Any]:
     from .coefficients import exponential_table
     from .estimator import check_seed, check_theta, make_plan
     from .optimizer import solve_group_relaxation
@@ -380,7 +375,7 @@ def cmd_simulate(args: SimpleNamespace) -> int:
     from .simulation import monte_carlo  # after the checks: only a run that simulates loads numpy
     report = monte_carlo(plan, args.theta, args.reps, args.seed)
 
-    payload = {
+    return {
         "n": report.n,
         "theta": report.theta,
         "replicates": report.replicates,
@@ -392,8 +387,6 @@ def cmd_simulate(args: SimpleNamespace) -> int:
         "mean_std_error": report.mean_std_error,
         "theoretical_variance": report.theoretical_variance,
     }
-    _emit("simulate", args.format, payload, _simulate_text, _single_row_csv)
-    return 0
 
 
 # ---------------------------------------------------------------- verify
@@ -432,10 +425,10 @@ def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
     ]
 
 
-def cmd_verify(args: SimpleNamespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> dict[str, Any]:
+    from . import optimizer
     from .coefficients import exponential_table
     from .lemma import verify_lemma
-    from .optimizer import partition_objective, rule_of_fours, solve_dp, solve_group_relaxation
 
     _check_bounds("--lemma-max", args.lemma_max, 34, LEMMA_MAX)
     _check_bounds("--agree-max", args.agree_max, 2, VERIFY_MAX)
@@ -443,19 +436,16 @@ def cmd_verify(args: SimpleNamespace) -> int:
     table = exponential_table(max(args.lemma_max, args.agree_max))
     report = verify_lemma(args.lemma_max, table)
 
+    solvers = (optimizer.solve_dp, optimizer.solve_group_relaxation, optimizer.solve_closed_form)
     mismatches: list[int] = []
     ties: list[int] = []
     for n in range(2, args.agree_max + 1):
-        dp = solve_dp(n, table)
-        gr = solve_group_relaxation(n, table)
-        closed = rule_of_fours(n)
-        closed_objective = partition_objective(closed, table)
-        if not dp.objective == gr.objective == closed_objective:
+        results = [solve(n, table) for solve in solvers]
+        if not _agree([r.objective for r in results]):
             mismatches.append(n)
-        elif not dp.partition == gr.partition == closed:
+        elif not _agree([r.partition for r in results]):
             ties.append(n)  # equal objectives, different maximizers
 
-    passed = report.holds and not mismatches
     payload = {
         "lemma": {**report._asdict(), "holds": report.holds},
         "agreement": {
@@ -464,12 +454,11 @@ def cmd_verify(args: SimpleNamespace) -> int:
             "mismatches": mismatches,
             "ties": ties,
         },
-        "passed": passed,
+        "passed": report.holds and not mismatches,
     }
-    _emit("verify", args.format, payload, _verify_text, _verify_csv)
-    if not passed:
-        raise VerificationError("verification failed")
-    return 0
+    if not payload["passed"]:
+        raise VerificationError("verification failed", payload)
+    return payload
 
 
 # ---------------------------------------------------------------- count
@@ -482,7 +471,7 @@ def _count_text(payload: dict[str, Any]) -> None:
         print(f"exact / asymptotic:  {payload['ratio']:.10g}")
 
 
-def cmd_count(args: SimpleNamespace) -> int:
+def cmd_count(args: SimpleNamespace) -> dict[str, Any]:
     _check_bounds("n", args.n, 0, COUNT_MAX)
     payload: dict[str, Any] = {"n": args.n, "admissible": count_admissible(args.n)}
     if args.asymptotic:
@@ -493,8 +482,7 @@ def cmd_count(args: SimpleNamespace) -> int:
         # one correctly rounded division of exact integers; O(1) though the count overflows a float
         num, den = approx.as_integer_ratio()
         payload["ratio"] = payload["admissible"] * den / num
-    _emit("count", args.format, payload, _count_text, _single_row_csv)
-    return 0
+    return payload
 
 
 # ---------------------------------------------------------------- plumbing
@@ -522,24 +510,24 @@ def _load_cli_table(args: SimpleNamespace, n: int) -> CoefficientTable:
 # ---------------------------------------------------------------- command line
 
 
-# The command line, declared once: _parse reads it and _help renders it.  Each command has
-# its handler, its help and its arguments in order, each as (type, default, help): a name
-# without dashes is a positional, a tuple type lists the choices, and a bool type is a flag.
+# The command line, declared once: _parse reads it and _help renders it.  A command has its
+# handler, its help, its arguments in order as (type, default, help), and its text and CSV
+# renderers; a name without dashes is a positional, a tuple type lists choices, a bool a flag.
 DESCRIPTION = ("Minimum-variance unbiased weighted-range estimation "
                "of an exponential scale parameter.")
 _FORMAT = (FORMATS, None, f"output format (default: ${FORMAT_ENV} or text)")
 _HELP = (bool, False, "show this help and exit")
-COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, dict[str, tuple]]] = {
+COMMANDS: dict[str, tuple] = {
     "optimal": (cmd_optimal, "optimal allocation for one n", {
         "n": (int, None, f"number of observations, 2..{OPTIMAL_MAX} "
                          f"(2..{CLOSED_MAX} with --method closed)"),
         "--method": (("dp", "gr", "closed", "all"), "gr",
                      "solver (default: group relaxation with dp cross-check)"),
         "--table": (str, None, "coefficient CSV for a non-exponential distribution"),
-        "--format": _FORMAT}),
+        "--format": _FORMAT}, _optimal_text, lambda payload: _records_csv(payload["results"])),
     "table": (cmd_table, "optimal allocations for a range of n", {
         "n_from": (int, None, "at least 2"), "n_to": (int, None, f"at most {TABLE_MAX}"),
-        "--format": _FORMAT}),
+        "--format": _FORMAT}, _table_text, lambda payload: _records_csv(payload["rows"])),
     "simulate": (cmd_simulate, "Monte-Carlo run of an estimator plan", {
         "n": (int, None, f"number of observations, 2..{SIMULATE_MAX}"),
         "--theta": (float, 1.0, "true scale (default 1.0)"),
@@ -547,18 +535,18 @@ COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], str, dict[str, tuple
                                  f"and {DRAWS_MAX} draws, n per replicate)"),
         "--seed": (int, 0, "64-bit seed (default 0)"),
         "--partition": (str, None, "comma-separated parts, e.g. 5,5,4,4,4 (default: optimal)"),
-        "--format": _FORMAT}),
+        "--format": _FORMAT}, _simulate_text, _single_row_csv),
     "verify": (cmd_verify, "peak-ratio and solver-agreement checks", {
         "--lemma-max": (int, 1000, "upper end of the peak-ratio scan "
                                    f"(default 1000, 34..{LEMMA_MAX})"),
         "--agree-max": (int, 400, "upper end of the solver-agreement sweep "
                                   f"(default 400, 2..{VERIFY_MAX})"),
-        "--format": _FORMAT}),
+        "--format": _FORMAT}, _verify_text, _verify_csv),
     "count": (cmd_count, "count admissible partitions", {
         "n": (int, None, f"number of observations, 0..{COUNT_MAX}"),
         "--asymptotic": (bool, False,
                          "include the asymptotic estimate and the exact/asymptotic ratio"),
-        "--format": _FORMAT}),
+        "--format": _FORMAT}, _count_text, _single_row_csv),
 }
 
 
@@ -640,7 +628,7 @@ def _help(command: str | None) -> str:
         usage, about = f"{{{','.join(COMMANDS)}}} ...", DESCRIPTION
         rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
     else:
-        _, about, spec = COMMANDS[command]
+        _, about, spec, *_ = COMMANDS[command]
         rows = []
         for name, (kind, _, text) in spec.items():
             if name[0] == "-" and kind is not bool:
@@ -659,18 +647,21 @@ def _error(message: str) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; return its exit code.  Its output, ``--help`` included,
-    is written to stdout whole and flushed once the command ends."""
-    failed_check = None
+    """Run one command and render its payload; return its exit code.  The output,
+    ``--help`` included, is written to stdout whole and flushed once it is rendered."""
+    code, failed_check = 0, None
     with contextlib.redirect_stdout(io.StringIO()) as shown:
         try:
             args = _parse(sys.argv[1:] if argv is None else argv)
-            code = 0 if args is None else args.func(args)
-        except (UsageError, InputError) as exc:  # what the command printed is dropped
+            if args is not None:
+                try:
+                    payload = args.func(args)
+                except VerificationError as exc:  # shown, then the check's error line
+                    payload, code, failed_check = exc.payload, exc.exit_code, exc
+                _emit(args.command, args.format, payload)
+        except (UsageError, InputError) as exc:  # what was rendered is dropped
             _error(str(exc))
             return exc.exit_code
-        except VerificationError as exc:  # the failed check's output is shown, then its error
-            code, failed_check = exc.exit_code, exc
     try:
         with contextlib.suppress(BrokenPipeError):  # a reader that closed early: the code stands
             sys.stdout.write(shown.getvalue())

@@ -60,7 +60,7 @@ rule_of_fours
     Closed form for the exponential table: all parts equal to 4, with
     the remainder r = n mod 4 absorbed by r parts of size 5 (r = 1, 2)
     or one part of size 3 (r = 3); small cases (n) for 2 <= n <= 5 and
-    (3, 3) for n = 6.
+    (3, 3) for n = 6.  solve_closed_form gives it with its objective.
 """
 
 from __future__ import annotations
@@ -85,6 +85,7 @@ __all__ = [
     "shortest_paths",
     "solve_dp",
     "solve_group_relaxation",
+    "solve_closed_form",
     "rule_of_fours",
     "partition_objective",
 ]
@@ -387,3 +388,10 @@ def rule_of_fours(n: int) -> Partition:
     else:
         freq = {3: 1, 4: q}
     return Partition.from_frequencies(freq)
+
+
+def solve_closed_form(n: int, table: CoefficientTable) -> SolveResult:
+    """The rule of fours and its objective under a table."""
+    _require_coverage(table, n)
+    partition = rule_of_fours(n)
+    return SolveResult(partition, partition_objective(partition, table), "closed_form")

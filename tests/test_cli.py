@@ -5,7 +5,6 @@ the whole command path runs except the interpreter bootstrap.  The one
 exception runs a child process, so that a hang fails on a timeout.
 """
 
-import argparse
 import csv
 import errno
 import io
@@ -18,6 +17,7 @@ import time
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -76,6 +76,10 @@ def test_optimal_six_reports_fallback(capsys):
     code, out, err = run(capsys, "optimal", "6")
     assert code == 0
     assert "method dp: partition 3,3" in out
+    # the agreement line names the method of each result shown
+    code, out, err = run(capsys, "optimal", "6", "--method", "all")
+    assert code == 0
+    assert out.endswith("agreement (dp/dp/closed_form): objectives equal\n")
 
 
 def test_optimal_json_all_methods(capsys):
@@ -266,9 +270,8 @@ def test_count_ratio_is_the_fraction_quotient_bit_for_bit(monkeypatch, capsys):
 
     p = _pentagonal_prefix(3000)  # one prefix serves every count up to 3000
     monkeypatch.setattr(cli_mod, "count_admissible", lambda n: p[n] - p[n - 1])
-    for n in range(1, 3001):  # the command's handler, without building the parser 3000 times
-        assert cli_mod.cmd_count(argparse.Namespace(n=n, asymptotic=True, format="json")) == 0
-        payload = json.loads(capsys.readouterr().out)["payload"]
+    for n in range(1, 3001):  # the payload the handler returns, without parsing or rendering
+        payload = cli_mod.cmd_count(SimpleNamespace(n=n, asymptotic=True))
         assert payload["admissible"] == p[n] - p[n - 1]
         assert payload["ratio"].hex() == fraction_ratio(payload).hex(), n
     assert payload["admissible"] == count_admissible(3000)
@@ -692,8 +695,9 @@ def test_usage_error_is_one_line(capsys, line):
 @pytest.fixture()
 def lying_dp(monkeypatch):
     # unreachable with correct solvers; inject a wrong dp objective to
-    # prove a cross-check miss is rendered and exits 4; `optimal` imports
-    # solve_dp from the optimizer when it runs, so the patch goes there
+    # prove a cross-check miss is rendered and exits 4; `optimal` and
+    # `verify` look solve_dp up in the optimizer as they run, so the
+    # patch goes there
     import grouprange.optimizer as optimizer_mod
 
     real = optimizer_mod.solve_dp
@@ -718,19 +722,55 @@ def test_solver_disagreement_exits_4(capsys):
     assert envelope["payload"]["agreement"]["objectives_equal"] is False
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_failed_verification_shows_its_payload_and_exits_4(monkeypatch, capsys, fmt):
+    # unreachable with correct solvers: a closed form worse at one n of the
+    # sweep fails the agreement check, and the payload still prints
+    import grouprange.optimizer as optimizer_mod
+
+    real = optimizer_mod.rule_of_fours
+    monkeypatch.setattr(optimizer_mod, "rule_of_fours",
+                        lambda n: Partition.from_parts([2] * 5) if n == 10 else real(n))
+    code, out, err = run(capsys, "verify", "--lemma-max", "40", "--agree-max", "30",
+                         "--format", fmt)
+    assert code == 4
+    assert err.endswith("error: verification failed\n") and err.count("\n") == 1
+    if fmt == "json":
+        envelope = loads_strict(out)
+        jsonschema.validate(envelope, SCHEMA)
+        payload = envelope["payload"]
+        assert payload["agreement"]["mismatches"] == [10]
+        assert payload["agreement"]["objectives_equal"] is False
+        assert payload["passed"] is False
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[2] == ["solver_agreement", "FAIL", "n=2..30 mismatches=1 ties=0"]
+        assert rows[3] == ["overall", "FAIL", ""]
+    else:
+        assert "solver agreement: FAIL" in out and "1 mismatches" in out
+        assert out.endswith("overall: FAIL\n")
+
+
 _FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+_OPTIMAL = ["optimal", "22"]
+_VERIFY = ["verify", "--lemma-max", "40", "--agree-max", "30"]
 
 
 @pytest.mark.usefixtures("lying_dp")
-@pytest.mark.parametrize("error, expected", [
-    (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)),
-     (4, "", "error: solver objectives disagree\n")),
-    (_FULL, (1, "", f"error: cannot write output: {_FULL}\nerror: solver objectives disagree\n")),
-], ids=["closed pipe", "full disk"])
-def test_failed_check_survives_a_stdout_that_refuses_output(monkeypatch, capsys, error, expected):
+@pytest.mark.parametrize("argv, error, expected", [
+    (_OPTIMAL, _PIPE, (4, "", "error: solver objectives disagree\n")),
+    (_OPTIMAL, _FULL,
+     (1, "", f"error: cannot write output: {_FULL}\nerror: solver objectives disagree\n")),
+    (_VERIFY, _PIPE, (4, "", "error: verification failed\n")),
+    (_VERIFY, _FULL,
+     (1, "", f"error: cannot write output: {_FULL}\nerror: verification failed\n")),
+], ids=["closed pipe", "full disk", "verify, closed pipe", "verify, full disk"])
+def test_failed_check_survives_a_stdout_that_refuses_output(monkeypatch, capsys, argv, error,
+                                                            expected):
     # the check's error line follows the output, written or not; a closed
     # pipe keeps exit 4, a full disk is exit 1 with both lines
     def write(text):
         raise error
     monkeypatch.setattr(sys.stdout, "write", write)
-    assert run(capsys, "optimal", "22") == expected
+    assert run(capsys, *argv) == expected

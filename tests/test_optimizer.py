@@ -26,6 +26,7 @@ from grouprange import (
     partition_objective,
     rule_of_fours,
     shortest_paths,
+    solve_closed_form,
     solve_dp,
     solve_group_relaxation,
 )
@@ -443,10 +444,13 @@ def test_rule_of_fours_rejects_small_n():
         rule_of_fours(1)
 
 
-def test_rule_matches_dp_objective(table100):
-    for n in range(2, 101):
-        closed = partition_objective(rule_of_fours(n), table100)
-        assert closed == solve_dp(n, table100).objective
+def test_rule_matches_dp_objective(table400):
+    for n in range(2, 401):
+        closed = solve_closed_form(n, table400)
+        assert closed.method == "closed_form"
+        assert closed.partition == rule_of_fours(n)
+        assert closed.objective == partition_objective(closed.partition, table400)
+        assert closed.objective == solve_dp(n, table400).objective
 
 
 # ------------------------------------------------------------------- objective
