@@ -42,15 +42,16 @@ solve_group_relaxation
     value lost by covering j observations with part j instead of
     (fractional) copies of part b.  A minimum-penalty path from 0 to
     n mod b fixes the off-b multiplicities, and
-    f_b = (n - sum of path parts) / b.  When f_b >= 0 the relaxation
-    is tight and the result is exactly optimal; otherwise the solver
-    falls back to solve_dp and the result is labeled "dp".  For the
-    exponential table the only fallback at n <= 400 is n = 6.  Each
-    table keeps the best part and one penalty minimum per class over
-    the parts scanned, so an ascending sweep n = 2..N costs O(N) float
-    operations, and Dijkstra runs once per distinct graph.  A smaller n
-    reuses them when they all lie at or below it (every n >= 6 on the
-    exponential table) and rescans 2..n otherwise.
+    f_b = (n - sum of path parts) / b.  Tables hold every part from 2
+    and b <= n, so for n > b the parts 2..b-1 and b+1 put every residue
+    one step from 0, and n = b has residue 0.  The one fallback is
+    f_b < 0: solve_dp answers, labeled "dp" (only n = 6 at n <= 400 on
+    the exponential table); otherwise the relaxation's answer is exact.
+    Each table keeps the best part and one penalty minimum per class
+    over the parts scanned, so an ascending sweep n = 2..N costs O(N)
+    float operations, and Dijkstra runs once per distinct graph.  A
+    smaller n reuses them when they all lie at or below it (every n >= 6
+    on the exponential table) and rescans 2..n otherwise.
 
 Every scan compares the table's float C_j first and goes exact only
 within a relative 1e-9 of a tie: on the exponential table the exact
@@ -132,28 +133,24 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 # finalizer, so ascending sweeps n = 2..N fill one DP and scan each part
 # for the residue graph once.
 class _TableState:
-    __slots__ = ("values", "keys", "fv", "fc", "runs",
-                 "scanned", "best", "best_ratio", "minima", "paths")
+    __slots__ = ("opt", "fv", "fc", "runs", "scanned", "best", "minima", "paths")
 
     def __init__(self) -> None:
-        # DP by capacity: exact value and key (-part count, pairs by
-        # descending part), None when infeasible; the value's float image
+        # DP by capacity: opt[w] = (exact value, key (-part count, pairs by
+        # descending part)), None when infeasible; fv[w] the value's float
         # (-inf when infeasible); fc[j] = table.c_float(j), read by every scan.
-        self.values: list[Fraction | None] = [Fraction(0), None]
-        self.keys: list[tuple[int, tuple[tuple[int, int], ...]] | None] = [(0, ()), None]
+        self.opt: list[tuple[Fraction, tuple] | None] = [(Fraction(0), (0, ())), None]
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
         # The filled capacities j whose optimum is (j,), the parts no
         # filled capacity dominates, as ascending runs of consecutive j.
         self.runs: list[range] = []
         # Residue graph over the parts 2..scanned: best is the argmax b of
-        # C_j / j (smallest j on ties), best_ratio its float fc[b] / b, and
-        # minima[offset] = (j, w_j, float(w_j)) the minimum of the class
-        # j = offset (mod b), smallest j on ties.
-        # paths: the last graph solved and its shortest paths from 0.
+        # C_j / j (smallest j on ties, 0 before any scan), minima[offset] =
+        # (j, w_j, float(w_j)) the minimum of the class j = offset (mod b),
+        # smallest j on ties; paths: the last graph and its paths from 0.
         self.scanned = 1
         self.best = 0
-        self.best_ratio = 0.0
         self.minima: dict[int, tuple[int, Fraction, float]] = {}
         self.paths: tuple[ResidueGraph, dict] | None = None
 
@@ -191,8 +188,9 @@ def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
     if n < state.scanned:
         if state.best <= n and all(j <= n for j, _, _ in state.minima.values()):
             return
-        state.scanned, state.best, state.best_ratio, state.minima = 1, 0, 0.0, {}
-    fc, b, ratio = _floats(state, table, n), state.best, state.best_ratio
+        state.scanned, state.best, state.minima = 1, 0, {}
+    fc, b = _floats(state, table, n), state.best
+    ratio = fc[b] / b if b else 0.0
     for j in range(state.scanned + 1, n + 1):
         r = fc[j] / j
         if r > ratio * (1 + FLOAT_TIE) or (
@@ -200,7 +198,7 @@ def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
         ):
             b, ratio = j, r
     if b != state.best:  # a new modulus: its classes are scanned from part 2
-        state.scanned, state.best, state.best_ratio, state.minima = 1, b, ratio, {}
+        state.scanned, state.best, state.minima = 1, b, {}
     # b maximizes C_j / j over 2..n, so every w_j with j <= n is >= 0.
     # w_j is a difference, so its float error is absolute: below
     # (FLOAT_C_ERROR + 5 * 2**-53) * (j * C_b / b + C_j), the minimum's
@@ -242,12 +240,10 @@ def shortest_paths(graph: ResidueGraph) -> dict[int, tuple[Fraction, tuple[int, 
     """
     dist: dict[int, tuple[Fraction, int, tuple[int, ...]]] = {0: (Fraction(0), 0, ())}
     heap: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, 0)]
-    done: set[int] = set()
     while heap:
         d, hops, v = heapq.heappop(heap)
-        if v in done:
+        if (d, hops) != dist[v][:2]:  # stale: pushes only ever improve dist[v]
             continue
-        done.add(v)
         for offset, part, penalty in graph.steps:
             target = (v + offset) % graph.modulus
             cand = (d + penalty, hops + 1)
@@ -268,21 +264,21 @@ def _with_part(key: tuple[int, tuple[tuple[int, int], ...]], j: int) -> tuple:
 
 
 def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
-    """Fill capacities len(state.values)..n.
+    """Fill capacities len(state.opt)..n.
 
     Capacity w keeps its largest (value, key): tied candidates have equal
     sums, so their pairs order as their descending part tuples and the
     key breaks ties by fewer parts, then descending lexicographic.
 
     Dominance: once capacity j is filled with parts other than (j,),
-    values[j] > C_j strictly, since a tie would have kept the one-part
+    its value > C_j strictly, since a tie would have kept the one-part
     (j,).  Swapping part j for that optimum then strictly improves every
     allocation that uses j, so no exact maximizer of any capacity does,
     and j leaves the candidates for good.  Capacity w tries only the
     undominated parts below w, plus w itself: {2, 3, 4, 5} plus w on the
     exponential table, every part on a convex one.  A tied part stays.
 
-    Float filter: fv[k] = float(values[k]) is within a relative u = 2**-53
+    Float filter: fv[k] = float(opt[k][0]) is within a relative u = 2**-53
     and fc[j] within delta = FLOAT_C_ERROR = 1e-14 (u on a loaded table),
     and one float addition of two nonnegative terms follows, so a float
     candidate fv[w-j] + fc[j] lies within a factor (1 +- delta)(1 +- u)
@@ -295,9 +291,8 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     guarantee for every C_j, value and sum.  Capacity 1 is infeasible
     and its float -inf keeps it out of every candidate list.
     """
-    values, keys, fv, fc = state.values, state.keys, state.fv, _floats(state, table, n)
-    runs = state.runs
-    for w in range(len(values), n + 1):
+    opt, fv, fc, runs = state.opt, state.fv, _floats(state, table, n), state.runs
+    for w in range(len(opt), n + 1):
         # the undominated parts ascending, then w, whose fv[0] + fc[w] is fc[w]
         tried = [*chain.from_iterable(runs), w]
         floats: list[float] = []
@@ -306,14 +301,13 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
                           fc[run.start : run.stop])
         floats.append(fc[w])
         floor = max(floats) * (1 - FLOAT_TIE)
-        best_value, best_key = max(
-            (values[w - j] + table.c(j), _with_part(keys[w - j], j))
+        best = max(
+            (opt[w - j][0] + table.c(j), _with_part(opt[w - j][1], j))
             for j, f in zip(tried, floats) if f >= floor
         )
-        values.append(best_value)
-        keys.append(best_key)
-        fv.append(float(best_value))
-        if best_key == (-1, ((w, 1),)):
+        opt.append(best)
+        fv.append(float(best[0]))
+        if best[1] == (-1, ((w, 1),)):
             if runs and runs[-1].stop == w:
                 runs[-1] = range(runs[-1].start, w + 1)
             else:
@@ -325,21 +319,19 @@ def solve_dp(n: int, table: CoefficientTable) -> SolveResult:
     _require_coverage(table, n)
     with _lock:
         state = _table_state(table)
-        if len(state.values) <= n:
+        if len(state.opt) <= n:
             _dp_extend(state, n, table)
-        value = state.values[n]
-        key = state.keys[n]
-    # n >= 2 is always feasible (greedy 2s and one 3 cover any n)
-    assert value is not None and key is not None
-    return SolveResult(Partition(n, key[1][::-1]), value, "dp")
+        # n >= 2 is always feasible (greedy 2s and one 3 cover any n)
+        value, (_, pairs) = state.opt[n]
+    return SolveResult(Partition(n, pairs[::-1]), value, "dp")
 
 
 def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
     """Group relaxation: residue-graph shortest path, DP fallback.
 
-    Exact whenever the recovered multiplicity of the modulus part is
-    nonnegative; otherwise the result comes from solve_dp and carries
-    method "dp".
+    Every residue n mod b has a path: when n > b, the parts 2..n cover
+    its class.  The one fallback is a negative multiplicity f_b of the
+    modulus part: the result is then solve_dp's, method "dp".
     """
     graph = build_residue_graph(table, n)
     b = graph.modulus
@@ -349,13 +341,9 @@ def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
     if r != 0:
         with _lock:
             state = _table_state(table)
-        last = state.paths  # one read: another thread may replace it
-        if last is None or last[0] != graph:
-            last = state.paths = (graph, shortest_paths(graph))
-        reached = last[1]
-        if r not in reached:
-            return solve_dp(n, table)
-        path_parts = reached[r][1]
+            if state.paths is None or state.paths[0] != graph:
+                state.paths = (graph, shortest_paths(graph))
+            path_parts = state.paths[1][r][1]
 
     f_b, leftover = divmod(n - sum(path_parts), b)
     assert leftover == 0  # path length is congruent to r by construction

@@ -23,9 +23,13 @@ probe (`count 0 --format json`); it needs `grouprange.partitions` and
 integers only.  The package therefore serves every public name on
 first access, and `cli` imports the solver modules inside the commands
 that run them: a bare `import grouprange` loads no module of the
-package.  The cases that check the commands run `python -m
-grouprange.cli`, the benchmark's entry point, and read what it loads
-from `-X importtime`.
+package.
+
+The cases that check the commands run each command line once, through
+`cli.main` in a fresh interpreter, and read its exit code and
+`sys.modules` after it returns.  That listing names every module the
+command loaded, also one the package serves through
+`importlib.import_module`, which `-X importtime` does not list.
 """
 
 from __future__ import annotations
@@ -58,10 +62,12 @@ from grouprange import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 CHILD = """
-import json, sys
+import sys
 from grouprange.cli import main
-code = main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+code = main(sys.argv[1:])
+loaded = sorted(sys.modules)  # before the json this child needs to report them
+import json
+print(json.dumps({"code": code, "modules": loaded}))
 """
 
 CUSTOM_TABLE = ("j,d,k_sq\n2,1,1\n3,3/2,5/4\n4,11/6,49/36\n5,25/12,205/144\n"
@@ -81,12 +87,6 @@ def run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
 
 def run_child(args: list[str], cwd: Path, code: str = CHILD) -> subprocess.CompletedProcess:
     return run_python(["-c", code, *args], cwd)
-
-
-def cli_in_child(argv: list[str], cwd: Path) -> dict:
-    proc = run_child([json.dumps(argv)], cwd)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 EXACT_CASES = [
@@ -111,27 +111,11 @@ SIMULATE_USAGE_ERRORS = [
 ]
 
 
-@pytest.fixture()
-def workdir(tmp_path):
-    (tmp_path / "custom.csv").write_text(CUSTOM_TABLE)
-    return tmp_path
-
-
-@pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
-def test_exact_command_never_loads_numpy(argv, workdir):
-    assert cli_in_child(argv, workdir) == {"code": 0, "numpy": False}
-
-
-MODULES_CHILD = """
-import sys
-from grouprange.cli import main
-main(sys.argv[1:])
-loaded = sorted(sys.modules)  # before the json this child needs to report them
-import json
-print(json.dumps(loaded))
-"""
-
-SLOW_IMPORTS = {"dataclasses", "inspect"}
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("work")
+    (path / "custom.csv").write_text(CUSTOM_TABLE)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -143,16 +127,46 @@ def bare_modules(tmp_path_factory):
     return set(proc.stdout.split())
 
 
-def modules_loaded(argv: list[str], cwd: Path, bare_modules: set[str]) -> set[str]:
-    """The modules a command loads beyond what the bare interpreter loads."""
-    proc = run_child(argv, cwd, MODULES_CHILD)
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1])) - bare_modules
+@pytest.fixture(scope="module")
+def cli_in_child(workdir):
+    """argv -> (exit code of main(argv), every module loaded when it
+    returns), each command line run once in a fresh interpreter."""
+    runs: dict[tuple[str, ...], tuple[int, set[str]]] = {}
+
+    def run(argv: list[str]) -> tuple[int, set[str]]:
+        if tuple(argv) not in runs:
+            proc = run_child(argv, workdir)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout.splitlines()[-1])
+            runs[tuple(argv)] = report["code"], set(report["modules"])
+        return runs[tuple(argv)]
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def modules_loaded(cli_in_child, bare_modules):
+    """argv -> the modules a command loads beyond the bare interpreter; it must exit 0."""
+    def loaded(argv: list[str]) -> set[str]:
+        code, modules = cli_in_child(argv)
+        assert code == 0
+        return modules - bare_modules
+
+    return loaded
 
 
 @pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
-def test_exact_command_never_loads_dataclasses_or_inspect(argv, workdir, bare_modules):
-    assert modules_loaded(argv, workdir, bare_modules) & SLOW_IMPORTS == set()
+def test_exact_command_never_loads_numpy(argv, cli_in_child):
+    code, modules = cli_in_child(argv)
+    assert (code, "numpy" in modules) == (0, False)
+
+
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
+def test_exact_command_never_loads_dataclasses_or_inspect(argv, modules_loaded):
+    assert modules_loaded(argv) & SLOW_IMPORTS == set()
 
 
 # the CLI parses its own command line and writes its own JSON
@@ -161,19 +175,10 @@ PARSER_AND_FORMATS = {"argparse", "gettext", "locale", "json", "csv"}
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("argv", EXACT_CASES, ids=" ".join)
-def test_command_loads_only_the_format_it_prints(argv, fmt, workdir, bare_modules):
+def test_command_loads_only_the_format_it_prints(argv, fmt, modules_loaded):
     expected = {"csv"} if fmt == "csv" or "--table" in argv else set()  # csv reads tables
-    loaded = modules_loaded([*argv, "--format", fmt], workdir, bare_modules)
+    loaded = modules_loaded([*argv, "--format", fmt])
     assert loaded & PARSER_AND_FORMATS == expected
-
-
-def entry_point_loads(argv: list[str], cwd: Path) -> set[str]:
-    """The modules `python -m grouprange.cli`, the benchmark's entry point,
-    loads beyond the bare interpreter, as ``-X importtime`` lists them."""
-    proc = run_python(["-X", "importtime", "-m", "grouprange.cli", *argv], cwd)
-    assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
 
 
 SOLVER_STACK = {"fractions", "decimal", "grouprange.coefficients", "grouprange.optimizer",
@@ -182,15 +187,15 @@ COUNT_CASES = [["count", "50", "--asymptotic"], ["count", "0", "--format", "json
 
 
 @pytest.mark.parametrize("argv", COUNT_CASES, ids=" ".join)
-def test_count_loads_no_solver_and_no_fractions(argv, workdir):
-    loaded = entry_point_loads(argv, workdir)
+def test_count_loads_no_solver_and_no_fractions(argv, modules_loaded):
+    loaded = modules_loaded(argv)
     assert "grouprange.partitions" in loaded  # the listing names the package's modules
     assert loaded & (SOLVER_STACK | PARSER_AND_FORMATS) == set()
 
 
 @pytest.mark.parametrize("argv", [*EXACT_CASES, ["simulate", "8", "--reps", "10"]], ids=" ".join)
-def test_only_verify_loads_lemma(argv, workdir):
-    assert ("grouprange.lemma" in entry_point_loads(argv, workdir)) == (argv[0] == "verify")
+def test_only_verify_loads_lemma(argv, modules_loaded):
+    assert ("grouprange.lemma" in modules_loaded(argv)) == (argv[0] == "verify")
 
 
 SUBMODULE_LOADS = {
@@ -263,20 +268,23 @@ def test_records_refuse_assignment(name, records):
 
 
 @pytest.mark.parametrize("argv", SIMULATE_USAGE_ERRORS, ids=" ".join)
-def test_simulate_usage_error_fails_before_numpy(argv, workdir):
-    assert cli_in_child(argv, workdir) == {"code": 2, "numpy": False}
+def test_simulate_usage_error_fails_before_numpy(argv, cli_in_child):
+    code, modules = cli_in_child(argv)
+    assert (code, "numpy" in modules) == (2, False)
 
 
-def test_simulate_unprintable_result_fails_before_numpy(workdir):
+def test_simulate_unprintable_result_fails_before_numpy(cli_in_child):
     # 139 distinct part sizes: the exact variance factor passes the
     # interpreter's 4,300-digit limit for printing an int, which exits 3
     # before the Monte Carlo runs
     argv = ["simulate", "9869", "--reps", "1", "--partition", ",".join(map(str, range(2, 141)))]
-    assert cli_in_child(argv, workdir) == {"code": 3, "numpy": False}
+    code, modules = cli_in_child(argv)
+    assert (code, "numpy" in modules) == (3, False)
 
 
-def test_simulate_loads_numpy(workdir):
-    assert cli_in_child(["simulate", "8", "--reps", "10"], workdir) == {"code": 0, "numpy": True}
+def test_simulate_loads_numpy(cli_in_child):
+    code, modules = cli_in_child(["simulate", "8", "--reps", "10"])
+    assert (code, "numpy" in modules) == (0, True)
 
 
 def test_bare_package_import_never_loads_numpy(workdir):

@@ -261,6 +261,8 @@ def assert_gr_matches_reference(table, order_seed=0):
     for n in order:
         graph, result = reference_group_relaxation(table, n)
         assert build_residue_graph(table, n) == graph, n
+        if n > graph.modulus:  # every residue is one step from 0: no unreachable target
+            assert [offset for offset, _, _ in graph.steps] == list(range(1, graph.modulus)), n
         assert solve_group_relaxation(n, table) == result, n
 
 

@@ -295,6 +295,19 @@ def test_shortest_paths_frozen(table40):
     assert paths[3] == (Fraction(51, 980), (3,))
 
 
+def test_shortest_paths_skips_a_stale_heap_entry():
+    # vertex 2 is first pushed at penalty 3 in one hop (part 6), then
+    # improved to 2 by 5 + 5: the first heap entry goes stale
+    graph = ResidueGraph(4, ((1, 5, Fraction(1)), (2, 6, Fraction(3)), (3, 3, Fraction(1))))
+    assert shortest_paths(graph) == {0: (0, ()), 1: (1, (5,)), 2: (2, (5, 5)), 3: (1, (3,))}
+
+
+def test_shortest_paths_prefers_fewer_parts_on_a_tie():
+    # 6 and 5 + 5 both reach vertex 2 at penalty 2: the one part wins
+    graph = ResidueGraph(4, ((1, 5, Fraction(1)), (2, 6, Fraction(2)), (3, 3, Fraction(1))))
+    assert shortest_paths(graph) == {0: (0, ()), 1: (1, (5,)), 2: (2, (6,)), 3: (1, (3,))}
+
+
 # ------------------------------------------------------------ sweep memo
 
 
