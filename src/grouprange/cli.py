@@ -50,8 +50,9 @@ __all__ = ["main", "run"]
 FORMATS = ("text", "json", "csv")
 FORMAT_ENV = "GROUPRANGE_FORMAT"
 # The largest n each command takes, checked before any work.  Cold on a
-# 2-core host: count 1.4 to 1.6 s and 22 MB (and below 76,568, where the
-# float asymptotic estimate would overflow); optimal 0.3 s and 20 MB;
+# 2-core host: count 0.04 to 0.06 s and 14 MB in every format (and below
+# 76,568, from which the float asymptotic estimate would overflow and
+# asymptotic_admissible rejects n); optimal 0.3 s and 20 MB;
 # optimal --method closed 0.1 to 0.4 s and 35 MB, its parts being O(n)
 # (10**7 takes 0.6 s and 207 MB); table 0.6 s and 36 MB in text, 0.7 s
 # and 38 MB in csv, 0.5 s and 114 MB in json; verify at both bounds 0.5 s

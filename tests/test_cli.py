@@ -24,7 +24,8 @@ import pytest
 
 from grouprange import Partition, count_admissible, export_table, exponential_table
 from grouprange.cli import COMMANDS, _parse, _write_json, main
-from grouprange.partitions import _pentagonal_prefix
+
+from partition_reference import pentagonal_prefix
 
 SCHEMA = json.loads(files("grouprange").joinpath("schema/output.schema.json").read_text())
 
@@ -268,7 +269,7 @@ def test_count_ratio_is_the_fraction_quotient_bit_for_bit(monkeypatch, capsys):
     # estimate num / den: one correctly rounded division, so the same float
     import grouprange.cli as cli_mod
 
-    p = _pentagonal_prefix(3000)  # one prefix serves every count up to 3000
+    p = pentagonal_prefix(3000)  # one prefix serves every count up to 3000
     monkeypatch.setattr(cli_mod, "count_admissible", lambda n: p[n] - p[n - 1])
     for n in range(1, 3001):  # the payload the handler returns, without parsing or rendering
         payload = cli_mod.cmd_count(SimpleNamespace(n=n, asymptotic=True))

@@ -222,7 +222,7 @@ def test_bare_package_import_loads_no_submodule(workdir):
 def test_lemma_loads_no_solver(workdir, bare_modules):
     # the lemma reads its tie margin from coefficients, beside the float
     # error bound it rests on, so importing it loads no optimizer and no
-    # heapq (bisect it does load, through partitions)
+    # heapq
     proc = run_child([], workdir, "import sys, grouprange.lemma; print(' '.join(sys.modules))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split()) - bare_modules

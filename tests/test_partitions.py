@@ -1,11 +1,16 @@
 """Partition representation and counting, and the enumeration reference.
 
-The counting oracle here is deliberately different from the package's
-pentagonal recurrence: partitions of m with parts bounded by k, filled
-part size by part size.  ``reference_pentagonal_prefix`` is the same
-recurrence taken one capacity and one term at a time, as the package
-computed it before it summed the far terms block-wise.
+The package counts from Rademacher's series; the tests check it against
+Euler's pentagonal recurrence (``partition_reference.pentagonal_prefix``,
+which sums the far terms block-wise) and against an oracle different
+from both: partitions of m with parts bounded by k, filled part size by
+part size.  ``reference_pentagonal_prefix`` is the recurrence taken one
+capacity and one term at a time, the check on the block-wise prefix.
 """
+
+import math
+import random
+from decimal import Decimal
 
 import pytest
 
@@ -15,10 +20,10 @@ from grouprange import (
     count_admissible,
     exponential_table,
     load_table,
+    partitions,
 )
-from grouprange.partitions import _pentagonal_prefix
 
-from partition_reference import count_unrestricted, enumerate_admissible
+from partition_reference import count_unrestricted, enumerate_admissible, pentagonal_prefix
 
 
 def unrestricted_oracle(n_max: int) -> list[int]:
@@ -194,9 +199,56 @@ def test_pentagonal_prefix_matches_reference():
     # across ten block boundaries; the larger sizes are the benchmark's
     reference = reference_pentagonal_prefix(8000)
     for n in range(701):
-        assert _pentagonal_prefix(n) == reference[: n + 1], n
+        assert pentagonal_prefix(n) == reference[: n + 1], n
     for n in (2505, 3963, 6298, 8000):
-        assert _pentagonal_prefix(n) == reference[: n + 1], n
+        assert pentagonal_prefix(n) == reference[: n + 1], n
+
+
+def test_series_matches_the_pentagonal_reference():
+    # every n to 2,000; the benchmark's seed-1 count sizes and the largest
+    # it draws, 8,000; the CLI's bound 50,000; 200 seeded n between; and n
+    # past 76,568, where a float sinh or exp of the series' largest
+    # argument would overflow
+    p = pentagonal_prefix(80_000)
+    rng = random.Random(24)
+    sizes = [*range(2001), 2505, 3963, 6298, 8000, 49_999, 50_000, 76_568, 80_000]
+    for n in sizes + [rng.randrange(2001, 50_000) for _ in range(200)]:
+        assert count_admissible(n) == p[n] - (p[n - 1] if n else 0), n
+
+
+def remainder_bound(n, terms):
+    """Rademacher's bound on the series' remainder after ``terms`` terms
+    (Johansson 2012, eq. 1.8), in decimals: no overflow at small terms."""
+    pi = Decimal("3.14159265358979323846264338327950288")
+    arg = pi / terms * (Decimal(2 * n) / 3).sqrt()
+    sinh = (arg.exp() - (-arg).exp()) / 2
+    return (44 * pi**2 / (225 * Decimal(3).sqrt() * Decimal(terms).sqrt())
+            + pi * Decimal(2).sqrt() / 75 * (Decimal(terms) / (n - 1)).sqrt() * sinh)
+
+
+@pytest.mark.parametrize("n", [3, 100, 2505, 50_000, 80_000])
+def test_series_sums_the_terms_the_remainder_bound_asks_for(n, monkeypatch):
+    # the sum stops at the least N whose bound is below 1/5: a tail past
+    # the tested sizes is far below 1/4, so only this check sees a short sum
+    seen = {n: [], n - 1: []}
+    term = partitions._term
+    monkeypatch.setattr(partitions, "_term", lambda m, k, *rest: seen[m].append(k) or term(m, k, *rest))
+    count_admissible(n)
+    for m, ks in seen.items():
+        least = next(t for t in range(1, 10**4) if remainder_bound(m, t) < Decimal("0.2"))
+        assert ks == list(range(1, least + 1)), m
+
+
+@pytest.mark.parametrize("shift, raises", [(0.2, False), (0.3, True), (0.5, True), (-0.3, True)])
+def test_series_raises_when_its_sum_lands_near_a_half_integer(shift, raises, monkeypatch):
+    term = partitions._term
+    monkeypatch.setattr(partitions, "_term", lambda n, k, g, *rest:
+                        term(n, k, g, *rest) + (k == 1) * round(shift * 2**g))
+    if raises:
+        with pytest.raises(ArithmeticError, match=r"p\(100\) lands within 1/4 of a half-integer"):
+            count_admissible(100)
+    else:
+        assert count_admissible(100) == 21339417
 
 
 def test_unrestricted_matches_oracle():
@@ -251,3 +303,10 @@ def test_asymptotic_ratio_improves():
 def test_asymptotic_rejects_small_n():
     with pytest.raises(ValueError):
         asymptotic_admissible(0)
+
+
+def test_asymptotic_rejects_n_whose_estimate_overflows():
+    assert f"{asymptotic_admissible(76_567):.5g}" == "1.5698e+300"
+    assert math.isfinite(asymptotic_admissible(76_567))
+    with pytest.raises(ValueError, match=r"^n must be <= 76567 for a finite float estimate, got 76568$"):
+        asymptotic_admissible(76_568)
