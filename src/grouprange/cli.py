@@ -52,7 +52,9 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # The largest n each command takes, checked before any work.  Cold on a
 # 2-core host: count 0.04 to 0.06 s and 14 MB in every format (and below
 # 76,568, from which the float asymptotic estimate would overflow and
-# asymptotic_admissible rejects n); optimal 0.3 s and 20 MB;
+# asymptotic_admissible rejects n); optimal 0.15 to 0.2 s and 19 MB on the
+# exponential table (a --table whose parts all tie, C_j = j/2, costs quadratically
+# many exact comparisons: 0.5 s at n = 500, 7 to 8 s at 2,000, 31 s at 4,000);
 # optimal --method closed 0.1 to 0.4 s and 35 MB, its parts being O(n)
 # (10**7 takes 0.6 s and 207 MB); table 0.6 s and 36 MB in text, 0.7 s
 # and 38 MB in csv, 0.5 s and 114 MB in json; verify at both bounds 0.5 s

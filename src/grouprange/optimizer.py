@@ -19,9 +19,9 @@ solve_dp
     the exponential table: O(n * d) state for d distinct parts.  A part j
     whose own capacity fills with other parts is dominated, the
     unbounded-knapsack dominance rule: no optimum of any n uses it, and
-    later capacities no longer try it.  On the exponential table only
-    the parts 2..5 stay, so capacity w tries five parts; on a convex
-    table (C_j / j rising) every part stays.  A float64 fill runs
+    later capacities no longer try it.  Capacity w tries the undominated
+    parts, one ascending list, and w: 2..5 and w on the exponential
+    table, every part on a convex table (C_j / j rising).  A float64 fill runs
     beside the exact one and filters the candidates: at each capacity
     only the parts whose float value lies within a relative 1e-9 of the
     float best reach the exact Fraction comparison.  The float error is
@@ -68,12 +68,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import threading
 import weakref
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple
 
 from .coefficients import FLOAT_TIE, CoefficientTable
@@ -133,7 +131,7 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 # finalizer, so ascending sweeps n = 2..N fill one DP and scan each part
 # for the residue graph once.
 class _TableState:
-    __slots__ = ("opt", "fv", "fc", "runs", "scanned", "best", "minima", "paths")
+    __slots__ = ("opt", "fv", "fc", "parts", "scanned", "best", "minima", "paths")
 
     def __init__(self) -> None:
         # DP by capacity: opt[w] = (exact value, key (-part count, pairs by
@@ -142,9 +140,9 @@ class _TableState:
         self.opt: list[tuple[Fraction, tuple] | None] = [(Fraction(0), (0, ())), None]
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
-        # The filled capacities j whose optimum is (j,), the parts no
-        # filled capacity dominates, as ascending runs of consecutive j.
-        self.runs: list[range] = []
+        # The filled capacities j whose optimum is (j,), ascending: the
+        # parts no filled capacity dominates.
+        self.parts: list[int] = []
         # Residue graph over the parts 2..scanned: best is the argmax b of
         # C_j / j (smallest j on ties, 0 before any scan), minima[offset] =
         # (j, w_j, float(w_j)) the minimum of the class j = offset (mod b),
@@ -275,8 +273,9 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     (j,).  Swapping part j for that optimum then strictly improves every
     allocation that uses j, so no exact maximizer of any capacity does,
     and j leaves the candidates for good.  Capacity w tries only the
-    undominated parts below w, plus w itself: {2, 3, 4, 5} plus w on the
-    exponential table, every part on a convex one.  A tied part stays.
+    undominated parts below w, the ascending list state.parts, plus w
+    itself: [2, 3, 4, 5] plus w on the exponential table, every part on
+    a convex one.  A tied part stays.
 
     Float filter: fv[k] = float(opt[k][0]) is within a relative u = 2**-53
     and fc[j] within delta = FLOAT_C_ERROR = 1e-14 (u on a loaded table),
@@ -291,15 +290,10 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     guarantee for every C_j, value and sum.  Capacity 1 is infeasible
     and its float -inf keeps it out of every candidate list.
     """
-    opt, fv, fc, runs = state.opt, state.fv, _floats(state, table, n), state.runs
+    opt, fv, fc, parts = state.opt, state.fv, _floats(state, table, n), state.parts
     for w in range(len(opt), n + 1):
-        # the undominated parts ascending, then w, whose fv[0] + fc[w] is fc[w]
-        tried = [*chain.from_iterable(runs), w]
-        floats: list[float] = []
-        for run in runs:
-            floats += map(operator.add, fv[w - run.start : w - run.stop : -1],
-                          fc[run.start : run.stop])
-        floats.append(fc[w])
+        tried = (*parts, w)  # the undominated parts ascending, then w
+        floats = [fv[w - j] + fc[j] for j in tried]
         floor = max(floats) * (1 - FLOAT_TIE)
         best = max(
             (opt[w - j][0] + table.c(j), _with_part(opt[w - j][1], j))
@@ -308,10 +302,7 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
         opt.append(best)
         fv.append(float(best[0]))
         if best[1] == (-1, ((w, 1),)):
-            if runs and runs[-1].stop == w:
-                runs[-1] = range(runs[-1].start, w + 1)
-            else:
-                runs.append(range(w, w + 1))
+            parts.append(w)
 
 
 def solve_dp(n: int, table: CoefficientTable) -> SolveResult:

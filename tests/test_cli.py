@@ -693,6 +693,51 @@ def test_usage_error_is_one_line(capsys, line):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Each --help's usage line and the rows it must hold, in order; every
+# declared argument's row ends with its help text
+HELP_USAGE = {
+    None: "usage: grouprange {optimal,table,simulate,verify,count} ...",
+    "optimal": "usage: grouprange optimal n [--method {dp,gr,closed,all}] [--table TABLE] "
+               "[--format {text,json,csv}]",
+    "table": "usage: grouprange table n_from n_to [--format {text,json,csv}]",
+    "simulate": "usage: grouprange simulate n [--theta THETA] [--reps REPS] [--seed SEED] "
+                "[--partition PARTITION] [--format {text,json,csv}]",
+    "verify": "usage: grouprange verify [--lemma-max LEMMA-MAX] [--agree-max AGREE-MAX] "
+              "[--format {text,json,csv}]",
+    "count": "usage: grouprange count n [--asymptotic] [--format {text,json,csv}]",
+}
+FORMAT_ROW = "  --format {text,json,csv}     output format (default: $GROUPRANGE_FORMAT or text)"
+HELP_ROWS = {
+    "optimal": ["  --method {dp,gr,closed,all}  solver (default: group relaxation with dp "
+                "cross-check)"],
+    "simulate": ["  --theta THETA                true scale (default 1.0)"],
+    "count": ["  --asymptotic                 include the asymptotic estimate and the "
+              "exact/asymptotic ratio"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_USAGE, ids=lambda command: command or "(program)")
+def test_help_renders_every_declared_argument(capsys, command):
+    assert list(HELP_USAGE)[1:] == list(COMMANDS)
+    code, out, err = run(capsys, *([] if command is None else [command]), "--help")
+    assert (code, err) == (0, "")
+    usage, blank, about, blank_too, *rows = out.splitlines()
+    assert usage == HELP_USAGE[command] and blank == blank_too == ""
+    if command is None:
+        assert about == ("Minimum-variance unbiased weighted-range estimation "
+                         "of an exponential scale parameter.")
+        declared = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        assert about == COMMANDS[command][1]
+        declared = [(name, text) for name, (_, _, text) in COMMANDS[command][2].items()]
+    declared.append(("-h, --help", "show this help and exit"))
+    assert len(rows) == len(declared)
+    for row, (name, text) in zip(rows, declared):
+        assert row.startswith(f"  {name}") and row.endswith(f" {text}"), row
+    for row in HELP_ROWS.get(command, []) + [FORMAT_ROW] * (command is not None):
+        assert row in rows
+
+
 @pytest.fixture()
 def lying_dp(monkeypatch):
     # unreachable with correct solvers; inject a wrong dp objective to
@@ -750,6 +795,43 @@ def test_failed_verification_shows_its_payload_and_exits_4(monkeypatch, capsys, 
     else:
         assert "solver agreement: FAIL" in out and "1 mismatches" in out
         assert out.endswith("overall: FAIL\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_partition_tie_passes_verification(monkeypatch, capsys, fmt):
+    # unreachable on the exponential table, whose optima are unique: a closed
+    # form that answers another partition with the DP's objective at n = 10
+    # is a tie, recorded and shown, not a failure
+    import grouprange.optimizer as optimizer_mod
+
+    real = optimizer_mod.solve_closed_form
+
+    def tied(n, table):
+        result = real(n, table)
+        if n != 10:
+            return result
+        assert result.partition.parts == (5, 5)
+        return result._replace(partition=Partition.from_parts([4, 3, 3]))
+
+    monkeypatch.setattr(optimizer_mod, "solve_closed_form", tied)
+    code, out, err = run(capsys, "verify", "--lemma-max", "40", "--agree-max", "30",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        envelope = loads_strict(out)
+        jsonschema.validate(envelope, SCHEMA)
+        payload = envelope["payload"]
+        assert payload["agreement"]["ties"] == [10]
+        assert payload["agreement"]["mismatches"] == []
+        assert payload["agreement"]["objectives_equal"] is True
+        assert payload["passed"] is True
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[2] == ["solver_agreement", "PASS", "n=2..30 mismatches=0 ties=1"]
+        assert rows[3] == ["overall", "PASS", ""]
+    else:
+        assert "solver agreement: PASS" in out and "0 mismatches, 1 partition ties" in out
+        assert out.endswith("overall: PASS\n")
 
 
 _FULL = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

@@ -96,6 +96,7 @@ def test_tied_part_stays_a_candidate():
     assert_matches_reference(table)
     assert solve_dp(12, table).partition.parts == (6, 6)
     assert solve_dp(24, table).partition.parts == (6, 6, 6, 6)
+    assert _states[id(table)].parts == [2, 3, 4, 5, 6]
 
 
 def test_exponential_table_prunes_to_parts_2_to_5():
@@ -103,8 +104,7 @@ def test_exponential_table_prunes_to_parts_2_to_5():
     # fours, so the fill at 600 tries five parts where it tried 599
     table = exponential_table(600)
     solve_dp(600, table)
-    state = _states[id(table)]
-    assert state.runs == [range(2, 6)]
+    assert _states[id(table)].parts == [2, 3, 4, 5]
 
 
 positive = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
@@ -195,6 +195,7 @@ def test_convex_tables(c2, steps, order_seed):
     assert_matches_reference(table, order_seed)
     for w in range(2, table.max_part + 1):
         assert solve_dp(w, table).partition.parts == (w,)
+    assert _states[id(table)].parts == list(range(2, table.max_part + 1))
 
 
 LOW, HIGH = Fraction(1, 10**50), Fraction(10**50)  # CoefficientEntry's bounds on d and k_sq
