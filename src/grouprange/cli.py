@@ -53,10 +53,14 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # 2-core host: count 0.04 to 0.06 s and 14 MB in every format (and below
 # 76,568, from which the float asymptotic estimate would overflow and
 # asymptotic_admissible rejects n); optimal 0.15 to 0.2 s and 19 MB on the
-# exponential table (a --table whose parts all tie, C_j = j/2, costs quadratically
-# many exact comparisons: 0.5 s at n = 500, 7 to 8 s at 2,000, 31 s at 4,000);
-# optimal --method closed 0.1 to 0.4 s and 35 MB, its parts being O(n)
-# (10**7 takes 0.6 s and 207 MB); table 0.6 s and 36 MB in text, 0.7 s
+# exponential table.  On a --table the DP fills in O(1) each capacity whose
+# part meets the LP bound, so a table whose parts all tie (C_j = j/2) takes
+# 0.2 to 0.3 s at n = 4,000 and 0.5 to 0.8 s and 23 MB at 10,000, a convex
+# one (C_j = j**2) 0.5 s and 26 MB at 10,000; one whose undominated parts
+# miss the bound stays quadratic: the parity table (C_j = j/2, less 1e-12
+# at odd j) takes 1.1 to 1.8 s at 1,000, 6.5 s at 2,000, 30 s at 4,000 and
+# 150 s at 10,000; optimal --method closed 0.1 to 0.4 s and 35 MB, its parts
+# being O(n) (10**7 takes 0.6 s and 207 MB); table 0.6 s and 36 MB in text, 0.7 s
 # and 38 MB in csv, 0.5 s and 114 MB in json; verify at both bounds 0.5 s
 # and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
 # simulate peaks near 8 bytes per replicate (the estimates): 2e7

@@ -18,9 +18,10 @@ exact harmonic values:
 
     d_j = H(j-1, 1),    k_sq_j = H(j-1, 2).
 
-``exponential_table`` builds an exact entry when it is first read, and
-``c_float`` serves C_j from compensated float sums, so the solvers,
-which compare floats first, build only the entries the answer reads.
+``exponential_table`` builds an exact entry when it is first read, into
+one memo that every exponential table shares, and ``c_float`` serves
+C_j from compensated float sums, so the solvers, which compare floats
+first, build only the entries the answer reads.
 
 Tables for other distributions load from CSV with header ``j,d,k_sq``,
 one row per part size starting at j = 2 with no gaps.  Values may be
@@ -41,7 +42,6 @@ from __future__ import annotations
 import io
 import re
 import threading
-from collections.abc import Sequence
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import IO, Optional, Union
@@ -101,39 +101,27 @@ class CoefficientEntry(_Frozen):
         vars(self).update(j=j, d=d, k_sq=k_sq, c=d ** 2 / k_sq)
 
 
-class _ExponentialEntries(Sequence):
-    """Exponential entries 2..max_part, each built when first read; len()
-    builds nothing.  Against a tuple, and for hash and repr, they act as
-    the tuple of all their entries."""
+class _ExponentialEntries(_Frozen):
+    """The exponential entries of parts 2..max_part, each built when first
+    read into the module memo ``_entries``; identity is the span, so len,
+    equality, hash and repr build nothing."""
 
     def __init__(self, max_part: int) -> None:
-        self._parts, self._built = range(2, max_part + 1), {}
+        vars(self).update(parts=range(2, max_part + 1))
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return len(self.parts)
 
-    def __getitem__(self, index):
-        j = self._parts[index]  # as on a tuple: negative indices, slices, IndexError
-        if isinstance(j, range):
-            return tuple(self[k - 2] for k in j)
-        if j not in self._built:  # setdefault keeps one entry when threads race
+    def __getitem__(self, index: int) -> CoefficientEntry:
+        j = self.parts[index]  # negative indices and IndexError as on a tuple
+        if j not in _entries:  # setdefault keeps one entry when threads race
             from .exactmath import generalized_harmonic as h
 
-            self._built.setdefault(j, CoefficientEntry(j, h(j - 1, 1), h(j - 1, 2)))
-        return self._built[j]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _ExponentialEntries):
-            return self._parts == other._parts
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+            _entries.setdefault(j, CoefficientEntry(j, h(j - 1, 1), h(j - 1, 2)))
+        return _entries[j]
 
 
+_entries: dict[int, CoefficientEntry] = {}  # exact exponential entries by part, for every table
 _float_lock = threading.Lock()
 _float_c = [0.0, 0.0]  # float C_j of the exponential table at index j >= 2
 _sums = [0.0] * 4  # Neumaier sums of 1/i and 1/i**2, and their compensations
@@ -157,11 +145,14 @@ def _exponential_c_float(j: int) -> float:
 class CoefficientTable(_Frozen):
     """Immutable map from part size j (contiguous from 2) to constants.
 
-    ``entries`` is a tuple, or on the exponential table a sequence that
-    builds each entry when first read.
+    ``entries`` is a tuple, or on the exponential table its span of parts,
+    each entry built when first read and shared by every such table.  A
+    table is its label and entries: an exponential table equals one of
+    the same span, never a loaded one, and compares in O(1).
     """
 
-    def __init__(self, distribution_label: str, entries: Sequence[CoefficientEntry]) -> None:
+    def __init__(self, distribution_label: str,
+                 entries: tuple[CoefficientEntry, ...] | _ExponentialEntries) -> None:
         if not entries:
             raise ValueError("a coefficient table needs at least the j = 2 entry")
         if not isinstance(entries, _ExponentialEntries):  # contiguous by design

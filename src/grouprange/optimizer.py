@@ -21,7 +21,11 @@ solve_dp
     unbounded-knapsack dominance rule: no optimum of any n uses it, and
     later capacities no longer try it.  Capacity w tries the undominated
     parts, one ascending list, and w: 2..5 and w on the exponential
-    table, every part on a convex table (C_j / j rising).  A float64 fill runs
+    table.  A capacity w whose part has the best C_j / j of 2..w, ties
+    included, takes (w,) without trying any: no partition of w beats w
+    times that ratio, the LP bound (Gilmore and Gomory, 1966), and (w,)
+    meets it in the fewest parts, so a convex table (C_j / j rising) and
+    an all-tied one fill in O(n).  A float64 fill runs
     beside the exact one and filters the candidates: at each capacity
     only the parts whose float value lies within a relative 1e-9 of the
     float best reach the exact Fraction comparison.  The float error is
@@ -131,7 +135,7 @@ def _require_coverage(table: CoefficientTable, n: int) -> None:
 # finalizer, so ascending sweeps n = 2..N fill one DP and scan each part
 # for the residue graph once.
 class _TableState:
-    __slots__ = ("opt", "fv", "fc", "parts", "scanned", "best", "minima", "paths")
+    __slots__ = ("opt", "fv", "fc", "parts", "lead", "scanned", "best", "minima", "paths")
 
     def __init__(self) -> None:
         # DP by capacity: opt[w] = (exact value, key (-part count, pairs by
@@ -141,8 +145,11 @@ class _TableState:
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
         # The filled capacities j whose optimum is (j,), ascending: the
-        # parts no filled capacity dominates.
+        # parts no filled capacity dominates; lead the argmax of C_j / j
+        # over the filled capacities, latest on ties (0 before any), kept
+        # apart from the relaxation's best so that each solver checks the other.
         self.parts: list[int] = []
+        self.lead = 0
         # Residue graph over the parts 2..scanned: best is the argmax b of
         # C_j / j (smallest j on ties, 0 before any scan), minima[offset] =
         # (j, w_j, float(w_j)) the minimum of the class j = offset (mod b),
@@ -277,6 +284,13 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     itself: [2, 3, 4, 5] plus w on the exponential table, every part on
     a convex one.  A tied part stays.
 
+    LP bound (Gilmore and Gomory, 1966): a partition of w is worth
+    sum_j (C_j / j) * j * f_j <= w * max_{j <= w} C_j / j.  state.lead
+    holds that argmax, so when C_w / w >= C_lead / lead, (w,) meets the
+    bound and, with one part, wins every tie: the capacity is filled in
+    O(1).  Ratios compare as in _scan, floats first and exact within
+    FLOAT_TIE, and fv[w] is float(C_w), as the filter below needs.
+
     Float filter: fv[k] = float(opt[k][0]) is within a relative u = 2**-53
     and fc[j] within delta = FLOAT_C_ERROR = 1e-14 (u on a loaded table),
     and one float addition of two nonnegative terms follows, so a float
@@ -291,7 +305,19 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     and its float -inf keeps it out of every candidate list.
     """
     opt, fv, fc, parts = state.opt, state.fv, _floats(state, table, n), state.parts
+    lead = state.lead
+    bound = fc[lead] / lead if lead else 0.0
+    low, high = bound * (1 - FLOAT_TIE), bound * (1 + FLOAT_TIE)
     for w in range(len(opt), n + 1):
+        ratio = fc[w] / w
+        if ratio >= low and (ratio > high or table.c(w) / w >= table.c(lead) / lead):
+            # (w,) reaches the LP bound in one part
+            state.lead = lead = w
+            low, high, value = ratio * (1 - FLOAT_TIE), ratio * (1 + FLOAT_TIE), table.c(w)
+            opt.append((value, (-1, ((w, 1),))))
+            fv.append(float(value))
+            parts.append(w)
+            continue
         tried = (*parts, w)  # the undominated parts ascending, then w
         floats = [fv[w - j] + fc[j] for j in tried]
         floor = max(floats) * (1 - FLOAT_TIE)

@@ -1,5 +1,6 @@
 """Coefficient tables and the CSV interchange format."""
 
+import time
 import tracemalloc
 import weakref
 from decimal import Decimal, localcontext
@@ -17,6 +18,7 @@ from grouprange import (
     generalized_harmonic,
     load_table,
 )
+from grouprange import coefficients
 from grouprange.coefficients import FLOAT_C_ERROR
 
 from partition_reference import harmonic_oracle
@@ -65,22 +67,36 @@ def test_entries_positive_and_increasing():
         assert t.c(j + 1) > t.c(j)
 
 
-def test_exponential_table_builds_entries_when_read():
+def test_exponential_table_builds_entries_when_read(monkeypatch):
     # the span, its length and coverage build nothing; each read entry
     # equals the eagerly built CoefficientEntry(j, H(j-1, 1), H(j-1, 2))
+    # and lands in the one memo every exponential table reads
+    monkeypatch.setattr(coefficients, "_entries", {})
     t = exponential_table(2000)
     assert (len(t.entries), t.max_part, t.covers(2000), t.covers(2001)) == (1999, 2000, True, False)
-    assert t.entries._built == {}
-    assert t.c_float(2000) > 0 and t.entries._built == {}
-    assert t.entry(7) is t.entries[5] is t.entries[-1994]
-    assert list(t.entries._built) == [7]
+    assert coefficients._entries == {}
+    assert t.c_float(2000) > 0 and coefficients._entries == {}
+    assert t.entry(7) is t.entries[5] is t.entries[-1994] is exponential_table(9).entry(7)
+    assert list(coefficients._entries) == [7]
     for j in range(2, 2001):
         eager = CoefficientEntry(j, generalized_harmonic(j - 1, 1), generalized_harmonic(j - 1, 2))
         assert t.entry(j) == eager, j
-    assert t.entries == tuple(t.entries) and tuple(t.entries) == t.entries
-    assert t.entries[3:6] == (t.entry(5), t.entry(6), t.entry(7))
+    assert tuple(t.entries) == tuple(t.entry(j) for j in range(2, 2001))
     with pytest.raises(IndexError):
         t.entries[1999]
+
+
+def test_exponential_identity_builds_nothing(monkeypatch):
+    # equality, hash and repr read the span alone, in O(1) at any max_part
+    monkeypatch.setattr(coefficients, "_entries", {})
+    t, twin = exponential_table(50_000), exponential_table(50_000)
+    for probe in (lambda: t == twin, lambda: hash(t), lambda: repr(t)):
+        start = time.perf_counter()
+        probe()
+        assert time.perf_counter() - start < 0.05
+    assert t == twin and hash(t) == hash(twin) and t != exponential_table(49_999)
+    assert repr(t.entries) == "_ExponentialEntries(parts=range(2, 50001))"
+    assert coefficients._entries == {}
 
 
 def test_float_coefficients_within_bound():
@@ -110,11 +126,11 @@ def test_tables_compare_by_value():
     b = exponential_table(6)
     assert a == b and hash(a) == hash(b)
     assert a != exponential_table(7)
-    # built lazily or loaded, the same entries make the same table
+    # a loaded table holds the same rows, but an exponential table is its span
     loaded = load_table(export_table(exponential_table(3)), label="exponential")
-    assert loaded == exponential_table(3) and hash(loaded) == hash(exponential_table(3))
-    assert repr(loaded) == repr(exponential_table(3))
-    assert load_table(export_table(exponential_table(3))) != exponential_table(3)  # the label
+    assert loaded.entries == tuple(exponential_table(3).entries)
+    assert loaded != exponential_table(3) and loaded == load_table(export_table(loaded), "exponential")
+    assert load_table(export_table(exponential_table(3))) != loaded  # the label
 
 
 def test_tables_are_weak_referenceable():
@@ -332,7 +348,7 @@ def test_load_holds_the_file_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.entries == exponential_table(3).entries
+    assert table.entries == tuple(exponential_table(3).entries)
     assert peak < len(data) / 4
 
 
@@ -356,7 +372,7 @@ def test_export_load_round_trip_exponential():
     t = exponential_table(12)
     data = export_table(t)
     reloaded = load_table(data, label="exponential")
-    assert reloaded == t
+    assert reloaded.entries == tuple(t.entries)
     assert export_table(reloaded) == data
 
 

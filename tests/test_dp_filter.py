@@ -5,24 +5,26 @@ filter and the dominance pruning: every part is compared in Fraction
 arithmetic at every capacity.  ``solve_dp`` must return the same
 partition, objective and tie-break for every n on random tables,
 tie-heavy tables, tables with near ties far below float resolution,
-convex tables (C_j / j increasing, the shape the filter exists for)
-and tables whose d and k_sq sit at the ends of the range
-``CoefficientEntry`` accepts.
+convex tables (C_j / j increasing, the shape the filter exists for),
+tables whose d and k_sq sit at the ends of the range
+``CoefficientEntry`` accepts, and tables whose capacities meet the LP
+bound that fills them in O(1).
 
 ``reference_group_relaxation`` is the group relaxation as it stood
 before its scans read floats: the best part and every penalty w_j
 compared in Fraction arithmetic, and Dijkstra run afresh for each n.
 ``build_residue_graph`` and ``solve_group_relaxation`` must match it
 on random, tie-heavy and near-tie tables (a best-part ratio or a
-penalty within 1e-12 relative of its rival) and on a table whose best
-part changes with n.
+penalty within 1e-12 relative of its rival), on the LP bound's tables
+and on a table whose best part changes with n.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grouprange import (
     CoefficientEntry,
@@ -37,6 +39,7 @@ from grouprange import (
     solve_dp,
     solve_group_relaxation,
 )
+from grouprange import optimizer
 from grouprange.optimizer import _states
 
 
@@ -109,9 +112,26 @@ def test_exponential_table_prunes_to_parts_2_to_5():
 
 positive = st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000)
 
+# C_j for j = 2..31 of tables whose capacities meet the LP bound
+# w * max_{j <= w} C_j / j: every capacity on the convex (C_j = j**2) and
+# the all-tied (C_j = j/2) table, the even ones on the parity table, whose
+# odd parts fall 1e-12 short of j/2, tie (j - 3, 3) and stay undominated
+BOUND_TABLES = {
+    "convex": [Fraction(j * j) for j in range(2, 32)],
+    "all_tied": [Fraction(j, 2) for j in range(2, 32)],
+    "parity": [Fraction(j, 2) - Fraction(j % 2, 10**12) for j in range(2, 32)],
+}
+
+
+def bound_table_examples(test):
+    for cs in BOUND_TABLES.values():
+        test = example(cs=cs, order_seed=0)(test)
+    return test
+
 
 @settings(max_examples=60, deadline=None)
 @given(cs=st.lists(positive, min_size=1, max_size=28), order_seed=st.integers(0, 2**16))
+@bound_table_examples
 def test_random_tables(cs, order_seed):
     assert_matches_reference(table_of(cs), order_seed)
 
@@ -198,6 +218,30 @@ def test_convex_tables(c2, steps, order_seed):
     assert _states[id(table)].parts == list(range(2, table.max_part + 1))
 
 
+def test_all_tied_fill_builds_a_key_per_capacity_at_most(monkeypatch):
+    # every part of the all-tied table ties in floats, so each capacity
+    # would send every part to the exact comparison, about n**2 / 2 keys
+    # by n; the LP bound fills each capacity with its one part
+    calls = []
+    with_part = optimizer._with_part
+    monkeypatch.setattr(optimizer, "_with_part", lambda key, j: calls.append(j) or with_part(key, j))
+    n = 1500
+    table = table_of([Fraction(j, 2) for j in range(2, n + 1)])
+    assert solve_dp(n, table).partition.parts == (n,)
+    assert len(calls) <= n
+
+
+def test_convex_fill_at_the_cli_bound_is_fast():
+    # on the convex table the float filter passes one candidate a
+    # capacity, but the fill still summed every part's float, O(n**2):
+    # 5 to 8 s at n = 10,000; with the LP bound each capacity is O(1)
+    n = 10_000
+    table = table_of([Fraction(j * j) for j in range(2, n + 1)])
+    start = time.perf_counter()
+    assert solve_dp(n, table).partition.parts == (n,)
+    assert time.perf_counter() - start < 2
+
+
 LOW, HIGH = Fraction(1, 10**50), Fraction(10**50)  # CoefficientEntry's bounds on d and k_sq
 CORNERS = [(d, k_sq) for d in (LOW, HIGH) for k_sq in (LOW, HIGH)]
 JUST = Fraction(1, 10**30)
@@ -269,6 +313,7 @@ def assert_gr_matches_reference(table, order_seed=0):
 
 @settings(max_examples=60, deadline=None)
 @given(cs=st.lists(positive, min_size=1, max_size=28), order_seed=st.integers(0, 2**16))
+@bound_table_examples
 def test_gr_random_tables(cs, order_seed):
     assert_gr_matches_reference(table_of(cs), order_seed)
 

@@ -11,10 +11,12 @@ capacity and one term at a time, the check on the block-wise prefix.
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from grouprange import (
+    CoefficientEntry,
     Partition,
     asymptotic_admissible,
     count_admissible,
@@ -108,20 +110,20 @@ def test_partition_rejects_invalid():
 
 # The validated records take equality, hash and repr from their fields,
 # in the order __init__ sets them; each repr below is pinned as it was
-# when every record wrote its own.
+# when every record wrote its own, but the exponential table's, which
+# prints its span.
 IDENTITY_CASES = [
     (lambda: Partition.from_parts([5, 5, 4, 4, 4]),
      "Partition(n=22, frequencies=((4, 3), (5, 2)))"),
-    (lambda: exponential_table(4).entry(3),
+    (lambda: CoefficientEntry(3, Fraction(3, 2), Fraction(5, 4)),
      "CoefficientEntry(j=3, d=Fraction(3, 2), k_sq=Fraction(5, 4), c=Fraction(9, 5))"),
     (lambda: load_table("j,d,k_sq\n2,1,3\n3,3/2,5/4\n"),
      "CoefficientTable(distribution_label='custom', entries=("
      "CoefficientEntry(j=2, d=Fraction(1, 1), k_sq=Fraction(3, 1), c=Fraction(1, 3)), "
      "CoefficientEntry(j=3, d=Fraction(3, 2), k_sq=Fraction(5, 4), c=Fraction(9, 5))))"),
     (lambda: exponential_table(3),
-     "CoefficientTable(distribution_label='exponential', entries=("
-     "CoefficientEntry(j=2, d=Fraction(1, 1), k_sq=Fraction(1, 1), c=Fraction(1, 1)), "
-     "CoefficientEntry(j=3, d=Fraction(3, 2), k_sq=Fraction(5, 4), c=Fraction(9, 5))))"),
+     "CoefficientTable(distribution_label='exponential', "
+     "entries=_ExponentialEntries(parts=range(2, 4)))"),
 ]
 
 
