@@ -23,16 +23,16 @@ rendered from it.  A usage error is one "error:" line and exit 2.  Each
 command also declares its text and CSV renderers: a handler checks its
 input and returns its payload, and main renders it in the chosen format.
 
-Output is written whole once a command ends.  Exit codes: 0 success,
-1 output not written (a full disk), 2 usage error, 3 input or table parse
-error, 4 verification failure (solver disagreement or a failed check).
-A closed pipe is no error: every code stands, 4 included.
+Output is written as it renders, once the payload is complete and
+printable.  Exit codes: 0 success, 1 output not written (a full disk),
+2 usage error, 3 input or table parse error, 4 verification failure
+(solver disagreement or a failed check).  A closed pipe is no error:
+every code stands, 4 included.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import sys
 from types import SimpleNamespace
@@ -59,10 +59,11 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # one (C_j = j**2) 0.5 s and 26 MB at 10,000; one whose undominated parts
 # miss the bound stays quadratic: the parity table (C_j = j/2, less 1e-12
 # at odd j) takes 1.1 to 1.8 s at 1,000, 6.5 s at 2,000, 30 s at 4,000 and
-# 150 s at 10,000; optimal --method closed 0.1 to 0.4 s and 35 MB, its parts
-# being O(n) (10**7 takes 0.6 s and 207 MB); table 0.6 s and 36 MB in text, 0.7 s
-# and 38 MB in csv, 0.5 s and 114 MB in json; verify at both bounds 0.5 s
-# and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
+# 150 s at 10,000; optimal --method closed, its parts being O(n), 0.06 to 0.08 s
+# and 16 MB in text, 0.07 to 0.12 s and 17 MB in csv and 0.07 to 0.09 s and 25 MB
+# in json, whose one run of 250,000 parts is a 3.75 MB string; table 0.2 to 0.4 s
+# in text, 0.35 to 0.65 s in csv and 0.3 to 0.45 s in json, 19 MB in each; verify
+# at both bounds 0.5 s and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
 # simulate peaks near 8 bytes per replicate (the estimates): 2e7
 # replicates of n = 2 take 190 MB; 5e8 draws take 8 s for the optimal
 # plan at n = 10000, 9 s at n = 25 and 2e7 replicates, and 29 s for
@@ -158,10 +159,13 @@ def _write_json(x: Any, write: Callable[[str], Any], pad: str = "\n") -> None:
         write(pad + "]" if x else "[]")
     elif isinstance(x, Partition):
         item = f",{inner}  "
-        parts = "".join(f"{item}{j}" * m for j, m in reversed(x.frequencies))
+        opening = f'{{{inner}"n": {x.n},{inner}"parts": [{item[1:]}'
+        for j, m in reversed(x.frequencies):
+            write(f"{opening}{j}")
+            write(f"{item}{j}" * (m - 1))
+            opening = item
         counts = item.join(f'"{j}": {m}' for j, m in x.frequencies)
-        write(f'{{{inner}"n": {x.n},{inner}"parts": [{parts[1:]}{inner}],'
-              f'{inner}"frequencies": {{{item[1:]}{counts}{inner}}}{pad}}}')
+        write(f'{inner}],{inner}"frequencies": {{{item[1:]}{counts}{inner}}}{pad}}}')
     # a payload that holds a Fraction has loaded its module; count's never does
     elif isinstance(x, getattr(sys.modules.get("fractions"), "Fraction", ())):
         _write_json({"exact": str(x), "float": float(x)}, write, pad)
@@ -188,32 +192,43 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
 _UNPRINTABLE = "cannot print an exact value of the result: "  # past the int-to-str limit
 
 
+def _check_printable(payload: Any) -> None:
+    """Convert every exact value in ``payload`` to text, as each format does, so that
+    one past the int-to-str limit is an InputError before any output is written."""
+    exact = (int, getattr(sys.modules.get("fractions"), "Fraction", ()))
+    stack = [payload]
+    with _reraise(InputError, _UNPRINTABLE):
+        while stack:
+            x = stack.pop()
+            if isinstance(x, (dict, list, tuple)):
+                stack.extend(x.values() if isinstance(x, dict) else x)
+            elif isinstance(x, exact):
+                str(x)
+
+
 def _emit(command: str, fmt: str, payload: dict[str, Any]) -> None:
     *_, to_text, to_csv = COMMANDS[command]
-    # into main's buffer, which an InputError drops: an unprintable value shows nothing
-    with _reraise(InputError, _UNPRINTABLE):
-        if fmt == "json":
-            # main's buffer keeps every string written to it until it is read, so hand it
-            # joins of about 1 MB: table 2 5000 then peaks at 114 MB, not 128 MB
-            chunks, size = [], 0
+    if fmt == "json":
+        # hand stdout joins of about 32 KB: a write per token is slower through a pipe
+        chunks, size = [], 0
 
-            def put(text: str) -> None:
-                nonlocal size
-                chunks.append(text)
-                size += len(text)
-                if size > 1 << 20:
-                    sys.stdout.write("".join(chunks))
-                    chunks.clear()
-                    size = 0
+        def put(text: str) -> None:
+            nonlocal size
+            chunks.append(text)
+            size += len(text)
+            if size > 1 << 15:
+                sys.stdout.write("".join(chunks))
+                chunks.clear()
+                size = 0
 
-            _write_json({"command": command, "format": "json", "payload": payload}, put)
-            print("".join(chunks))
-        elif fmt == "csv":
-            import csv  # here, so that only csv output (or a --table) loads it
-            # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
-            csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
-        else:
-            to_text(payload)
+        _write_json({"command": command, "format": "json", "payload": payload}, put)
+        print("".join(chunks))
+    elif fmt == "csv":
+        import csv  # here, so that only csv output (or a --table) loads it
+        # csv prints a float by repr, a Fraction as p/q, a Partition as 5,5,4
+        csv.writer(sys.stdout, lineterminator="\n").writerows(to_csv(payload))
+    else:
+        to_text(payload)
 
 
 def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
@@ -231,11 +246,14 @@ def _csv_fields(record: dict[str, Any]) -> Iterator[tuple[str, Any]]:
                 yield f"{key}_float", float(value)
 
 
-def _records_csv(records: list[dict[str, Any]]) -> list[list[Any]]:
-    """A header and one row per record: its fields in order, ``<field>_float``
-    after each Fraction, and weights as ``part:weight`` pairs."""
-    rows = [dict(_csv_fields(record)) for record in records]
-    return [list(rows[0])] + [list(row.values()) for row in rows]
+def _records_csv(records: list[dict[str, Any]]) -> Iterator[list[Any]]:
+    """A header and one row per record, as they are written: its fields in order,
+    ``<field>_float`` after each Fraction, and weights as ``part:weight`` pairs."""
+    for i, record in enumerate(records):
+        row = dict(_csv_fields(record))
+        if i == 0:
+            yield list(row)
+        yield list(row.values())
 
 
 # ---------------------------------------------------------------- optimal
@@ -377,8 +395,7 @@ def cmd_simulate(args: SimpleNamespace) -> dict[str, Any]:
     else:
         partition = solve_group_relaxation(n, table).partition
     plan = make_plan(partition, table)
-    with _reraise(InputError, _UNPRINTABLE):  # the one exact value shown; fail before simulating
-        str(plan.variance_factor)
+    _check_printable(plan.variance_factor)  # the one exact value shown; fail before simulating
     from .simulation import monte_carlo  # after the checks: only a run that simulates loads numpy
     report = monte_carlo(plan, args.theta, args.reps, args.seed)
 
@@ -580,11 +597,11 @@ def _convert(name: str, kind: Any, token: str) -> Any:
         raise UsageError(f"argument {name}: invalid {kind.__name__} value: {token!r}") from None
 
 
-def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
     """Read ``argv`` by COMMANDS as argparse would: a long option may be any unique prefix
     and take its value as --opt=value or as the next argument, a repeated option's last
-    value wins, -1 is a value, and after -- every argument is positional.  Return None
-    once --help is printed."""
+    value wins, -1 is a value, and after -- every argument is positional.  Return the
+    help text for --help."""
     command, spec, args, extras, dashes = None, {}, {}, [], False
     options = {"-h": _HELP, "--help": _HELP}
     tokens = iter(argv)
@@ -610,8 +627,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
             if kind is bool and "=" in token:
                 raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
             if options[name] is _HELP:
-                print(_help(command), end="")
-                return None
+                return _help(command)
             if kind is not bool and "=" not in token:
                 value = next(tokens, None)
                 if value is None or _option(value, options) is not None:
@@ -655,23 +671,26 @@ def _error(message: str) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and render its payload; return its exit code.  The output,
-    ``--help`` included, is written to stdout whole and flushed once it is rendered."""
+    ``--help`` included, is written to stdout as it renders, once the payload is
+    complete and printable, and then flushed."""
     code, failed_check = 0, None
-    with contextlib.redirect_stdout(io.StringIO()) as shown:
-        try:
-            args = _parse(sys.argv[1:] if argv is None else argv)
-            if args is not None:
-                try:
-                    payload = args.func(args)
-                except VerificationError as exc:  # shown, then the check's error line
-                    payload, code, failed_check = exc.payload, exc.exit_code, exc
-                _emit(args.command, args.format, payload)
-        except (UsageError, InputError) as exc:  # what was rendered is dropped
-            _error(str(exc))
-            return exc.exit_code
+    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if not isinstance(args, str):
+            try:
+                payload = args.func(args)
+            except VerificationError as exc:  # shown, then the check's error line
+                payload, code, failed_check = exc.payload, exc.exit_code, exc
+            _check_printable(payload)
+    except (UsageError, InputError) as exc:  # nothing is written yet
+        _error(str(exc))
+        return exc.exit_code
     try:
         with contextlib.suppress(BrokenPipeError):  # a reader that closed early: the code stands
-            sys.stdout.write(shown.getvalue())
+            if isinstance(args, str):
+                sys.stdout.write(args)
+            else:
+                _emit(args.command, args.format, payload)
             sys.stdout.flush()
     except OSError as exc:
         _error(f"cannot write output: {exc}")

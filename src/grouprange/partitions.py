@@ -98,7 +98,7 @@ class Partition(_Frozen):
         return tuple(out)
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+        return ",".join(",".join([str(p)] * m) for p, m in reversed(self.frequencies))
 
 
 # Rademacher's remainder bound M(n, N) as Johansson states it (eq. 1.8)

@@ -494,8 +494,8 @@ def test_over_long_exact_result_exits_3(tmp_path, capsys, fmt):
 
 
 def test_simulate_over_long_exact_result_exits_3(capsys):
-    # the variance factor is checked before the draws (29 s of them), with
-    # _emit's message
+    # the variance factor is checked before the draws (29 s of them), by the
+    # check every payload passes before it is written
     spec = ",".join(map(str, range(2, 141)))
     start = time.perf_counter()
     code, out, err = run(capsys, "simulate", "9869", "--reps", "50663", "--partition", spec)
@@ -857,3 +857,22 @@ def test_failed_check_survives_a_stdout_that_refuses_output(monkeypatch, capsys,
         raise error
     monkeypatch.setattr(sys.stdout, "write", write)
     assert run(capsys, *argv) == expected
+
+
+def test_stdout_that_fails_mid_stream(monkeypatch, capsys):
+    # the output is written as it renders, one csv row per write, so the rows before
+    # the failed write are out: a full disk is still exit 1 with one error line, and
+    # a closed pipe exit 0 with none
+    argv = ["table", "2", "400", "--format", "csv"]
+    rows = run(capsys, *argv)[1].splitlines(keepends=True)
+    real = sys.stdout.write
+    for error, code, err in [(_FULL, 1, f"error: cannot write output: {_FULL}\n"), (_PIPE, 0, "")]:
+        calls = []
+
+        def write(text, error=error, calls=calls):
+            calls.append(text)
+            if len(calls) == 3:
+                raise error
+            return real(text)
+        monkeypatch.setattr(sys.stdout, "write", write)
+        assert run(capsys, *argv) == (code, "".join(rows[:2]), err)

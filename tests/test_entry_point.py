@@ -3,10 +3,11 @@ console script, runs `cli.run`, which ends the process without the
 interpreter's teardown once `main` has written and flushed the output.
 
 A child prints what in-process `main()` prints, byte for byte, and
-exits with its code; a large output arrives whole through a pipe; a
-reader that closes the pipe early sees exit 0 and no stderr; output
-that cannot be written ends in one `error:` line and exit 1; an
-`error:` line that cannot be written keeps the exit code.
+exits with its code; a large output arrives whole through a pipe, and
+its peak memory does not grow with the output; a reader that closes the
+pipe early sees exit 0 and no stderr; output that cannot be written ends
+in one `error:` line and exit 1; an `error:` line that cannot be written
+keeps the exit code.
 """
 
 from __future__ import annotations
@@ -79,10 +80,24 @@ def test_large_output_arrives_whole_through_a_pipe(workdir, capsysbinary):
     assert run_child(argv, workdir) == in_process
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "2", "5000", "--format", "json"],  # 114 MB when main held the output whole
+    ["table", "2", "5000", "--format", "csv"],
+    ["table", "2", "5000", "--format", "text"],
+    ["optimal", "1000000", "--method", "closed"],  # one partition of 250,000 parts
+])
+def test_output_memory_is_bounded(argv, cli_peak):
+    # the output is written as it renders, so its size does not set the peak
+    code, peak = cli_peak(*argv)
+    assert code == 0
+    assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("argv, read", [
-    (["table", "2", "5000", "--format", "json"], 1),  # still writing: fails at main's write
-    (["count", "0"], 0),  # closed before the child writes: fails at main's flush
-    (["--help"], 0),  # help goes to main's buffer, then fails at main's flush
+    (["table", "2", "5000", "--format", "json"], 1),  # still writing: a write mid-render fails
+    (["count", "0"], 0),  # closed before the child writes: the final flush fails
+    (["--help"], 0),  # help fits stdout's buffer, so the final flush fails
+    (["table", "2", "5000", "--format", "text"], 1),  # a print mid-render fails
 ])
 def test_closed_pipe_ends_quietly(argv, read, workdir):
     with child(argv, workdir, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
@@ -95,12 +110,13 @@ def test_closed_pipe_ends_quietly(argv, read, workdir):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv, unbuffered", [
-    (["count", "0"], False),  # fails at main's flush
-    (["count", "0"], True),  # fails at main's write
-    (["table", "2", "3000", "--format", "json"], False),  # past the buffer: at main's write
-    (["--help"], False),  # help goes to main's buffer, so main's write fails
+    (["count", "0"], False),  # fails at the final flush
+    (["count", "0"], True),  # fails at the first write
+    (["table", "2", "3000", "--format", "json"], False),  # past the buffer: a write mid-render
+    (["--help"], False),  # help fits stdout's buffer, so the final flush fails
     (["--help"], True),
     (["optimal", "--help"], True),  # a command's help
+    (["table", "2", "5000", "--format", "text"], False),  # past the buffer: a print mid-render
 ])
 def test_unwritable_output_exits_1(argv, unbuffered, workdir):
     with open("/dev/full", "wb") as full, child(argv, workdir, unbuffered, stdout=full,
