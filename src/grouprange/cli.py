@@ -59,11 +59,15 @@ FORMAT_ENV = "GROUPRANGE_FORMAT"
 # one (C_j = j**2) 0.5 s and 26 MB at 10,000; one whose undominated parts
 # miss the bound stays quadratic: the parity table (C_j = j/2, less 1e-12
 # at odd j) takes 1.1 to 1.8 s at 1,000, 6.5 s at 2,000, 30 s at 4,000 and
-# 150 s at 10,000; optimal --method closed, its parts being O(n), 0.06 to 0.08 s
-# and 16 MB in text, 0.07 to 0.12 s and 17 MB in csv and 0.07 to 0.09 s and 25 MB
-# in json, whose one run of 250,000 parts is a 3.75 MB string; table 0.2 to 0.4 s
-# in text, 0.35 to 0.65 s in csv and 0.3 to 0.45 s in json, 19 MB in each; verify
-# at both bounds 0.5 s and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
+# 150 s at 10,000.  A large best part b costs the relaxation's Dijkstra
+# b * (b - 1) exact additions, and the DP misses the bound past b: C_j = j
+# but C_b = b + 1, b = (n - 1) // 2, takes 29 s at 4,000 and 163 s at 10,000
+# (--method dp 10.5 s and 74 s).  optimal --method closed, its parts being
+# O(n), 0.06 to 0.08 s and 16 MB in text, 0.07 to 0.12 s and 17 MB in csv and
+# 0.05 to 0.13 s and 14 MB in json, which writes its one run of 250,000 parts
+# in pieces of at most 32 KB; table 0.2 to 0.4 s in text, 0.35 to 0.65 s in
+# csv and 0.3 to 0.45 s in json, 19 MB in each; verify at both bounds 0.5 s
+# and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
 # simulate peaks near 8 bytes per replicate (the estimates): 2e7
 # replicates of n = 2 take 190 MB; 5e8 draws take 8 s for the optimal
 # plan at n = 10000, 9 s at n = 25 and 2e7 replicates, and 29 s for
@@ -120,6 +124,7 @@ def _reraise(error: type[Exception], prefix: str = "") -> Iterator[None]:
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JOIN = 1 << 15  # JSON reaches stdout in joins of about 32 KB: a write per token is slower
 
 
 def _json_str(s: str) -> str:
@@ -132,7 +137,8 @@ def _json_str(s: str) -> str:
 def _write_json(x: Any, write: Callable[[str], Any], pad: str = "\n") -> None:
     """Write ``x`` as ``json.dump(x, indent=2)`` would at indent ``pad``: a
     Fraction as {"exact": "p/q", "float": ...}, a Partition as {n, parts,
-    frequencies} with each run of equal parts written by string repetition."""
+    frequencies} with each run of equal parts written by string repetition, in
+    pieces of at most 32 KB."""
     inner = pad + "  "
     if isinstance(x, str):
         write(_json_str(x))
@@ -162,7 +168,10 @@ def _write_json(x: Any, write: Callable[[str], Any], pad: str = "\n") -> None:
         opening = f'{{{inner}"n": {x.n},{inner}"parts": [{item[1:]}'
         for j, m in reversed(x.frequencies):
             write(f"{opening}{j}")
-            write(f"{item}{j}" * (m - 1))
+            unit = f"{item}{j}"
+            step = _JOIN // len(unit)
+            for left in range(m - 1, 0, -step):
+                write(unit * min(step, left))
             opening = item
         counts = item.join(f'"{j}": {m}' for j, m in x.frequencies)
         write(f'{inner}],{inner}"frequencies": {{{item[1:]}{counts}{inner}}}{pad}}}')
@@ -209,14 +218,13 @@ def _check_printable(payload: Any) -> None:
 def _emit(command: str, fmt: str, payload: dict[str, Any]) -> None:
     *_, to_text, to_csv = COMMANDS[command]
     if fmt == "json":
-        # hand stdout joins of about 32 KB: a write per token is slower through a pipe
         chunks, size = [], 0
 
         def put(text: str) -> None:
             nonlocal size
             chunks.append(text)
             size += len(text)
-            if size > 1 << 15:
+            if size > _JOIN:
                 sys.stdout.write("".join(chunks))
                 chunks.clear()
                 size = 0

@@ -51,6 +51,10 @@ solve_group_relaxation
     one step from 0, and n = b has residue 0.  The one fallback is
     f_b < 0: solve_dp answers, labeled "dp" (only n = 6 at n <= 400 on
     the exponential table); otherwise the relaxation's answer is exact.
+    Its tie-break is its own: the smallest best part on ratio ties, then
+    the path with the fewest parts.  On a table with tied optima its
+    maximizer can differ from solve_dp's, with the same objective: at
+    n = 11 on C_j = j/2, (3, 2, 2, 2, 2) against (11,).
     Each table keeps the best part and one penalty minimum per class
     over the parts scanned, so an ascending sweep n = 2..N costs O(N)
     float operations, and Dijkstra runs once per distinct graph.  A

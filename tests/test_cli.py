@@ -381,6 +381,17 @@ def test_custom_table_refuses_closed_form(tmp_path, capsys):
     assert "closed-form" in err
 
 
+def test_tied_optima_show_each_solvers_maximizer(tmp_path, capsys):
+    # C_j = j/2: the DP takes the fewest parts, the relaxation the smallest best part
+    path = tmp_path / "tied.csv"
+    path.write_text("j,d,k_sq\n" + "".join(f"{j},{j},{2 * j}\n" for j in range(2, 12)))
+    code, out, err = run(capsys, "optimal", "11", "--table", str(path), "--method", "all")
+    assert (code, err) == (0, "")
+    assert "method dp: partition 11\n" in out
+    assert "method group_relaxation: partition 3,2,2,2,2\n" in out
+    assert out.endswith("agreement (dp/group_relaxation): objectives equal\n")
+
+
 def test_custom_table_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("j,d,k_sq\n2,1,0\n")
@@ -513,6 +524,15 @@ def test_partition_is_json_encoded_by_the_hook():
         {"n": 13, "parts": [5, 4, 4], "frequencies": {"4": 2, "5": 1}}, indent=2)
 
 
+def test_json_writer_slices_a_long_run_of_parts():
+    # optimal 1000000 --method closed: one run of 250,000 parts, 3.75 MB whole
+    written = []
+    partition = Partition.from_frequencies({4: 250_000})
+    _write_json(partition, written.append)
+    assert max(map(len, written)) <= 1 << 15
+    assert "".join(written) == json_dump(partition)
+
+
 def json_dump_hook(x):
     """The ``default`` hook of the ``json.dump`` the writer replaced."""
     if isinstance(x, Fraction):
@@ -606,9 +626,10 @@ def test_stdout_that_refuses_output(monkeypatch, capsys, argv):
 
 def test_unreadable_table_is_an_input_error(tmp_path, capsys):
     # a table read's OSError is an input error, not a failed write of the output
-    code, out, err = run(capsys, "optimal", "3", "--table", str(tmp_path))
-    assert (code, out) == (3, "")
-    assert err.startswith("error: cannot read table file: ") and err.count("\n") == 1
+    for directory in (tmp_path, "/"):
+        code, out, err = run(capsys, "optimal", "3", "--table", str(directory))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read table file: ") and err.count("\n") == 1
 
 
 def test_usage_exit_codes(capsys):

@@ -19,9 +19,13 @@ penalty within 1e-12 relative of its rival), on the LP bound's tables
 and on a table whose best part changes with n.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -229,6 +233,18 @@ def test_all_tied_fill_builds_a_key_per_capacity_at_most(monkeypatch):
     table = table_of([Fraction(j, 2) for j in range(2, n + 1)])
     assert solve_dp(n, table).partition.parts == (n,)
     assert len(calls) <= n
+
+
+def test_all_tied_table_runs_cold_in_seconds(tmp_path):
+    # cold optimal 4000 --table takes 0.2 to 0.5 s; the quadratic fill took 31 s
+    path = tmp_path / "tied.csv"
+    path.write_text("j,d,k_sq\n" + "".join(f"{j},{j},{2 * j}\n" for j in range(2, 4001)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
+    argv = ["optimal", "4000", "--table", str(path), "--format", "csv"]
+    proc = subprocess.run([sys.executable, "-m", "grouprange.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_convex_fill_at_the_cli_bound_is_fast():

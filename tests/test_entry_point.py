@@ -1,6 +1,7 @@
 """The process entry: `python -m grouprange.cli`, like the `grouprange`
-console script, runs `cli.run`, which ends the process without the
-interpreter's teardown once `main` has written and flushed the output.
+console script that pyproject.toml declares, runs `cli.run`, which ends
+the process without the interpreter's teardown once `main` has written
+and flushed the output.
 
 A child prints what in-process `main()` prints, byte for byte, and
 exits with its code; a large output arrives whole through a pipe, and
@@ -12,7 +13,9 @@ keeps the exit code.
 
 from __future__ import annotations
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +67,15 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def test_console_script_runs_cli_run():
+    # the [project.scripts] line, read as text: Python 3.10 has no tomllib
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = re.fullmatch(r'grouprange = "([\w.]+):(\w+)"', scripts.strip())
+    assert target and target.groups() == ("grouprange.cli", "run")
+    assert callable(getattr(importlib.import_module(target[1]), target[2]))
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("argv, code", PARITY_CASES, ids=[" ".join(a) for a, _ in PARITY_CASES])
 def test_child_matches_main(argv, code, fmt, workdir, capsysbinary):
@@ -85,6 +97,7 @@ def test_large_output_arrives_whole_through_a_pipe(workdir, capsysbinary):
     ["table", "2", "5000", "--format", "csv"],
     ["table", "2", "5000", "--format", "text"],
     ["optimal", "1000000", "--method", "closed"],  # one partition of 250,000 parts
+    ["optimal", "1000000", "--method", "closed", "--format", "json"],  # a 3.75 MB run, sliced
 ])
 def test_output_memory_is_bounded(argv, cli_peak):
     # the output is written as it renders, so its size does not set the peak
@@ -100,12 +113,14 @@ def test_output_memory_is_bounded(argv, cli_peak):
     (["table", "2", "5000", "--format", "text"], 1),  # a print mid-render fails
 ])
 def test_closed_pipe_ends_quietly(argv, read, workdir):
-    with child(argv, workdir, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert len(proc.stdout.read(read)) == read
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 0
-    assert err == b""
+    for unbuffered in (False, True):  # unbuffered, the first write after the close fails
+        with child(argv, workdir, unbuffered, stdout=subprocess.PIPE,
+                   stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(read)) == read
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0
+        assert err == b""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
