@@ -1,13 +1,7 @@
 """Command-line interface.
 
-Commands
-    optimal N      optimal allocation of N observations, with weights;
-                   N <= 10000, or N <= 1000000 with the closed form
-    table A B      optimal allocation for every n in A..B, B <= 5000
-    simulate N     seeded Monte-Carlo run of an estimator plan; N <= 10000,
-                   --reps <= 20000000 and N * reps <= 500000000 draws
-    verify         peak-ratio scan to 50000, solver-agreement sweep to 5000
-    count N        number of admissible partitions of N, for N <= 50000
+The commands are optimal, table, simulate, verify and count; --help lists
+each command's arguments and bounds.
 
 Every command accepts --format {text,json,csv}; the default comes from
 the GROUPRANGE_FORMAT environment variable, falling back to text.
@@ -49,31 +43,12 @@ __all__ = ["main", "run"]
 
 FORMATS = ("text", "json", "csv")
 FORMAT_ENV = "GROUPRANGE_FORMAT"
-# The largest n each command takes, checked before any work.  Cold on a
-# 2-core host: count 0.04 to 0.06 s and 14 MB in every format (and below
-# 76,568, from which the float asymptotic estimate would overflow and
-# asymptotic_admissible rejects n); optimal 0.15 to 0.2 s and 19 MB on the
-# exponential table.  On a --table the DP fills in O(1) each capacity whose
-# part meets the LP bound, so a table whose parts all tie (C_j = j/2) takes
-# 0.2 to 0.3 s at n = 4,000 and 0.5 to 0.8 s and 23 MB at 10,000, a convex
-# one (C_j = j**2) 0.5 s and 26 MB at 10,000; one whose undominated parts
-# miss the bound stays quadratic: the parity table (C_j = j/2, less 1e-12
-# at odd j) takes 1.1 to 1.8 s at 1,000, 6.5 s at 2,000, 30 s at 4,000 and
-# 150 s at 10,000.  A large best part b costs the relaxation's Dijkstra
-# b * (b - 1) exact additions, and the DP misses the bound past b: C_j = j
-# but C_b = b + 1, b = (n - 1) // 2, takes 29 s at 4,000 and 163 s at 10,000
-# (--method dp 10.5 s and 74 s).  optimal --method closed, its parts being
-# O(n), 0.06 to 0.08 s and 16 MB in text, 0.07 to 0.12 s and 17 MB in csv and
-# 0.05 to 0.13 s and 14 MB in json, which writes its one run of 250,000 parts
-# in pieces of at most 32 KB; table 0.2 to 0.4 s in text, 0.35 to 0.65 s in
-# csv and 0.3 to 0.45 s in json, 19 MB in each; verify at both bounds 0.5 s
-# and 24 MB, its peak-ratio scan alone at 50,000 0.3 s and 24 MB.
-# simulate peaks near 8 bytes per replicate (the estimates): 2e7
-# replicates of n = 2 take 190 MB; 5e8 draws take 8 s for the optimal
-# plan at n = 10000, 9 s at n = 25 and 2e7 replicates, and 29 s for
-# n = 9869 split into 139 distinct part sizes, the most runs a plan of
-# n <= 10000 has.  A --table file is read up to 64 MB and parsed to part n
-# (64 MB: 0.15 s, 77 MB; export_table's 4,900 parts, 31 MB: 3.2 to 3.6 s, 72 MB).
+# --method's solvers by the name of their function in optimizer, looked up as a
+# command runs, so that a patched or traced solver is the one called
+SOLVERS = {"dp": "solve_dp", "gr": "solve_group_relaxation", "closed": "solve_closed_form"}
+# The largest n each command takes, checked before any work; README.md's "Command
+# line" section gives each bound's measured cost.  COUNT_MAX stays below 76,568,
+# from which asymptotic_admissible rejects n.
 COUNT_MAX, OPTIMAL_MAX, TABLE_MAX, VERIFY_MAX = 50_000, 10_000, 5_000, 5_000
 CLOSED_MAX, LEMMA_MAX, TABLE_BYTES_MAX = 1_000_000, 50_000, 64_000_000
 SIMULATE_MAX, REPS_MAX, DRAWS_MAX = 10_000, 20_000_000, 500_000_000
@@ -121,6 +96,11 @@ def _reraise(error: type[Exception], prefix: str = "") -> Iterator[None]:
 
 # Payloads hold values as they are computed: Fraction, Partition, int,
 # float, str.  Each form of output converts them only when it prints.
+
+
+def _fraction() -> type | tuple:
+    """Fraction, once a payload that holds one has loaded its module; else ()."""
+    return getattr(sys.modules.get("fractions"), "Fraction", ())  # count's never does
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -175,8 +155,7 @@ def _write_json(x: Any, write: Callable[[str], Any], pad: str = "\n") -> None:
             opening = item
         counts = item.join(f'"{j}": {m}' for j, m in x.frequencies)
         write(f'{inner}],{inner}"frequencies": {{{item[1:]}{counts}{inner}}}{pad}}}')
-    # a payload that holds a Fraction has loaded its module; count's never does
-    elif isinstance(x, getattr(sys.modules.get("fractions"), "Fraction", ())):
+    elif isinstance(x, _fraction()):
         _write_json({"exact": str(x), "float": float(x)}, write, pad)
     else:
         raise TypeError(f"{type(x).__name__} is not JSON serializable")
@@ -198,15 +177,12 @@ def _result_payload(result: SolveResult, table: CoefficientTable) -> dict[str, A
     }
 
 
-_UNPRINTABLE = "cannot print an exact value of the result: "  # past the int-to-str limit
-
-
 def _check_printable(payload: Any) -> None:
     """Convert every exact value in ``payload`` to text, as each format does, so that
     one past the int-to-str limit is an InputError before any output is written."""
-    exact = (int, getattr(sys.modules.get("fractions"), "Fraction", ()))
+    exact = (int, _fraction())
     stack = [payload]
-    with _reraise(InputError, _UNPRINTABLE):
+    with _reraise(InputError, "cannot print an exact value of the result: "):
         while stack:
             x = stack.pop()
             if isinstance(x, (dict, list, tuple)):
@@ -239,26 +215,18 @@ def _emit(command: str, fmt: str, payload: dict[str, Any]) -> None:
         to_text(payload)
 
 
-def _single_row_csv(payload: dict[str, Any]) -> list[list[Any]]:
-    return [list(payload), list(payload.values())]
-
-
-def _csv_fields(record: dict[str, Any]) -> Iterator[tuple[str, Any]]:
-    from fractions import Fraction
-    for key, value in record.items():
-        if key == "weights":
-            yield key, " ".join(f"{w['part']}:{w['weight']}" for w in value)
-        else:
-            yield key, value
-            if isinstance(value, Fraction):
-                yield f"{key}_float", float(value)
-
-
 def _records_csv(records: list[dict[str, Any]]) -> Iterator[list[Any]]:
     """A header and one row per record, as they are written: its fields in order,
     ``<field>_float`` after each Fraction, and weights as ``part:weight`` pairs."""
+    fraction = _fraction()
     for i, record in enumerate(records):
-        row = dict(_csv_fields(record))
+        row = {}
+        for key, value in record.items():
+            if key == "weights":
+                value = " ".join(f"{w['part']}:{w['weight']}" for w in value)
+            row[key] = value
+            if isinstance(value, fraction):
+                row[f"{key}_float"] = float(value)
         if i == 0:
             yield list(row)
         yield list(row.values())
@@ -295,12 +263,9 @@ def cmd_optimal(args: SimpleNamespace) -> dict[str, Any]:
         raise UsageError(f"n must be <= {OPTIMAL_MAX} ({CLOSED_MAX} with --method closed), got {n}")
 
     table = _load_cli_table(args, n)
-    # looked up as the command runs, so a patched or traced solver is the one called
-    solvers = {"dp": optimizer.solve_dp, "gr": optimizer.solve_group_relaxation,
-               "closed": optimizer.solve_closed_form}
     # the default gr is checked against dp, whose result it does not show
     names = {"gr": ["gr", "dp"], "all": ["dp", "gr"] + ([] if custom else ["closed"])}
-    checked = [solvers[name](n, table) for name in names.get(args.method, [args.method])]
+    checked = [getattr(optimizer, SOLVERS[m])(n, table) for m in names.get(args.method, [args.method])]
     shown = checked[:1] if args.method == "gr" else checked
     agreed = _agree([r.objective for r in checked])
 
@@ -468,11 +433,10 @@ def cmd_verify(args: SimpleNamespace) -> dict[str, Any]:
     table = exponential_table(max(args.lemma_max, args.agree_max))
     report = verify_lemma(args.lemma_max, table)
 
-    solvers = (optimizer.solve_dp, optimizer.solve_group_relaxation, optimizer.solve_closed_form)
     mismatches: list[int] = []
     ties: list[int] = []
     for n in range(2, args.agree_max + 1):
-        results = [solve(n, table) for solve in solvers]
+        results = [getattr(optimizer, name)(n, table) for name in SOLVERS.values()]
         if not _agree([r.objective for r in results]):
             mismatches.append(n)
         elif not _agree([r.partition for r in results]):
@@ -553,7 +517,7 @@ COMMANDS: dict[str, tuple] = {
     "optimal": (cmd_optimal, "optimal allocation for one n", {
         "n": (int, None, f"number of observations, 2..{OPTIMAL_MAX} "
                          f"(2..{CLOSED_MAX} with --method closed)"),
-        "--method": (("dp", "gr", "closed", "all"), "gr",
+        "--method": ((*SOLVERS, "all"), "gr",
                      "solver (default: group relaxation with dp cross-check)"),
         "--table": (str, None, "coefficient CSV for a non-exponential distribution"),
         "--format": _FORMAT}, _optimal_text, lambda payload: _records_csv(payload["results"])),
@@ -567,7 +531,8 @@ COMMANDS: dict[str, tuple] = {
                                  f"and {DRAWS_MAX} draws, n per replicate)"),
         "--seed": (int, 0, "64-bit seed (default 0)"),
         "--partition": (str, None, "comma-separated parts, e.g. 5,5,4,4,4 (default: optimal)"),
-        "--format": _FORMAT}, _simulate_text, _single_row_csv),
+        # one plain row: variance_factor has no _float column
+        "--format": _FORMAT}, _simulate_text, lambda payload: [list(payload), list(payload.values())]),
     "verify": (cmd_verify, "peak-ratio and solver-agreement checks", {
         "--lemma-max": (int, 1000, "upper end of the peak-ratio scan "
                                    f"(default 1000, 34..{LEMMA_MAX})"),
@@ -578,7 +543,7 @@ COMMANDS: dict[str, tuple] = {
         "n": (int, None, f"number of observations, 0..{COUNT_MAX}"),
         "--asymptotic": (bool, False,
                          "include the asymptotic estimate and the exact/asymptotic ratio"),
-        "--format": _FORMAT}, _count_text, _single_row_csv),
+        "--format": _FORMAT}, _count_text, lambda payload: _records_csv([payload])),
 }
 
 
@@ -710,7 +675,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> NoReturn:
     """Process entry: ``main()``, which writes and flushes the output, then end
-    the process without the interpreter's teardown (10 to 30 ms on a 2-core host)."""
+    the process without the interpreter's teardown."""
     code = main()
     with contextlib.suppress(OSError):
         sys.stderr.flush()

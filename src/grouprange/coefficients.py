@@ -18,10 +18,8 @@ exact harmonic values:
 
     d_j = H(j-1, 1),    k_sq_j = H(j-1, 2).
 
-``exponential_table`` builds an exact entry when it is first read, into
-one memo that every exponential table shares, and ``c_float`` serves
-C_j from compensated float sums, so the solvers, which compare floats
-first, build only the entries the answer reads.
+``exponential_table`` builds nothing up front: see ``_ExponentialEntries``
+and ``CoefficientTable.c_float``.
 
 Tables for other distributions load from CSV with header ``j,d,k_sq``,
 one row per part size starting at j = 2 with no gaps.  Values may be
@@ -64,9 +62,11 @@ _HEADER = ("j", "d", "k_sq")
 # sec. 4.3), under 4u per sum for m < 2**40, so h1 * h1 / h2 is within 14u.
 FLOAT_C_ERROR = 1e-14
 # The solvers' and the lemma's float comparisons decide unless their sides
-# lie within this relative margin; then the exact one does.  c_float(j) / j
-# is within a relative FLOAT_C_ERROR + u of C_j / j, so two ratios FLOAT_TIE
-# apart, 4 * 10**4 times their combined error, order as the exact ones do.
+# lie within this relative margin; then the exact one does, so on the
+# exponential table the solvers build only C_2..C_6 and the answer's parts.
+# c_float(j) / j is within a relative FLOAT_C_ERROR + u of C_j / j, so two
+# ratios FLOAT_TIE apart, 4 * 10**4 times their combined error, order as the
+# exact ones do.
 FLOAT_TIE = 1e-9
 _MIN_VALUE, _MAX_VALUE = Fraction(1, 10**50), Fraction(10**50)  # bounds on d and k_sq
 
@@ -103,8 +103,9 @@ class CoefficientEntry(_Frozen):
 
 class _ExponentialEntries(_Frozen):
     """The exponential entries of parts 2..max_part, each built when first
-    read into the module memo ``_entries``; identity is the span, so len,
-    equality, hash and repr build nothing."""
+    read into the module memo ``_entries``, which every exponential table
+    shares.  Identity is the span, so len, equality, hash and repr build
+    nothing, and no loaded table's tuple equals it."""
 
     def __init__(self, max_part: int) -> None:
         vars(self).update(parts=range(2, max_part + 1))
@@ -145,10 +146,8 @@ def _exponential_c_float(j: int) -> float:
 class CoefficientTable(_Frozen):
     """Immutable map from part size j (contiguous from 2) to constants.
 
-    ``entries`` is a tuple, or on the exponential table its span of parts,
-    each entry built when first read and shared by every such table.  A
-    table is its label and entries: an exponential table equals one of
-    the same span, never a loaded one, and compares in O(1).
+    ``entries`` is a tuple, or an ``_ExponentialEntries`` on the
+    exponential table.  A table is its label and its entries.
     """
 
     def __init__(self, distribution_label: str,

@@ -29,7 +29,8 @@ def generalized_harmonic(n: int, j: int) -> Fraction:
     """Return H(n, j) = sum_{i=1}^{n} 1/i**j as an exact Fraction.
 
     H(0, j) = 0 by convention.  Results are memoized per power j and
-    shared across threads; the lock only guards table growth.
+    shared across threads; every call, a memoized read included, runs
+    under one lock.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -13,28 +13,8 @@ sigma**2, so maximizing it minimizes the estimator variance.
 Three independent solvers are provided; their objectives must agree.
 
 solve_dp
-    Exact dynamic program over capacities 0..n.  Ties are broken by
-    fewer parts, then descending lexicographic part tuple.  A capacity
-    keeps its optimum as (part, multiplicity) pairs, at most three on
-    the exponential table: O(n * d) state for d distinct parts.  A part j
-    whose own capacity fills with other parts is dominated, the
-    unbounded-knapsack dominance rule: no optimum of any n uses it, and
-    later capacities no longer try it.  Capacity w tries the undominated
-    parts, one ascending list, and w: 2..5 and w on the exponential
-    table.  A capacity w whose part has the best C_j / j of 2..w, ties
-    included, takes (w,) without trying any: no partition of w beats w
-    times that ratio, the LP bound (Gilmore and Gomory, 1966), and (w,)
-    meets it in the fewest parts, so a convex table (C_j / j rising) and
-    an all-tied one fill in O(n).  A float64 fill runs
-    beside the exact one and filters the candidates: at each capacity
-    only the parts whose float value lies within a relative 1e-9 of the
-    float best reach the exact Fraction comparison.  The float error is
-    below 1e-13, far below that tolerance, so every exact
-    maximizer passes the filter and the answer, tie-break included, is
-    the exact DP's.  A fill costs O(n * u) float operations for u
-    undominated parts, O(n**2) at worst, and about one rational
-    addition per capacity.  Per-table state is cached so ascending
-    sweeps fill the table once.
+    Exact dynamic program over capacities 0..n (``_dp_extend``).  Ties
+    go to fewer parts, then to the descending lexicographic part tuple.
 
 solve_group_relaxation
     Drop integrality of one variable.  Let b maximize C_j / j (the
@@ -55,21 +35,10 @@ solve_group_relaxation
     the path with the fewest parts.  On a table with tied optima its
     maximizer can differ from solve_dp's, with the same objective: at
     n = 11 on C_j = j/2, (3, 2, 2, 2, 2) against (11,).
-    Each table keeps the best part and one penalty minimum per class
-    over the parts scanned, so an ascending sweep n = 2..N costs O(N)
-    float operations, and Dijkstra runs once per distinct graph.  A
-    smaller n reuses them when they all lie at or below it (every n >= 6
-    on the exponential table) and rescans 2..n otherwise.
 
-Every scan compares the table's float C_j first and goes exact only
-within a relative 1e-9 of a tie: on the exponential table the exact
-entries built are C_2..C_6 and the answer's parts.
-
-rule_of_fours
-    Closed form for the exponential table: all parts equal to 4, with
-    the remainder r = n mod 4 absorbed by r parts of size 5 (r = 1, 2)
-    or one part of size 3 (r = 3); small cases (n) for 2 <= n <= 5 and
-    (3, 3) for n = 6.  solve_closed_form gives it with its objective.
+solve_closed_form
+    The rule of fours (``rule_of_fours``), optimal on the exponential
+    table.
 """
 
 from __future__ import annotations
@@ -143,8 +112,9 @@ class _TableState:
 
     def __init__(self) -> None:
         # DP by capacity: opt[w] = (exact value, key (-part count, pairs by
-        # descending part)), None when infeasible; fv[w] the value's float
-        # (-inf when infeasible); fc[j] = table.c_float(j), read by every scan.
+        # descending part)), None when infeasible, at most three pairs on the
+        # exponential table; fv[w] the value's float (-inf when infeasible);
+        # fc[j] = table.c_float(j), read by every scan.
         self.opt: list[tuple[Fraction, tuple] | None] = [(Fraction(0), (0, ())), None]
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
@@ -157,7 +127,8 @@ class _TableState:
         # Residue graph over the parts 2..scanned: best is the argmax b of
         # C_j / j (smallest j on ties, 0 before any scan), minima[offset] =
         # (j, w_j, float(w_j)) the minimum of the class j = offset (mod b),
-        # smallest j on ties; paths: the last graph and its paths from 0.
+        # smallest j on ties; paths: the last graph and its paths from 0, so
+        # that Dijkstra runs once per distinct graph.
         self.scanned = 1
         self.best = 0
         self.minima: dict[int, tuple[int, Fraction, float]] = {}
@@ -189,10 +160,12 @@ def _floats(state: _TableState, table: CoefficientTable, n: int) -> list[float]:
 def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
     """Bring the best part and the class minima to the parts 2..n.
 
-    Below the parts scanned, the state still holds when the best part
-    and every class minimum are <= n: an argmax or argmin over 2..N that
-    lies in 2..n is also the one over 2..n, smallest part on ties;
-    otherwise the scan starts over from part 2.
+    Each part is scanned once, so an ascending sweep n = 2..N costs O(N)
+    float operations.  Below the parts scanned, the state still holds
+    when the best part and every class minimum are <= n (every n >= 6 on
+    the exponential table): an argmax or argmin over 2..N that lies in
+    2..n is also the one over 2..n, smallest part on ties; otherwise the
+    scan starts over from part 2.
     """
     if n < state.scanned:
         if state.best <= n and all(j <= n for j, _, _ in state.minima.values()):
@@ -286,13 +259,16 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     and j leaves the candidates for good.  Capacity w tries only the
     undominated parts below w, the ascending list state.parts, plus w
     itself: [2, 3, 4, 5] plus w on the exponential table, every part on
-    a convex one.  A tied part stays.
+    a convex one.  A tied part stays.  A fill costs O(n * u) float
+    operations for u undominated parts, O(n**2) at worst, and about one
+    rational addition per capacity.
 
     LP bound (Gilmore and Gomory, 1966): a partition of w is worth
     sum_j (C_j / j) * j * f_j <= w * max_{j <= w} C_j / j.  state.lead
     holds that argmax, so when C_w / w >= C_lead / lead, (w,) meets the
     bound and, with one part, wins every tie: the capacity is filled in
-    O(1).  Ratios compare as in _scan, floats first and exact within
+    O(1), so a convex table (C_j / j rising) and an all-tied one fill in
+    O(n).  Ratios compare as in _scan, floats first and exact within
     FLOAT_TIE, and fv[w] is float(C_w), as the filter below needs.
 
     Float filter: fv[k] = float(opt[k][0]) is within a relative u = 2**-53
@@ -348,12 +324,7 @@ def solve_dp(n: int, table: CoefficientTable) -> SolveResult:
 
 
 def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
-    """Group relaxation: residue-graph shortest path, DP fallback.
-
-    Every residue n mod b has a path: when n > b, the parts 2..n cover
-    its class.  The one fallback is a negative multiplicity f_b of the
-    modulus part: the result is then solve_dp's, method "dp".
-    """
+    """Group relaxation: residue-graph shortest path, DP fallback."""
     graph = build_residue_graph(table, n)
     b = graph.modulus
     r = n % b

@@ -12,11 +12,8 @@ p(n) is the unrestricted partition count: striking one part equal to
 1 gives a bijection between partitions of n containing a 1 and
 partitions of n-1.  Each p comes from the Hardy-Ramanujan-Rademacher
 series, O(sqrt n) terms summed in fixed-point integers within an
-error budget of 1/4 (``_unrestricted``).  Cold on a 2-core host, ``count 8000
---asymptotic`` and ``count 50000 --asymptotic`` take 0.04 to 0.06 s
-and 14 MB in every format, interpreter start-up included.
-``count_admissible`` takes any n; the CLI's ``count`` stops at 50,000.
-Enumeration is left to the tests, as the brute-force reference the
+error budget of 1/4 (``_unrestricted``).  ``count_admissible`` takes
+any n.  Enumeration is left to the tests, as the brute-force reference the
 counts and the solvers are checked against; so is Euler's pentagonal
 recurrence, the exact reference for the series.
 """

@@ -25,8 +25,7 @@ min.  One draw buffer serves every chunk of a call, and the weighted
 sum and the variance are reduced in place, so a call holds the chunk,
 a fold workspace and the per-part extremes and ranges of its rows (at
 most about two chunks more) and 8 bytes per replicate for the
-estimates, whatever n is.  Cold on a 2-core host, 2e7 replicates of
-n = 2 peak at 190 MB.
+estimates, whatever n is.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The exponential tables are session scoped on purpose: the dynamic
 program caches its fill per table object, so reusing one object makes
-ascending sweeps cost a single fill instead of one per test.  cli_peak
-measures a cold command's peak memory.
+ascending sweeps cost a single fill instead of one per test.  Every
+test that starts the command line as a cold child process gives it
+child_env(); cli_peak measures such a command's peak memory.
 """
 
 import os
@@ -37,6 +38,20 @@ def table1000():
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(unbuffered: bool = False) -> dict[str, str]:
+    """This process's environment for a cold child: no GROUPRANGE_FORMAT,
+    PYTHONUNBUFFERED only when ``unbuffered``, and ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env.pop("GROUPRANGE_FORMAT", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 _LAUNCHER = ("import os, subprocess, sys\n"
              "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
              "_, status, usage = os.wait4(proc.pid, 0)\n"
@@ -52,9 +67,7 @@ def cli_peak():
     process's peak too, since Linux carries the peak of the image a
     process replaces at exec into its own.
     """
-    env = dict(os.environ)
-    env.pop("GROUPRANGE_FORMAT", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = child_env()
 
     def peak(*args: str) -> tuple[int, int]:
         argv = [sys.executable, "-m", "grouprange.cli", *args]

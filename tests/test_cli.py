@@ -16,7 +16,6 @@ import sys
 import time
 from fractions import Fraction
 from importlib.resources import files
-from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -25,6 +24,7 @@ import pytest
 from grouprange import Partition, count_admissible, export_table, exponential_table
 from grouprange.cli import COMMANDS, _parse, _write_json, main
 
+from conftest import child_env
 from partition_reference import pentagonal_prefix
 
 SCHEMA = json.loads(files("grouprange").joinpath("schema/output.schema.json").read_text())
@@ -484,10 +484,8 @@ def test_huge_decimal_exponent_fails_fast(tmp_path, row, name):
     # (hours and gigabytes for these rows) fails the test instead of hanging it
     table = tmp_path / "far.csv"
     table.write_text(f"j,d,k_sq\n{row}\n3,1,1\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("GROUPRANGE_FORMAT", None)
     proc = subprocess.run([sys.executable, "-m", "grouprange.cli", "optimal", "3", "--table",
-                           str(table)], env=env, capture_output=True, text=True, timeout=20)
+                           str(table)], env=child_env(), capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == f"error: bad coefficient table: row 2: {name} outside [1e-50, 1e50]\n"
 
@@ -584,6 +582,16 @@ def test_json_writer_matches_json_dump_on_edge_values():
     written = []
     _write_json(values, written.append)
     assert "".join(written) == json_dump(values)
+
+
+def test_json_writer_rejects_a_value_of_no_json_type():
+    class Unwritable:
+        pass
+
+    # a TypeError that names the type, as json.dumps raises
+    for dump in (json.dumps, lambda x: _write_json(x, [].append)):
+        with pytest.raises(TypeError, match="Unwritable is not JSON serializable"):
+            dump({"payload": [Unwritable()]})
 
 
 # -------------------------------------------------------------------- plumbing

@@ -35,7 +35,6 @@ command loaded, also one the package serves through
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -59,7 +58,7 @@ from grouprange import (
     verify_lemma,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
 
 CHILD = """
 import sys
@@ -78,10 +77,7 @@ LAZY_NAMES = ("BLOCK_REPLICATES", "SimulationReport", "monte_carlo",
 
 
 def run_python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.pop("GROUPRANGE_FORMAT", None)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=child_env(),
                           capture_output=True, text=True, timeout=120)
 
 

@@ -19,13 +19,11 @@ penalty within 1e-12 relative of its rival), on the LP bound's tables
 and on a table whose best part changes with n.
 """
 
-import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +43,8 @@ from grouprange import (
 )
 from grouprange import optimizer
 from grouprange.optimizer import _states
+
+from conftest import child_env
 
 
 def reference_dp(table, n):
@@ -239,10 +239,8 @@ def test_all_tied_table_runs_cold_in_seconds(tmp_path):
     # cold optimal 4000 --table takes 0.2 to 0.5 s; the quadratic fill took 31 s
     path = tmp_path / "tied.csv"
     path.write_text("j,d,k_sq\n" + "".join(f"{j},{j},{2 * j}\n" for j in range(2, 4001)))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
     argv = ["optimal", "4000", "--table", str(path), "--format", "csv"]
-    proc = subprocess.run([sys.executable, "-m", "grouprange.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "grouprange.cli", *argv], env=child_env(),
                           capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
 

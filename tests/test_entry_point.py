@@ -24,7 +24,8 @@ import pytest
 
 from grouprange.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import SRC, child_env
+
 BAD_TABLE = "j,d,k_sq\n2,1,1\n3,0,5/4\n4,11/6,49/36\n"
 
 PARITY_CASES = [
@@ -37,14 +38,8 @@ PARITY_CASES = [
 
 
 def child(argv: list[str], cwd: Path, unbuffered: bool = False, **kwargs) -> subprocess.Popen:
-    env = dict(os.environ)
-    env.pop("GROUPRANGE_FORMAT", None)
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, "-m", "grouprange.cli", *argv], cwd=cwd, env=env,
-                            **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "grouprange.cli", *argv], cwd=cwd,
+                            env=child_env(unbuffered), **kwargs)
 
 
 def run_child(argv: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
