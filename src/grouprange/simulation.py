@@ -21,11 +21,13 @@ in the plan (its run of equal, contiguous parts) are reduced at once:
 the k-th entries of its parts are folded in halves with elementwise
 maximum and minimum, about log2(size) calls per run for narrow and wide
 parts alike, which give the same exact extremes as a per-part max and
-min.  One draw buffer serves every chunk of a call, and the weighted
-sum and the variance are reduced in place, so a call holds the chunk,
-a fold workspace and the per-part extremes and ranges of its rows (at
-most about two chunks more) and 8 bytes per replicate for the
-estimates, whatever n is.
+min.  The folds run on the logs l = log1p(-U), and only each part's
+two extremes are scaled by -theta.  One draw buffer serves every chunk
+of a call, and the weighted sum and the variance are reduced in place,
+so a call holds the chunk, a fold workspace of at most 2/3 of a chunk,
+each part's least and greatest log of its rows (at most a chunk
+together, as every part has two entries or more) and 8 bytes per
+replicate for the estimates, whatever n is.
 """
 
 from __future__ import annotations
@@ -48,11 +50,16 @@ __all__ = [
 
 BLOCK_REPLICATES = 1 << 16
 
-# Bytes of uniforms drawn per chunk.  Measured on a host with 2 MiB of L2
-# per core, over rule-of-fours plans at n = 13 to 1500 and single parts of
-# 1500: chunks of 256 KiB to 1 MiB ran within 10% of each other, while
-# 2 MiB was up to 30% and 4 MiB up to 53% slower than 1 MiB.
-_CHUNK_BYTES = 1 << 20
+# Bytes of uniforms drawn per chunk, so at most about 0.7 MiB of chunk
+# arrays in all.  Chunks this small cost no time once the fold calls of
+# each chunk shape are built once: in process on a 2-core host with 2 MiB
+# of L2 per core, against 1 MiB chunks that sliced every call per chunk
+# (20 to 30 pairs alternated in one process), single parts of 400 and
+# 1500 and rule-of-fours plans at n = 9, 22 and 1500 ran at 0.96 to 1.03
+# times the time in the median pair, with no minimum of rows per chunk
+# (21 at n = 1500).  2 MiB chunks had run up to 30% and 4 MiB up to 53%
+# slower than 1 MiB.
+_CHUNK_BYTES = 1 << 18
 
 
 class SimulationReport(NamedTuple):
@@ -88,6 +95,16 @@ def replicate_stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _log_draws(n: int, stream: np.random.Generator, out: np.ndarray | None) -> np.ndarray:
+    """n values l = log1p(-U) <= 0 from the stream, so that -theta * l is
+    exponential with scale theta; into the first n entries of ``out``
+    when given, which the stream fills, without temporaries."""
+    log = stream.random(n) if out is None else stream.random(out=out[:n])
+    np.negative(log, out=log)
+    np.log1p(log, out=log)
+    return log
+
+
 def sample_exponential(
     n: int, theta: float, stream: np.random.Generator, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -101,33 +118,36 @@ def sample_exponential(
     check_theta("theta", theta)
     if out is not None and len(out) < n:
         raise ValueError(f"out holds {len(out)} entries, fewer than n = {n}")
-    # -theta * log1p(-u), computed in the array the stream fills: the
-    # same operations on the same values, without three temporaries
-    x = stream.random(n) if out is None else stream.random(out=out[:n])
-    np.negative(x, out=x)
-    np.log1p(x, out=x)
+    x = _log_draws(n, stream, out)
     x *= -theta
     return x
 
 
-def _fold(entries: np.ndarray, ufunc: np.ufunc, work: np.ndarray) -> np.ndarray:
-    """ufunc (maximum or minimum) over axis 0 of entries, folded into work.
+def _fold_calls(
+    ufunc: np.ufunc, entries: np.ndarray, work: np.ndarray, out: np.ndarray
+) -> list[tuple]:
+    """Calls (ufunc, first, second, into) that leave ufunc over axis 0 of
+    entries in out, for ufunc maximum or minimum and k >= 2 rows.
 
-    Each step combines the first and the last half of the rows left, so k
-    rows take about log2(k) elementwise calls, each over whole rows of
-    work; work needs (k + 1) // 2 rows.  Maximum and minimum are exact,
-    so the result equals a direct max or min over the axis.
+    Each call combines the first and the last half of the rows left, so
+    the k rows take about log2(k) elementwise calls, each over whole rows
+    of work; work needs (k + 1) // 2 rows.  For odd k the first call
+    takes the middle row into both halves; each later call leaves an odd
+    middle row where it is.
+    Maximum and minimum are exact, so out equals a direct max or min over
+    the axis.
     """
-    source = entries
     width = len(entries)
-    while width > 1:
+    if width == 2:
+        return [(ufunc, entries[0], entries[1], out)]
+    width = (width + 1) // 2
+    calls = [(ufunc, entries[:width], entries[len(entries) - width :], work[:width])]
+    while width > 2:
         half = width // 2
-        ufunc(source[:half], source[width - half : width], out=work[:half])
-        # the middle row of an odd width is carried over as it is
-        work[half : width - half] = source[half : width - half]
-        source = work
+        calls.append((ufunc, work[:half], work[width - half : width], work[:half]))
         width -= half
-    return work[0]
+    calls.append((ufunc, work[0], work[1], out))
+    return calls
 
 
 def monte_carlo(
@@ -143,11 +163,33 @@ def monte_carlo(
     # one float weight per part, in the plan's order
     weights = np.repeat([float(a) for _, _, a in plan.weights], [m for _, m, _ in plan.weights])
     chunk = max(1, min(BLOCK_REPLICATES, replicates, _CHUNK_BYTES // (8 * n)))
-    highs = np.empty((chunk, len(weights)))
-    lows = np.empty((chunk, len(weights)))
-    work = np.empty(chunk * n)
+    # per part, the least and the greatest log draw of each row
+    log_mins = np.empty((chunk, len(weights)))
+    log_maxs = np.empty((chunk, len(weights)))
+    work = np.empty(chunk * max((size + 1) // 2 * count for size, count, _ in plan.weights))
     draws = np.empty(chunk * n)
 
+    def chunk_calls(rows: int) -> list[tuple]:
+        """The folds of every run of equal parts, as views over the
+        buffers for a chunk of rows."""
+        logs = draws[: rows * n].reshape(rows, n)
+        calls = []
+        column = offset = 0
+        for size, count, _ in plan.weights:
+            parts = logs[:, offset : offset + size * count].reshape(rows, count, size)
+            # entries[k] holds entry k of every part of the run, (rows, count)
+            entries = parts.transpose(2, 0, 1)
+            space = work[: (size + 1) // 2 * rows * count].reshape(-1, rows, count)
+            run = slice(column, column + count)
+            calls += _fold_calls(np.minimum, entries, space, log_mins[:rows, run])
+            calls += _fold_calls(np.maximum, entries, space, log_maxs[:rows, run])
+            column += count
+            offset += size * count
+        return calls
+
+    # the views are built once per chunk shape: only a block's last,
+    # shorter chunk differs
+    shapes: dict[int, list] = {}
     estimates = np.empty(replicates)
     blocks = (replicates + BLOCK_REPLICATES - 1) // BLOCK_REPLICATES
     for b in range(blocks):
@@ -155,18 +197,17 @@ def monte_carlo(
         block_end = min((b + 1) * BLOCK_REPLICATES, replicates)
         for start in range(b * BLOCK_REPLICATES, block_end, chunk):
             rows = min(chunk, block_end - start)
-            x = sample_exponential(rows * n, theta, stream, draws).reshape(rows, n)
-            column = offset = 0
-            for size, count, _ in plan.weights:
-                parts = x[:, offset : offset + size * count].reshape(rows, count, size)
-                # entries[k] holds entry k of every part of the run, (rows, count)
-                entries = parts.transpose(2, 0, 1)
-                space = work[: (size + 1) // 2 * rows * count].reshape(-1, rows, count)
-                highs[:rows, column : column + count] = _fold(entries, np.maximum, space)
-                lows[:rows, column : column + count] = _fold(entries, np.minimum, space)
-                column += count
-                offset += size * count
-            ranges = np.subtract(highs[:rows], lows[:rows], out=highs[:rows])
+            if rows not in shapes:
+                shapes[rows] = chunk_calls(rows)
+            _log_draws(rows * n, stream, draws)
+            for ufunc, first, second, into in shapes[rows]:
+                ufunc(first, second, out=into)
+            # x = -theta * l: rounding a product with a negative constant
+            # is monotone, so a part's greatest x is -theta times its least
+            # l and its least x -theta times its greatest l, bit for bit
+            highs = np.multiply(log_mins[:rows], -theta, out=log_mins[:rows])
+            lows = np.multiply(log_maxs[:rows], -theta, out=log_maxs[:rows])
+            ranges = np.subtract(highs, lows, out=highs)
             np.multiply(ranges, weights, out=ranges)
             ranges.sum(axis=1, out=estimates[start : start + rows])
 

@@ -159,7 +159,7 @@ def test_monte_carlo_rejects_theta_before_drawing(table40, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew before checking theta")
 
-    monkeypatch.setattr(simulation, "sample_exponential", no_draws)
+    monkeypatch.setattr(simulation, "replicate_stream", no_draws)
     plan = make_plan(Partition.from_parts([2]), table40)
     for theta in (1e200, 1e-200):
         with pytest.raises(ValueError, match="finite"):
@@ -296,6 +296,32 @@ def test_monte_carlo_matches_reference_in_few_row_chunks(table401, monkeypatch, 
     _assert_matches_reference(monkeypatch, plan, 1.0, replicates, 3)
 
 
+# Logs l = log1p(-u) <= 0: -0.0 (u = 0), the least, near log1p(-(1 - 2**-53)),
+# tiny magnitudes whose products underflow at small theta, and neighbours
+# one ulp apart
+_DEEPEST = math.log1p(-(1 - 2**-53))
+EXTREME_LOGS = [
+    [-0.0, _DEEPEST, -1e-300],
+    [-0.0, -5e-324, -2.2e-308, -1e-17],
+    [_DEEPEST, math.nextafter(_DEEPEST, 0), math.nextafter(_DEEPEST, -math.inf)],
+    [-5e-324, -1e-323, -0.0, -1.5e-323],
+    [-1.0, math.nextafter(-1.0, 0), -0.5, math.nextafter(-0.5, -1)],
+]
+
+
+@pytest.mark.parametrize("theta", (1e-100, 1.0, 1e100))
+@pytest.mark.parametrize("logs", EXTREME_LOGS)
+def test_scaled_extremes_are_extremes_of_the_scaled_logs(logs, theta):
+    """monte_carlo folds the logs and scales only each part's least and
+    greatest: max(-theta * l) is -theta * min(l) and min(-theta * l) is
+    -theta * max(l), bit for bit, since rounding a product with a negative
+    constant is monotone."""
+    logs = np.array(logs)
+    draws = logs * -theta
+    assert draws.max().tobytes() == (logs.min() * -theta).tobytes()
+    assert draws.min().tobytes() == (logs.max() * -theta).tobytes()
+
+
 def test_simulation_memory_is_bounded(cli_peak):
     """simulate 1500 --reps 65536 peaks under 150 MB.
 
@@ -317,3 +343,14 @@ def test_simulation_takes_8_bytes_per_replicate(cli_peak):
     base_code, base = cli_peak("simulate", "2", "--reps", "1", "--format", "json")
     assert code == base_code == 0
     assert peak - base < 12 * replicates
+
+
+def test_simulation_chunks_take_under_1_mib(cli_peak):
+    """simulate 9 --reps 456618 peaks less than 8 bytes per replicate plus
+    1 MiB above a single replicate: past the estimates, only a chunk's
+    draws, fold workspace and per-part extremes remain."""
+    replicates = 456_618
+    code, peak = cli_peak("simulate", "9", "--reps", str(replicates), "--format", "json")
+    base_code, base = cli_peak("simulate", "9", "--reps", "1", "--format", "json")
+    assert code == base_code == 0
+    assert peak - base < 8 * replicates + (1 << 20)
