@@ -549,14 +549,17 @@ COMMANDS: dict[str, tuple] = {
 
 def _option(token: str, options: dict[str, tuple]) -> list[str] | None:
     """The options ``token`` names before any '=', in full or as a prefix of a long
-    option; None for a value: not led by '-', or '-', a negative number or spaced."""
+    option; None for a value: not led by '-', or '-', a negative number or spaced.
+    An ambiguous prefix is a usage error."""
     key = token.partition("=")[0]
-    if key in options:
-        return [key]
+    if key in options or token.startswith("-h"):  # -h, the one short option, also as -h5
+        return [key if key in options else "-h"]
     named = [name for name in options if key.startswith("--") and name.startswith(key)]
     whole, dot, fraction = token[1:].partition(".")
     number = (whole.isdecimal() or dot and not whole) and (not dot or fraction.isdecimal())
     value = not token.startswith("-") or token == "-" or number or " " in token
+    if len(named) > 1 and token != "--":
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(named)}")
     return None if value and not named else named
 
 
@@ -593,13 +596,18 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | str:
             args[free[0]] = _convert(free[0], spec[free[0]][0], token)
         elif not named:  # an extra positional or an unknown option
             extras.append(token)
-        elif len(named) > 1:
-            raise UsageError(f"ambiguous option: {token} could match {', '.join(named)}")
         else:
             name, kind, value = named[0], options[named[0]][0], token.partition("=")[2]
-            if kind is bool and "=" in token:
-                raise UsageError(f"argument {name}: ignored explicit argument {value!r}")
-            if options[name] is _HELP:
+            explicit = "=" in token
+            if name == "-h" and token != name:  # -h5 and -h=5 give -h a value; -hh is -h -h
+                value = (token[3:] if token[2] == "=" else token[2:]).lstrip("h")
+                explicit = value != "" or token == "-h="
+            if kind is bool and explicit:
+                label = "-h/--help" if options[name] is _HELP else name
+                raise UsageError(f"argument {label}: ignored explicit argument {value!r}")
+            if options[name] is _HELP:  # as argparse, refuse an ambiguous option up to -- first
+                for later in iter(tokens.__next__, "--"):
+                    _option(later, options)
                 return _help(command)
             if kind is not bool and "=" not in token:
                 value = next(tokens, None)
@@ -674,8 +682,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """Process entry: ``main()``, which writes and flushes the output, then end
-    the process without the interpreter's teardown."""
+    """Process entry: ``main()``, which writes and flushes the output, then end the process
+    without the interpreter's teardown.  Where hashlib's built-in hashes are all there, keep
+    out OpenSSL's _hashlib, which numpy.random loads via hmac (3.4 MiB) and no command uses."""
+    from importlib.util import find_spec
+    sha2 = ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"]
+    if all(map(find_spec, ["_md5", "_sha1", "_blake2", "_sha3", *sha2])):  # a build may lack one
+        sys.modules.setdefault("_hashlib", None)
     code = main()
     with contextlib.suppress(OSError):
         sys.stderr.flush()

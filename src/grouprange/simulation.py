@@ -50,15 +50,7 @@ __all__ = [
 
 BLOCK_REPLICATES = 1 << 16
 
-# Bytes of uniforms drawn per chunk, so at most about 0.7 MiB of chunk
-# arrays in all.  Chunks this small cost no time once the fold calls of
-# each chunk shape are built once: in process on a 2-core host with 2 MiB
-# of L2 per core, against 1 MiB chunks that sliced every call per chunk
-# (20 to 30 pairs alternated in one process), single parts of 400 and
-# 1500 and rule-of-fours plans at n = 9, 22 and 1500 ran at 0.96 to 1.03
-# times the time in the median pair, with no minimum of rows per chunk
-# (21 at n = 1500).  2 MiB chunks had run up to 30% and 4 MiB up to 53%
-# slower than 1 MiB.
+# Bytes of uniforms drawn per chunk; CHANGES.md records the timings behind the size.
 _CHUNK_BYTES = 1 << 18
 
 

@@ -4,7 +4,8 @@ The exponential tables are session scoped on purpose: the dynamic
 program caches its fill per table object, so reusing one object makes
 ascending sweeps cost a single fill instead of one per test.  Every
 test that starts the command line as a cold child process gives it
-child_env(); cli_peak measures such a command's peak memory.
+child_env(); cli_peak measures such a command's peak memory, or that of
+any `python -c` child.
 """
 
 import os
@@ -60,7 +61,8 @@ _LAUNCHER = ("import os, subprocess, sys\n"
 
 @pytest.fixture(scope="session")
 def cli_peak():
-    """Run ``grouprange.cli`` cold; return its exit code and peak RSS in bytes.
+    """Run ``grouprange.cli`` cold, or ``python -c CODE`` when given ``-c``
+    and CODE; return its exit code and peak RSS in bytes.
 
     A small launcher process starts the command and reads its peak with
     wait4: a child started from this process directly would report this
@@ -70,7 +72,7 @@ def cli_peak():
     env = child_env()
 
     def peak(*args: str) -> tuple[int, int]:
-        argv = [sys.executable, "-m", "grouprange.cli", *args]
+        argv = [sys.executable, *(args if args[0] == "-c" else ["-m", "grouprange.cli", *args])]
         proc = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env,
                               capture_output=True, text=True, timeout=60, check=True)
         code, peak_kib = map(int, proc.stdout.split())  # ru_maxrss is in KiB on Linux

@@ -5,6 +5,7 @@ the whole command path runs except the interpreter bootstrap.  The one
 exception runs a child process, so that a hang fails on a timeout.
 """
 
+import contextlib
 import csv
 import errno
 import io
@@ -20,9 +21,10 @@ from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from grouprange import Partition, count_admissible, export_table, exponential_table
-from grouprange.cli import COMMANDS, _parse, _write_json, main
+from grouprange.cli import COMMANDS, UsageError, _parse, _write_json, main
 
 from conftest import child_env
 from partition_reference import pentagonal_prefix
@@ -584,6 +586,23 @@ def test_json_writer_matches_json_dump_on_edge_values():
     assert "".join(written) == json_dump(values)
 
 
+# Live oracle: json.dump(indent=2), which the writer replaced, on generated values
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.fractions()
+    | st.lists(st.integers(2, 9), min_size=1, max_size=8).map(Partition.from_parts),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dump_on_generated_values(value):
+    written = []
+    _write_json(value, written.append)
+    assert "".join(written) == json_dump(value)
+
+
 def test_json_writer_rejects_a_value_of_no_json_type():
     class Unwritable:
         pass
@@ -712,6 +731,9 @@ USAGE_ERRORS = [
     "optimal 5 --method --format json",
     "simulate 10 --seed --",
     "simulate 10 --partition -5,5",
+    "-h5 --help",  # -h given the value 5, as argparse reads it
+    "count 5 -h5 --help",
+    "count 5 -hx",
 ]
 
 
@@ -720,6 +742,114 @@ def test_usage_error_is_one_line(capsys, line):
     code, out, err = run(capsys, *shlex.split(line))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_short_help_takes_no_value(capsys):
+    # argparse reads -h5 as -h given 5, which it refuses, and -hh as -h -h
+    assert run(capsys, "count", "5", "-h5", "--help") == (
+        2, "", "error: argument -h/--help: ignored explicit argument '5'\n")
+    for argv in (["-hh"], ["count", "-hhh"], ["count", "-h=h"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: grouprange "), argv
+
+
+# Live oracle: the argparse parser COMMANDS declares, which the CLI's own
+# parser replaced, reads generated command lines to the same exit code and
+# values.  A '--' is generated once, after the command and before another
+# argument: argparse takes one before the command as the command, and
+# reports a last one as unrecognized when no positional is left to take it.
+
+
+@pytest.fixture(scope="module")
+def argparse_parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="grouprange")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, about, spec, *_) in COMMANDS.items():
+        sub = commands.add_parser(command, help=about)
+        for name, (kind, default, text) in spec.items():
+            if kind is bool:
+                sub.add_argument(name, action="store_true", help=text)
+            elif name[0] != "-":
+                sub.add_argument(name, type=kind, help=text)
+            elif isinstance(kind, tuple):
+                sub.add_argument(name, choices=kind, default=default, help=text)
+            else:
+                sub.add_argument(name, type=kind, default=default, help=text)
+    return parser
+
+
+def argparse_reads(parser, argv):
+    """(exit code, values) as argparse reads ``argv``; no values for help or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None
+    return 0, {**args, "format": args["format"] or "text"}
+
+
+def parse_reads(argv):
+    """(exit code, values) as ``_parse`` reads ``argv``."""
+    try:
+        args = _parse(argv)
+    except UsageError:
+        return 2, None
+    if isinstance(args, str):
+        return 0, None
+    args = vars(args)
+    assert args.pop("func") is COMMANDS[args["command"]][0]
+    return 0, args
+
+
+# Each argument's values by its type, and stray tokens: a malformed value, any
+# option in full or as a prefix, maybe with =value, and -h with a value attached
+VALUES = {int: ["5", "22", "-1", "+7", "5_0", " 5", "0"], float: ["1.0", "-.5", "1e3", "-1"],
+          str: ["t.csv", "-", "4,3", "a=b", "-5,5"]}
+OPTIONS = sorted({name for _, _, spec, *_ in COMMANDS.values() for name in spec if name[0] == "-"}
+                 | {"--help"})
+_value = st.sampled_from(sorted(set().union(*VALUES.values(), ["x", "-1.", "yaml", "all"])))
+_stray = (st.builds(lambda name, cut, tail: name[:cut] + tail, st.sampled_from(OPTIONS),
+                    st.integers(2, 20), st.just("") | _value.map("={}".format)).filter("--".__ne__)
+          | st.sampled_from(["", "h", "hh", "5", "x", "h5", "hx", " ", "=5", "=h", "==5"])
+          .map("-h{}".format)
+          | _value)
+
+
+@st.composite
+def command_lines(draw):
+    """A command's positionals and some of its options, each long option in full
+    or as a prefix and its value apart or after '=', in any order, among stray
+    tokens, with at most one '--' after the command and before another argument."""
+    command = draw(st.sampled_from([*COMMANDS, "frobnicate"]))
+    pieces = []
+    for name, (kind, _, _) in COMMANDS.get(command, (None, None, {}))[2].items():
+        value = draw(st.sampled_from(kind if isinstance(kind, tuple) else VALUES.get(kind, [""])))
+        if name[0] != "-":
+            pieces.append([value])
+        elif draw(st.booleans()):
+            written = name[:draw(st.integers(3, len(name)))]
+            pieces.append([written] if kind is bool else
+                          [f"{written}={value}"] if draw(st.booleans()) else [written, value])
+    rest = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    for token in draw(st.lists(_stray, max_size=1)):
+        rest.insert(draw(st.integers(0, len(rest))), token)
+    if rest and draw(st.booleans()):
+        rest.insert(draw(st.integers(0, len(rest) - 1)), "--")
+    before = [draw(_stray)] if draw(st.integers(0, 3)) == 0 else []
+    return [*before, command, *rest]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse 3.13 shows help for -h5, which earlier versions refuse")
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(command_lines())
+@example(["count", "--help", "--=x"])  # argparse reads every option before it shows help
+@example(["count", "--help", "--", "--=x"])
+@example(["count", "5", "-hh"])
+def test_parser_matches_argparse(argparse_parser, argv):
+    assert parse_reads(argv) == argparse_reads(argparse_parser, argv)
 
 
 # Each --help's usage line and the rows it must hold, in order; every

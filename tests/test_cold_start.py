@@ -25,6 +25,10 @@ first access, and `cli` imports the solver modules inside the commands
 that run them: a bare `import grouprange` loads no module of the
 package.
 
+The process entry `cli.run` keeps OpenSSL's _hashlib, which numpy.random
+loads through secrets and hmac, out of the CLI process where CPython's
+built-in hashes can serve hashlib; a library user's process keeps it.
+
 The cases that check the commands run each command line once, through
 `cli.main` in a fresh interpreter, and read its exit code and
 `sys.modules` after it returns.  That listing names every module the
@@ -281,6 +285,67 @@ def test_simulate_unprintable_result_fails_before_numpy(cli_in_child):
 def test_simulate_loads_numpy(cli_in_child):
     code, modules = cli_in_child(["simulate", "8", "--reps", "10"])
     assert (code, "numpy" in modules) == (0, True)
+
+
+# the CLI process entry, its main wrapped to report what the run loaded
+# and which module serves sha256 once it has run; the modules named in
+# argv are blocked first, as on a build without them
+CLI_RUN_CHILD = """
+import sys
+sys.modules.update(dict.fromkeys(sys.argv[1:]))
+from grouprange import cli
+
+def report(main=cli.main):
+    code = main(["simulate", "8", "--reps", "10"])
+    import hashlib
+    digest = hashlib.sha256(b"abc")
+    # flushed here, as run() ends the process without a flush of stdout
+    print(code, "numpy" in sys.modules, getattr(sys.modules["_hashlib"], "__name__", None),
+          type(digest).__module__, digest.hexdigest(), flush=True)
+    return code
+
+cli.main = report
+cli.run()
+"""
+
+LIBRARY_CHILD = """
+import sys
+import grouprange
+table = grouprange.exponential_table(8)
+plan = grouprange.make_plan(grouprange.Partition.from_parts([4, 4]), table)
+grouprange.monte_carlo(plan, 1.0, 10, 0)
+import hashlib
+digest = hashlib.sha256(b"abc")
+print("numpy" in sys.modules, sys.modules["_hashlib"].__name__, type(digest).__module__,
+      digest.hexdigest())
+"""
+
+ABC_SHA256 = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_cli_process_runs_without_openssl(workdir):
+    proc = run_child([], workdir, CLI_RUN_CHILD)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, numpy_loaded, hashlib_module, digest_module, digest = proc.stdout.splitlines()[-1].split()
+    assert (code, numpy_loaded, hashlib_module) == ("0", "True", "None")
+    assert digest_module != "_hashlib" and digest == ABC_SHA256
+
+
+@pytest.mark.parametrize("missing", [["_sha2", "_sha512"], ["_md5"]])
+def test_cli_process_keeps_openssl_without_a_builtin_hash(workdir, missing):
+    # a build that lacks one of hashlib's built-in hashes keeps OpenSSL: random
+    # takes sha512 from it, and hashlib logs no missing hash
+    proc = run_child(missing, workdir, CLI_RUN_CHILD)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split()[-5:] == ["0", "True", "_hashlib", "_hashlib", ABC_SHA256]
+
+
+def test_library_process_keeps_openssl(workdir):
+    # only the CLI's process entry blocks _hashlib: importing the package
+    # and simulating leave a library user's hashlib on OpenSSL
+    proc = run_child([], workdir, LIBRARY_CHILD)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["True", "_hashlib", "_hashlib", ABC_SHA256]
 
 
 def test_bare_package_import_never_loads_numpy(workdir):

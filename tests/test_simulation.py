@@ -354,3 +354,12 @@ def test_simulation_chunks_take_under_1_mib(cli_peak):
     base_code, base = cli_peak("simulate", "9", "--reps", "1", "--format", "json")
     assert code == base_code == 0
     assert peak - base < 8 * replicates + (1 << 20)
+
+
+def test_simulate_peaks_below_a_bare_numpy_random_import(cli_peak):
+    """A small simulate, whose process cli.run keeps free of OpenSSL, peaks
+    below a cold ``import numpy.random`` alone, which maps libcrypto."""
+    code, peak = cli_peak("simulate", "8", "--reps", "10")
+    bare_code, bare = cli_peak("-c", "import numpy.random")
+    assert code == bare_code == 0
+    assert peak < bare
