@@ -405,7 +405,7 @@ def _verify_text(payload: dict[str, Any]) -> None:
     print(f"overall: {'PASS' if payload['passed'] else 'FAIL'}")
 
 
-def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
+def _verify_csv(payload: dict[str, Any]) -> Iterator[list[Any]]:
     lemma = payload["lemma"]
     agreement = payload["agreement"]
     checks = [
@@ -417,9 +417,8 @@ def _verify_csv(payload: dict[str, Any]) -> list[list[Any]]:
          f"ties={len(agreement['ties'])}"),
         ("overall", payload["passed"], ""),
     ]
-    return [["check", "status", "detail"]] + [
-        [check, "PASS" if ok else "FAIL", detail] for check, ok, detail in checks
-    ]
+    return _records_csv([{"check": check, "status": "PASS" if ok else "FAIL", "detail": detail}
+                         for check, ok, detail in checks])
 
 
 def cmd_verify(args: SimpleNamespace) -> dict[str, Any]:

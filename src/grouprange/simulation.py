@@ -81,36 +81,27 @@ def replicate_stream(seed: int, block: int) -> np.random.Generator:
     irrelevant to the results.
     """
     check_seed("seed", seed)
-    if block < 0:
-        raise ValueError(f"block index must be >= 0, got {block}")
+    if not 0 <= block < 1 << 64:
+        raise ValueError(f"block index must be a 64-bit unsigned integer, got {block}")
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _log_draws(n: int, stream: np.random.Generator, out: np.ndarray | None) -> np.ndarray:
-    """n values l = log1p(-U) <= 0 from the stream, so that -theta * l is
-    exponential with scale theta; into the first n entries of ``out``
-    when given, which the stream fills, without temporaries."""
-    log = stream.random(n) if out is None else stream.random(out=out[:n])
-    np.negative(log, out=log)
-    np.log1p(log, out=log)
-    return log
+def _log_draws(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out with l = log1p(-U) <= 0 from the stream, without
+    temporaries, so that -theta * l is exponential with scale theta."""
+    stream.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    return out
 
 
-def sample_exponential(
-    n: int, theta: float, stream: np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
-    """n inverse-CDF draws x = -theta * ln(1 - U) from the stream.
-
-    With a float64 buffer ``out`` of at least n entries, the draws fill
-    and return its first n; the stream gives the same values either way.
-    """
+def sample_exponential(n: int, theta: float, stream: np.random.Generator) -> np.ndarray:
+    """n inverse-CDF draws x = -theta * ln(1 - U) from the stream."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     check_theta("theta", theta)
-    if out is not None and len(out) < n:
-        raise ValueError(f"out holds {len(out)} entries, fewer than n = {n}")
-    x = _log_draws(n, stream, out)
+    x = _log_draws(stream, np.empty(n))
     x *= -theta
     return x
 
@@ -191,7 +182,7 @@ def monte_carlo(
             rows = min(chunk, block_end - start)
             if rows not in shapes:
                 shapes[rows] = chunk_calls(rows)
-            _log_draws(rows * n, stream, draws)
+            _log_draws(stream, draws[: rows * n])
             for ufunc, first, second, into in shapes[rows]:
                 ufunc(first, second, out=into)
             # x = -theta * l: rounding a product with a negative constant

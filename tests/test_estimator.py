@@ -21,15 +21,15 @@ from grouprange import (
     theoretical_variance,
 )
 
-from partition_reference import enumerate_admissible
+from partition_reference import enumerate_admissible, harmonic_oracle
 
 
 def d_oracle(j: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, j)), Fraction(0))
+    return harmonic_oracle(j - 1, 1)
 
 
 def k_sq_oracle(j: int) -> Fraction:
-    return sum((Fraction(1, i * i) for i in range(1, j)), Fraction(0))
+    return harmonic_oracle(j - 1, 2)
 
 
 def weight_oracle(partition: Partition) -> dict[int, Fraction]:

@@ -25,9 +25,10 @@ class _FixedStream:
     def __init__(self, values):
         self._values = np.asarray(values, dtype=float)
 
-    def random(self, n):
-        assert n == len(self._values)
-        return self._values
+    def random(self, *, out):
+        assert len(out) == len(self._values)
+        out[:] = self._values
+        return out
 
 
 # -------------------------------------------------------------------- sampling
@@ -59,17 +60,11 @@ def test_sample_exponential_rejects_bad_args():
             sample_exponential(5, theta, stream)
 
 
-def test_sample_exponential_into_a_reused_buffer():
-    buf = np.empty(10)
+def test_sample_exponential_continues_one_stream():
+    # chunked monte_carlo relies on successive draws continuing one stream
     stream = replicate_stream(5, 1)
-    first = sample_exponential(7, 1.5, stream, out=buf).copy()
-    second = sample_exponential(4, 1.5, stream, out=buf)
-    fresh = replicate_stream(5, 1)
-    assert np.array_equal(first, sample_exponential(7, 1.5, fresh))
-    assert np.array_equal(second, sample_exponential(4, 1.5, fresh))
-    assert second.base is buf and np.array_equal(second, buf[:4])
-    with pytest.raises(ValueError, match="fewer than n"):
-        sample_exponential(11, 1.5, stream, out=buf)
+    drawn = np.concatenate([sample_exponential(7, 1.5, stream), sample_exponential(4, 1.5, stream)])
+    assert np.array_equal(drawn, sample_exponential(11, 1.5, replicate_stream(5, 1)))
 
 
 # --------------------------------------------------------------------- streams
@@ -90,6 +85,8 @@ def test_stream_rejects_bad_keys():
         replicate_stream(1 << 64, 0)
     with pytest.raises(ValueError):
         replicate_stream(0, -1)
+    with pytest.raises(ValueError):
+        replicate_stream(0, 1 << 64)
 
 
 # ----------------------------------------------------------------- monte carlo
