@@ -113,8 +113,10 @@ class _ExponentialEntries(_Frozen):
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __getitem__(self, index: int) -> CoefficientEntry:
-        j = self.parts[index]  # negative indices and IndexError as on a tuple
+    def __getitem__(self, index: Union[int, slice]) -> Union[CoefficientEntry, tuple]:
+        j = self.parts[index]  # negative indices, slices and IndexError as on a tuple
+        if isinstance(j, range):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
         if j not in _entries:  # setdefault keeps one entry when threads race
             from .exactmath import generalized_harmonic as h
 

@@ -13,21 +13,21 @@ and variance reduce the replicate estimates with numpy's fixed
 pairwise summation over a single array, so a report depends only on
 (plan, theta, replicates, seed).
 
-Memory: a block's rows are drawn in chunks of about _CHUNK_BYTES of
-uniforms.  Successive draws from one Philox stream continue the same
-sequence, so the chunks of a block together draw exactly what one
-draw of the whole block would.  Within a chunk, the parts of each size
-in the plan (its run of equal, contiguous parts) are reduced at once:
-the k-th entries of its parts are folded in halves with elementwise
-maximum and minimum, about log2(size) calls per run for narrow and wide
-parts alike, which give the same exact extremes as a per-part max and
-min.  The folds run on the logs l = log1p(-U), and only each part's
-two extremes are scaled by -theta.  One draw buffer serves every chunk
-of a call, and the weighted sum and the variance are reduced in place,
-so a call holds the chunk, a fold workspace of at most 2/3 of a chunk,
-each part's least and greatest log of its rows (at most a chunk
-together, as every part has two entries or more) and 8 bytes per
-replicate for the estimates, whatever n is.
+Memory: a call draws each block in equal chunks of at most _CHUNK_BYTES
+of uniforms, which continue one Philox stream, so they draw the rows one
+draw of the block would, and a block's last chunk draws fewer rows than
+there are chunks past its end.  Their sums land in the next block's first
+rows, so blocks fill the estimates in order (a parallel schedule would
+need rows of its own for each block's extra sums).  Within a chunk, each
+run of equal, contiguous parts is reduced at once: the k-th entries of
+its parts are folded in halves with elementwise maximum and minimum,
+about log2(size) calls per run, whose exact extremes equal a per-part
+max and min.  The folds run on the logs l = log1p(-U), and only each
+part's two extremes are scaled by -theta.  The fold calls are built once
+over one draw buffer, and the weighted sum and the variance are reduced
+in place, so a call holds the chunk, a fold workspace of at most 2/3 of
+it, each part's extremes (at most a chunk together) and 8 bytes per
+replicate for the estimates plus a chunk of rows of padding, whatever n is.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ __all__ = [
 
 BLOCK_REPLICATES = 1 << 16
 
-# Bytes of uniforms drawn per chunk; CHANGES.md records the timings behind the size.
+# The most bytes of uniforms a chunk draws; CHANGES.md records the timings.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -145,55 +145,51 @@ def monte_carlo(
     n = plan.partition.n
     # one float weight per part, in the plan's order
     weights = np.repeat([float(a) for _, _, a in plan.weights], [m for _, m, _ in plan.weights])
-    chunk = max(1, min(BLOCK_REPLICATES, replicates, _CHUNK_BYTES // (8 * n)))
+    # each block in equal chunks of at most _CHUNK_BYTES of uniforms
+    per_block = min(BLOCK_REPLICATES, replicates)
+    chunks = math.ceil(per_block / max(1, _CHUNK_BYTES // (8 * n)))
+    chunk = math.ceil(per_block / chunks)
     # per part, the least and the greatest log draw of each row
     log_mins = np.empty((chunk, len(weights)))
     log_maxs = np.empty((chunk, len(weights)))
     work = np.empty(chunk * max((size + 1) // 2 * count for size, count, _ in plan.weights))
     draws = np.empty(chunk * n)
+    # the folds of every run of equal parts, as views over whole buffers
+    logs = draws.reshape(chunk, n)
+    calls = []
+    column = offset = 0
+    for size, count, _ in plan.weights:
+        parts = logs[:, offset : offset + size * count].reshape(chunk, count, size)
+        # entries[k] holds entry k of every part of the run, (chunk, count)
+        entries = parts.transpose(2, 0, 1)
+        space = work[: (size + 1) // 2 * chunk * count].reshape(-1, chunk, count)
+        run = slice(column, column + count)
+        calls += _fold_calls(np.minimum, entries, space, log_mins[:, run])
+        calls += _fold_calls(np.maximum, entries, space, log_maxs[:, run])
+        column += count
+        offset += size * count
 
-    def chunk_calls(rows: int) -> list[tuple]:
-        """The folds of every run of equal parts, as views over the
-        buffers for a chunk of rows."""
-        logs = draws[: rows * n].reshape(rows, n)
-        calls = []
-        column = offset = 0
-        for size, count, _ in plan.weights:
-            parts = logs[:, offset : offset + size * count].reshape(rows, count, size)
-            # entries[k] holds entry k of every part of the run, (rows, count)
-            entries = parts.transpose(2, 0, 1)
-            space = work[: (size + 1) // 2 * rows * count].reshape(-1, rows, count)
-            run = slice(column, column + count)
-            calls += _fold_calls(np.minimum, entries, space, log_mins[:rows, run])
-            calls += _fold_calls(np.maximum, entries, space, log_maxs[:rows, run])
-            column += count
-            offset += size * count
-        return calls
-
-    # the views are built once per chunk shape: only a block's last,
-    # shorter chunk differs
-    shapes: dict[int, list] = {}
-    estimates = np.empty(replicates)
+    # a block's last chunk runs past the block's end; the next block overwrites
+    # its extra sums, and the last block's land in chunk rows of padding
+    padded = np.empty(replicates + chunk)
     blocks = (replicates + BLOCK_REPLICATES - 1) // BLOCK_REPLICATES
     for b in range(blocks):
         stream = replicate_stream(seed, b)
         block_end = min((b + 1) * BLOCK_REPLICATES, replicates)
         for start in range(b * BLOCK_REPLICATES, block_end, chunk):
-            rows = min(chunk, block_end - start)
-            if rows not in shapes:
-                shapes[rows] = chunk_calls(rows)
-            _log_draws(stream, draws[: rows * n])
-            for ufunc, first, second, into in shapes[rows]:
+            _log_draws(stream, draws)
+            for ufunc, first, second, into in calls:
                 ufunc(first, second, out=into)
             # x = -theta * l: rounding a product with a negative constant
             # is monotone, so a part's greatest x is -theta times its least
             # l and its least x -theta times its greatest l, bit for bit
-            highs = np.multiply(log_mins[:rows], -theta, out=log_mins[:rows])
-            lows = np.multiply(log_maxs[:rows], -theta, out=log_maxs[:rows])
+            highs = np.multiply(log_mins, -theta, out=log_mins)
+            lows = np.multiply(log_maxs, -theta, out=log_maxs)
             ranges = np.subtract(highs, lows, out=highs)
             np.multiply(ranges, weights, out=ranges)
-            ranges.sum(axis=1, out=estimates[start : start + rows])
+            ranges.sum(axis=1, out=padded[start : start + chunk])
 
+    estimates = padded[:replicates]
     mean = float(estimates.mean())
     # estimates.var(ddof=1) without its temporary: numpy's own steps
     # (x - mean, x * x, a pairwise sum over R - 1) in the estimates

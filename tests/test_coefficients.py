@@ -84,6 +84,11 @@ def test_exponential_table_builds_entries_when_read(monkeypatch):
     assert tuple(t.entries) == tuple(t.entry(j) for j in range(2, 2001))
     with pytest.raises(IndexError):
         t.entries[1999]
+    # slices read as on a loaded table's tuple
+    small = exponential_table(10)
+    loaded = load_table(export_table(small)).entries
+    for cut in (slice(1, 3), slice(None, None, -3), slice(-2, None), slice(5, 2), slice(None)):
+        assert small.entries[cut] == loaded[cut], cut
 
 
 def test_exponential_identity_builds_nothing(monkeypatch):

@@ -9,7 +9,8 @@ change, regenerate the file and review its diff:
 
 Cases run in process through ``main(argv)`` from a directory holding
 the table files below, so paths and labels in the output are relative
-and the same on every machine.
+and the same on every machine.  Each command of the README's transcripts
+must print what the README shows.
 """
 
 from __future__ import annotations
@@ -17,13 +18,17 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import shlex
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from grouprange.cli import FORMAT_ENV, main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
+README = Path(__file__).parents[1] / "README.md"
 
 TABLES = {
     "custom.csv": "j,d,k_sq\n2,1,1\n3,3/2,5/4\n4,11/6,49/36\n5,25/12,205/144\n"
@@ -151,6 +156,25 @@ def test_cli_transcript_matches_golden():
     expected = GOLDEN.read_text(encoding="utf-8")
     actual = transcript()
     assert actual == expected
+
+
+def _readme_commands() -> list[tuple[str, str]]:
+    """(arguments, stdout) of each ``$ grouprange`` line in the README's
+    text blocks: the lines up to the next ``$`` line or the block's end."""
+    cases = []
+    for block in re.findall(r"^```text\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            re.M | re.S):
+        for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, _, stdout = command.partition("\n")
+            cases.append((line.removeprefix("grouprange "), stdout.rstrip("\n") + "\n"))
+    return cases
+
+
+@pytest.mark.parametrize("arguments, stdout", _readme_commands())
+def test_readme_transcripts_match_the_cli(monkeypatch, capsys, arguments, stdout):
+    monkeypatch.delenv(FORMAT_ENV, raising=False)
+    code = main(shlex.split(arguments))
+    assert (code, capsys.readouterr().out) == (0, stdout)
 
 
 if __name__ == "__main__":

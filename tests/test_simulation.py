@@ -250,7 +250,8 @@ REFERENCE_REPS = (1, 2, BLOCK_REPLICATES - 1, BLOCK_REPLICATES, BLOCK_REPLICATES
 # at one block plus one; the other plans take every size.
 REFERENCE_CASES = [(name, reps) for name in REFERENCE_PLANS for reps in REFERENCE_REPS
                    if name != "fours401" or reps in (1, 2, BLOCK_REPLICATES + 1)]
-# prime, so every full block ends in a partial chunk (65536 = 65 * 997 + 731)
+# prime: a block splits into 66 equal chunks of 993 rows, the most that fit
+# in 997, and the last draws 2 rows past the block (66 * 993 = 65536 + 2)
 CHUNK_ROWS = 997
 
 
@@ -270,6 +271,23 @@ def _assert_matches_reference(monkeypatch, plan, theta, replicates, rows):
 def test_monte_carlo_matches_reference(table401, monkeypatch, name, replicates):
     plan = make_plan(REFERENCE_PLANS[name], table401)
     _assert_matches_reference(monkeypatch, plan, 1.0, replicates, CHUNK_ROWS)
+
+
+def test_fold_calls_are_built_once_per_call(table401, monkeypatch):
+    # every chunk of a call has one shape, even a block's last and the
+    # call's last, so each run of equal parts builds its minimum and its
+    # maximum folds once
+    built = []
+    fold_calls = simulation._fold_calls
+
+    def counted(*args):
+        built.append(args[0])
+        return fold_calls(*args)
+
+    monkeypatch.setattr(simulation, "_fold_calls", counted)
+    plan = make_plan(REFERENCE_PLANS["mixed"], table401)
+    _assert_matches_reference(monkeypatch, plan, 1.0, 2 * BLOCK_REPLICATES + 3, CHUNK_ROWS)
+    assert len(built) == 2 * len(plan.weights)
 
 
 # every plan within one block, and the cheap plans across a block boundary
