@@ -683,11 +683,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> NoReturn:
     """Process entry: ``main()``, which writes and flushes the output, then end the process
     without the interpreter's teardown.  Where hashlib's built-in hashes are all there, keep
-    out OpenSSL's _hashlib, which numpy.random loads via hmac (3.4 MiB) and no command uses."""
+    out OpenSSL's _hashlib, which numpy.random loads via hmac (3.4 MiB) and no command uses.
+    Keep out ctypes too: numpy imports it only optionally, and it maps _ctypes and libffi
+    (0.3 MB) for an ndarray.ctypes no command reads.  A process that imports the package
+    as a library keeps both."""
     from importlib.util import find_spec
     sha2 = ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"]
     if all(map(find_spec, ["_md5", "_sha1", "_blake2", "_sha3", *sha2])):  # a build may lack one
         sys.modules.setdefault("_hashlib", None)
+    sys.modules.setdefault("ctypes", None)
     code = main()
     with contextlib.suppress(OSError):
         sys.stderr.flush()

@@ -21,6 +21,7 @@ estimate is invariant under permutations within a block.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -35,14 +36,24 @@ def check_theta(name: str, theta: float) -> None:
     """Raise ValueError unless 1e-100 <= theta <= 1e100 (so not NaN).
 
     theta**2 scales every variance a plan reports; on this range it stays
-    a normal float, neither overflowing to inf nor flushing to 0.0.
+    a normal float, neither overflowing to inf nor flushing to 0.0.  A
+    numpy float32 would overflow casting 1e100, so float(theta) is compared.
     """
-    if not 1e-100 <= theta <= 1e100:
+    if not 1e-100 <= float(theta) <= 1e100:
         raise ValueError(f"{name} must be finite and in [1e-100, 1e100], got {theta}")
 
 
+def check_integer(name: str, value: int) -> None:
+    """Raise TypeError unless operator.index takes value: a float is refused, not truncated."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(name: str, seed: int) -> None:
-    """Raise ValueError unless 0 <= seed < 2**64, the range of a Philox key word."""
+    """Raise TypeError unless seed is an integer, ValueError unless 0 <= seed < 2**64 (Philox)."""
+    check_integer(name, seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed}")
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import EstimatorPlan, check_seed, check_theta, theoretical_variance
+from .estimator import EstimatorPlan, check_integer, check_seed, check_theta, theoretical_variance
 from .partitions import Partition
 
 __all__ = [
@@ -81,6 +81,7 @@ def replicate_stream(seed: int, block: int) -> np.random.Generator:
     irrelevant to the results.
     """
     check_seed("seed", seed)
+    check_integer("block index", block)
     if not 0 <= block < 1 << 64:
         raise ValueError(f"block index must be a 64-bit unsigned integer, got {block}")
     key = np.array([seed, block], dtype=np.uint64)
@@ -138,6 +139,7 @@ def monte_carlo(
 ) -> SimulationReport:
     """Replicated estimates of sigma = theta under a fixed plan."""
     check_theta("theta", theta)
+    check_integer("replicates", replicates)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     check_seed("seed", seed)

@@ -27,7 +27,8 @@ package.
 
 The process entry `cli.run` keeps OpenSSL's _hashlib, which numpy.random
 loads through secrets and hmac, out of the CLI process where CPython's
-built-in hashes can serve hashlib; a library user's process keeps it.
+built-in hashes can serve hashlib, and keeps out ctypes, which numpy
+imports only optionally; a library user's process keeps both.
 
 The cases that check the commands run each command line once, through
 `cli.main` in a fresh interpreter, and read its exit code and
@@ -317,8 +318,32 @@ grouprange.monte_carlo(plan, 1.0, 10, 0)
 import hashlib
 digest = hashlib.sha256(b"abc")
 print("numpy" in sys.modules, sys.modules["_hashlib"].__name__, type(digest).__module__,
-      digest.hexdigest())
+      digest.hexdigest(), sys.modules["ctypes"].__name__)
 """
+
+# the CLI process entry, its main wrapped to report whether the run loaded
+# numpy, what sys.modules holds as ctypes and whether _ctypes is mapped;
+# given an argument, the child imports ctypes before run()
+CLI_CTYPES_CHILD = """
+import sys
+if sys.argv[1:]:
+    import ctypes
+from grouprange import cli
+
+def report(main=cli.main):
+    code = main(["simulate", "8", "--reps", "10"])
+    with open("/proc/self/maps") as maps:
+        mapped = any("_ctypes" in line for line in maps)
+    print(code, "numpy" in sys.modules, getattr(sys.modules["ctypes"], "__name__", None), mapped,
+          flush=True)
+    return code
+
+cli.main = report
+cli.run()
+"""
+
+needs_proc_maps = pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                                     reason="reads the process's mappings from /proc/self/maps")
 
 ABC_SHA256 = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
@@ -341,11 +366,27 @@ def test_cli_process_keeps_openssl_without_a_builtin_hash(workdir, missing):
 
 
 def test_library_process_keeps_openssl(workdir):
-    # only the CLI's process entry blocks _hashlib: importing the package
-    # and simulating leave a library user's hashlib on OpenSSL
+    # only the CLI's process entry blocks _hashlib and ctypes: importing the
+    # package and simulating leave a library user's hashlib on OpenSSL, and
+    # numpy imports ctypes
     proc = run_child([], workdir, LIBRARY_CHILD)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.split() == ["True", "_hashlib", "_hashlib", ABC_SHA256]
+    assert proc.stdout.split() == ["True", "_hashlib", "_hashlib", ABC_SHA256, "ctypes"]
+
+
+@needs_proc_maps
+def test_cli_process_runs_without_ctypes(workdir):
+    proc = run_child([], workdir, CLI_CTYPES_CHILD)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split()[-4:] == ["0", "True", "None", "False"]
+
+
+@needs_proc_maps
+def test_cli_process_keeps_a_ctypes_imported_before_run(workdir):
+    # run() blocks ctypes only where nothing has imported it yet
+    proc = run_child(["import"], workdir, CLI_CTYPES_CHILD)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split()[-4:] == ["0", "True", "ctypes", "True"]
 
 
 def test_bare_package_import_never_loads_numpy(workdir):

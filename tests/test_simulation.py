@@ -1,6 +1,7 @@
 """Seeded sampling, block scheduling, and Monte-Carlo summaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,7 @@ def test_streams_are_deterministic_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, replicate_stream(9, 4).random(8))
     assert not np.array_equal(a, replicate_stream(10, 3).random(8))
+    assert np.array_equal(a, replicate_stream(np.uint64(9), np.int32(3)).random(8))
 
 
 def test_stream_rejects_bad_keys():
@@ -87,6 +89,11 @@ def test_stream_rejects_bad_keys():
         replicate_stream(0, -1)
     with pytest.raises(ValueError):
         replicate_stream(0, 1 << 64)
+    # a float key would be truncated to another key's stream
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        replicate_stream(1.9, 0)
+    with pytest.raises(TypeError, match="block index must be an integer"):
+        replicate_stream(0, 1.0)
 
 
 # ----------------------------------------------------------------- monte carlo
@@ -98,6 +105,7 @@ def test_monte_carlo_is_reproducible(table40):
     second = monte_carlo(plan, 1.5, 2000, seed=77)
     assert first == second
     assert first != monte_carlo(plan, 1.5, 2000, seed=78)
+    assert first == monte_carlo(plan, 1.5, np.int64(2000), seed=np.uint64(77))
 
 
 def test_monte_carlo_report_fields(table40):
@@ -145,11 +153,28 @@ def test_monte_carlo_rejects_bad_args(table40):
         monte_carlo(plan, 0.0, 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(plan, 1.0, 0, seed=0)
+    with pytest.raises(TypeError, match="replicates must be an integer"):
+        monte_carlo(plan, 1.0, 2.0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo(plan, 1.0, 10, seed=-1)
+    # seed 1.5 would report seed 1.5 with seed 1's estimates
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        monte_carlo(plan, 1.0, 5, seed=1.5)
     for theta in (math.nan, math.inf, -math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError, match="finite"):
             monte_carlo(plan, theta, 10, seed=0)
+
+
+def test_float32_theta_warns_nothing(table40):
+    # check_theta compares float(theta): 1e100 cast to float32 would overflow
+    plan = make_plan(Partition.from_parts([4, 3]), table40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = monte_carlo(plan, np.float32(2.0), 5, 0)
+        assert theoretical_variance(plan, np.float32(2.0)) == theoretical_variance(plan, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo(plan, np.float32(np.inf), 5, 0)
+    assert report == monte_carlo(plan, 2.0, 5, 0)
 
 
 def test_monte_carlo_rejects_theta_before_drawing(table40, monkeypatch):
