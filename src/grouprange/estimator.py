@@ -21,34 +21,30 @@ estimate is invariant under permutations within a block.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .coefficients import CoefficientTable
 from .optimizer import partition_objective
-from .partitions import Partition
+from .partitions import Partition, check_integer
 
 __all__ = ["EstimatorPlan", "make_plan", "estimate", "theoretical_variance"]
 
 
-def check_theta(name: str, theta: float) -> None:
-    """Raise ValueError unless 1e-100 <= theta <= 1e100 (so not NaN).
+def check_theta(name: str, theta: float) -> float:
+    """Return float(theta), which callers compute with: a Fraction, a Decimal
+    or a numpy float32 (which would overflow casting 1e100) acts as its float.
 
-    theta**2 scales every variance a plan reports; on this range it stays
-    a normal float, neither overflowing to inf nor flushing to 0.0.  A
-    numpy float32 would overflow casting 1e100, so float(theta) is compared.
+    Raise TypeError for a str or bytes, which float() would parse, and
+    ValueError unless 1e-100 <= theta <= 1e100 (so not NaN): theta**2 scales
+    every variance a plan reports, and on this range it stays a normal float.
     """
-    if not 1e-100 <= float(theta) <= 1e100:
+    if isinstance(theta, (str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a number, got {theta!r}")
+    value = float(theta)
+    if not 1e-100 <= value <= 1e100:
         raise ValueError(f"{name} must be finite and in [1e-100, 1e100], got {theta}")
-
-
-def check_integer(name: str, value: int) -> None:
-    """Raise TypeError unless operator.index takes value: a float is refused, not truncated."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    return value
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -108,5 +104,4 @@ def estimate(sample: Sequence[float], plan: EstimatorPlan) -> float:
 
 def theoretical_variance(plan: EstimatorPlan, sigma: float) -> float:
     """Var(sigma_hat) = sigma**2 * variance_factor for true scale sigma."""
-    check_theta("sigma", sigma)
-    return float(plan.variance_factor) * float(sigma) ** 2
+    return float(plan.variance_factor) * check_theta("sigma", sigma) ** 2

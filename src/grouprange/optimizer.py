@@ -291,20 +291,17 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     for w in range(len(opt), n + 1):
         ratio = fc[w] / w
         if ratio >= low and (ratio > high or table.c(w) / w >= table.c(lead) / lead):
-            # (w,) reaches the LP bound in one part
             state.lead = lead = w
-            low, high, value = ratio * (1 - FLOAT_TIE), ratio * (1 + FLOAT_TIE), table.c(w)
-            opt.append((value, (-1, ((w, 1),))))
-            fv.append(float(value))
-            parts.append(w)
-            continue
-        tried = (*parts, w)  # the undominated parts ascending, then w
-        floats = [fv[w - j] + fc[j] for j in tried]
-        floor = max(floats) * (1 - FLOAT_TIE)
-        best = max(
-            (opt[w - j][0] + table.c(j), _with_part(opt[w - j][1], j))
-            for j, f in zip(tried, floats) if f >= floor
-        )
+            low, high = ratio * (1 - FLOAT_TIE), ratio * (1 + FLOAT_TIE)
+            best = (table.c(w), (-1, ((w, 1),)))  # (w,) reaches the LP bound in one part
+        else:
+            tried = (*parts, w)  # the undominated parts ascending, then w
+            floats = [fv[w - j] + fc[j] for j in tried]
+            floor = max(floats) * (1 - FLOAT_TIE)
+            best = max(
+                (opt[w - j][0] + table.c(j), _with_part(opt[w - j][1], j))
+                for j, f in zip(tried, floats) if f >= floor
+            )
         opt.append(best)
         fv.append(float(best[0]))
         if best[1] == (-1, ((w, 1),)):

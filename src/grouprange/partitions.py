@@ -21,10 +21,19 @@ recurrence, the exact reference for the series.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from typing import Iterable, Mapping
 
 __all__ = ["Partition", "count_admissible", "asymptotic_admissible"]
+
+
+def check_integer(name: str, value: int) -> int:
+    """Return operator.index(value); a float raises TypeError, not a truncated int."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 class _Frozen:
@@ -60,11 +69,14 @@ class Partition(_Frozen):
     """
 
     def __init__(self, n: int, frequencies: tuple[tuple[int, int], ...]) -> None:
+        check_integer("n", n)
         if n < 2:
             raise ValueError(f"admissible partitions need n >= 2, got {n}")
         total = 0
         previous = 1
         for part, mult in frequencies:
+            check_integer("part", part)
+            check_integer(f"multiplicity of part {part}", mult)
             if part < 2:
                 raise ValueError(f"part {part} is inadmissible (every part must be >= 2)")
             if part <= previous:
@@ -235,7 +247,7 @@ def _unrestricted(n: int) -> int:
     means the budget broke, and raises rather than rounding to a wrong count.
     """
     if n < 2:
-        return 1
+        return int(n >= 0)
     d = 24 * n - 1
     terms = _term_count(n)
     g = _GUARD + terms.bit_length()
@@ -252,13 +264,12 @@ def _unrestricted(n: int) -> int:
 def count_admissible(n: int) -> int:
     """Exact number of partitions of n with every part >= 2.
 
-    P(n) = p(n) - p(n-1), each from Rademacher's series; P(0) = 1
-    counts the empty partition and P(1) = 0.
+    P(n) = p(n) - p(n-1), each from Rademacher's series, with p(-1) = 0:
+    P(0) = 1 counts the empty partition and P(1) = 1 - 1 = 0.
     """
+    n = check_integer("n", n)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n < 2:
-        return 1 - n
     return _unrestricted(n) - _unrestricted(n - 1)
 
 

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import EstimatorPlan, check_integer, check_seed, check_theta, theoretical_variance
-from .partitions import Partition
+from .estimator import EstimatorPlan, check_seed, check_theta, theoretical_variance
+from .partitions import Partition, check_integer
 
 __all__ = [
     "BLOCK_REPLICATES",
@@ -81,9 +81,7 @@ def replicate_stream(seed: int, block: int) -> np.random.Generator:
     irrelevant to the results.
     """
     check_seed("seed", seed)
-    check_integer("block index", block)
-    if not 0 <= block < 1 << 64:
-        raise ValueError(f"block index must be a 64-bit unsigned integer, got {block}")
+    check_seed("block index", block)
     key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -101,7 +99,7 @@ def sample_exponential(n: int, theta: float, stream: np.random.Generator) -> np.
     """n inverse-CDF draws x = -theta * ln(1 - U) from the stream."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_theta("theta", theta)
+    theta = check_theta("theta", theta)
     x = _log_draws(stream, np.empty(n))
     x *= -theta
     return x
@@ -138,7 +136,7 @@ def monte_carlo(
     plan: EstimatorPlan, theta: float, replicates: int, seed: int
 ) -> SimulationReport:
     """Replicated estimates of sigma = theta under a fixed plan."""
-    check_theta("theta", theta)
+    theta = check_theta("theta", theta)
     check_integer("replicates", replicates)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -151,9 +149,8 @@ def monte_carlo(
     per_block = min(BLOCK_REPLICATES, replicates)
     chunks = math.ceil(per_block / max(1, _CHUNK_BYTES // (8 * n)))
     chunk = math.ceil(per_block / chunks)
-    # per part, the least and the greatest log draw of each row
-    log_mins = np.empty((chunk, len(weights)))
-    log_maxs = np.empty((chunk, len(weights)))
+    # per part, the least (row 0) and the greatest (row 1) log draw of each row
+    extremes = np.empty((2, chunk, len(weights)))
     work = np.empty(chunk * max((size + 1) // 2 * count for size, count, _ in plan.weights))
     draws = np.empty(chunk * n)
     # the folds of every run of equal parts, as views over whole buffers
@@ -166,8 +163,8 @@ def monte_carlo(
         entries = parts.transpose(2, 0, 1)
         space = work[: (size + 1) // 2 * chunk * count].reshape(-1, chunk, count)
         run = slice(column, column + count)
-        calls += _fold_calls(np.minimum, entries, space, log_mins[:, run])
-        calls += _fold_calls(np.maximum, entries, space, log_maxs[:, run])
+        calls += _fold_calls(np.minimum, entries, space, extremes[0, :, run])
+        calls += _fold_calls(np.maximum, entries, space, extremes[1, :, run])
         column += count
         offset += size * count
 
@@ -185,8 +182,7 @@ def monte_carlo(
             # x = -theta * l: rounding a product with a negative constant
             # is monotone, so a part's greatest x is -theta times its least
             # l and its least x -theta times its greatest l, bit for bit
-            highs = np.multiply(log_mins, -theta, out=log_mins)
-            lows = np.multiply(log_maxs, -theta, out=log_maxs)
+            highs, lows = np.multiply(extremes, -theta, out=extremes)
             ranges = np.subtract(highs, lows, out=highs)
             np.multiply(ranges, weights, out=ranges)
             ranges.sum(axis=1, out=padded[start : start + chunk])
@@ -200,7 +196,7 @@ def monte_carlo(
     variance = float(estimates.sum() / (replicates - 1)) if replicates > 1 else 0.0
     return SimulationReport(
         n=n,
-        theta=float(theta),
+        theta=theta,
         replicates=replicates,
         seed=seed,
         mean_estimate=mean,

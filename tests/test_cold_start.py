@@ -209,15 +209,16 @@ SUBMODULE_LOADS = {
 
 def test_bare_package_import_loads_no_submodule(workdir):
     # a submodule is still an attribute of the package, loaded on first
-    # access with only what it imports itself
+    # access with only what it imports itself: only simulation loads numpy
     for name, loads in SUBMODULE_LOADS.items():
         code = ("import sys, grouprange\n"
                 "loaded = lambda: sorted(m for m in sys.modules if 'grouprange.' in m)\n"
                 "print(loaded())\n"
-                f"print(grouprange.{name}.__name__, loaded())\n")
+                f"print(grouprange.{name}.__name__, loaded(), 'numpy' in sys.modules)\n")
         proc = run_child([], workdir, code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", f"grouprange.{name} {loads}"]
+        numpy = name == "simulation"
+        assert proc.stdout.splitlines() == ["[]", f"grouprange.{name} {loads} {numpy}"]
 
 
 def test_lemma_loads_no_solver(workdir, bare_modules):

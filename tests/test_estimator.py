@@ -5,6 +5,7 @@ not trust the coefficients module for the quantities under test.
 """
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,16 @@ def test_theoretical_variance_values(table40):
             theoretical_variance(plan, sigma)
     assert theoretical_variance(plan, 1e100) == float(plan.variance_factor) * 1e200
     assert theoretical_variance(plan, 1e-100) == float(plan.variance_factor) * 1e-200
+
+
+def test_theoretical_variance_takes_sigma_as_its_float(table40):
+    plan = make_plan(Partition.from_parts([4, 4]), table40)
+    assert theoretical_variance(plan, Fraction(3, 2)) == theoretical_variance(plan, 1.5)
+    assert theoretical_variance(plan, Decimal("1.5")) == theoretical_variance(plan, 1.5)
+    # float() would parse these
+    for sigma in ("2", b"2", bytearray(b"2")):
+        with pytest.raises(TypeError, match="sigma must be a number"):
+            theoretical_variance(plan, sigma)
 
 
 # -------------------------------------------------------------------- estimate

@@ -108,6 +108,26 @@ def test_partition_rejects_invalid():
         Partition(7, ((3, 1), (2, 2)))  # unsorted frequencies
 
 
+
+def test_partition_refuses_non_integers():
+    # a float part, multiplicity or n is refused, not carried into the solvers
+    with pytest.raises(TypeError, match="part must be an integer, got 4.0"):
+        Partition(8, ((4.0, 2),))
+    with pytest.raises(TypeError, match="multiplicity of part 4 must be an integer, got 2.0"):
+        Partition(8, ((4, 2.0),))
+    with pytest.raises(TypeError, match="n must be an integer, got 8.0"):
+        Partition(8.0, ((4, 2),))
+    with pytest.raises(TypeError, match="must be an integer"):
+        Partition.from_parts([4.0, 4.0])
+    with pytest.raises(TypeError, match="must be an integer"):
+        Partition.from_frequencies({Fraction(4): 2})
+
+
+def test_partition_takes_numpy_integers():
+    np = pytest.importorskip("numpy")
+    partition = Partition.from_parts(np.array([4, 4, 3]))
+    assert partition == Partition.from_parts([4, 4, 3]) and str(partition) == "4,4,3"
+
 # The validated records take equality, hash and repr from their fields,
 # in the order __init__ sets them; each repr below is pinned as it was
 # when every record wrote its own, but the exponential table's, which
@@ -285,6 +305,21 @@ def test_counts_nonnegative_and_growing():
 def test_count_rejects_negative():
     with pytest.raises(ValueError):
         count_admissible(-3)
+
+
+def test_count_refuses_non_integers():
+    for n in (3.0, Fraction(3), Decimal(3), "3"):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            count_admissible(n)
+    np = pytest.importorskip("numpy")
+    assert count_admissible(np.int64(30)) == count_admissible(30) == 1039
+
+
+def test_count_starts_from_the_empty_partition():
+    # P(n) = p(n) - p(n-1) with p(-1) = 0 covers n = 0 and 1 as well
+    assert partitions._unrestricted(-1) == 0
+    assert [partitions._unrestricted(n) for n in range(4)] == [1, 1, 2, 3]
+    assert [count_admissible(n) for n in range(5)] == [1, 0, 1, 1, 2]
 
 
 # -------------------------------------------------------------- asymptotics

@@ -2,6 +2,8 @@
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,6 +192,21 @@ def test_monte_carlo_rejects_theta_before_drawing(table40, monkeypatch):
     for theta in (1e-100, 1e100):
         with pytest.raises(AssertionError, match="drew"):
             monte_carlo(plan, theta, 10, seed=0)
+
+
+def test_theta_is_taken_as_its_float(table40):
+    # a Fraction or Decimal theta draws what the equal float draws; a str,
+    # which float() would parse, is refused
+    plan = make_plan(Partition.from_parts([4, 3]), table40)
+    assert monte_carlo(plan, Fraction(2), 5, 0) == monte_carlo(plan, 2.0, 5, 0)
+    assert monte_carlo(plan, Decimal("0.5"), 3, 1) == monte_carlo(plan, 0.5, 3, 1)
+    draws = sample_exponential(3, Decimal("2"), replicate_stream(0, 0))
+    assert draws.tobytes() == sample_exponential(3, 2.0, replicate_stream(0, 0)).tobytes()
+    for theta in ("2", b"2", bytearray(b"2")):
+        with pytest.raises(TypeError, match="theta must be a number"):
+            monte_carlo(plan, theta, 5, 0)
+        with pytest.raises(TypeError, match="theta must be a number"):
+            sample_exponential(3, theta, replicate_stream(0, 0))
 
 
 # ------------------------------------------------------------------ statistics
