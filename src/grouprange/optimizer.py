@@ -191,14 +191,12 @@ def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
         if not offset:  # self loops never help a shortest path
             continue
         w, known = j * per_unit - fc[j], minima.get(offset)
-        if known:
-            margin = FLOAT_TIE * (j * per_unit + fc[j])
-            if w > known[2] + margin or (  # smallest part on ties
-                w >= known[2] - margin and not j * table.c(b) / b - table.c(j) < known[1]
-            ):
-                continue
+        margin = FLOAT_TIE * (j * per_unit + fc[j])
+        if known and w > known[2] + margin:
+            continue
         exact = j * table.c(b) / b - table.c(j)
-        minima[offset] = (j, exact, float(exact))
+        if not known or w < known[2] - margin or exact < known[1]:  # smallest part on ties
+            minima[offset] = (j, exact, float(exact))
     state.scanned = n
 
 
@@ -284,15 +282,14 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     guarantee for every C_j, value and sum.  Capacity 1 is infeasible
     and its float -inf keeps it out of every candidate list.
     """
-    opt, fv, fc, parts = state.opt, state.fv, _floats(state, table, n), state.parts
-    lead = state.lead
-    bound = fc[lead] / lead if lead else 0.0
-    low, high = bound * (1 - FLOAT_TIE), bound * (1 + FLOAT_TIE)
+    opt, fv, fc, parts, lead = state.opt, state.fv, _floats(state, table, n), state.parts, state.lead
+    bound = fc[lead] / lead if lead else 0.0  # the lead's float ratio
     for w in range(len(opt), n + 1):
         ratio = fc[w] / w
-        if ratio >= low and (ratio > high or table.c(w) / w >= table.c(lead) / lead):
-            state.lead = lead = w
-            low, high = ratio * (1 - FLOAT_TIE), ratio * (1 + FLOAT_TIE)
+        if ratio >= bound * (1 - FLOAT_TIE) and (
+            ratio > bound * (1 + FLOAT_TIE) or table.c(w) / w >= table.c(lead) / lead
+        ):
+            state.lead, lead, bound = w, w, ratio
             best = (table.c(w), (-1, ((w, 1),)))  # (w,) reaches the LP bound in one part
         else:
             tried = (*parts, w)  # the undominated parts ascending, then w
@@ -313,8 +310,7 @@ def solve_dp(n: int, table: CoefficientTable) -> SolveResult:
     _require_coverage(table, n)
     with _lock:
         state = _table_state(table)
-        if len(state.opt) <= n:
-            _dp_extend(state, n, table)
+        _dp_extend(state, n, table)
         # n >= 2 is always feasible (greedy 2s and one 3 cover any n)
         value, (_, pairs) = state.opt[n]
     return SolveResult(Partition(n, pairs[::-1]), value, "dp")

@@ -69,14 +69,13 @@ class Partition(_Frozen):
     """
 
     def __init__(self, n: int, frequencies: tuple[tuple[int, int], ...]) -> None:
-        check_integer("n", n)
+        n = check_integer("n", n)
         if n < 2:
             raise ValueError(f"admissible partitions need n >= 2, got {n}")
-        total = 0
-        previous = 1
+        total, previous, checked = 0, 1, []
         for part, mult in frequencies:
-            check_integer("part", part)
-            check_integer(f"multiplicity of part {part}", mult)
+            part = check_integer("part", part)
+            mult = check_integer(f"multiplicity of part {part}", mult)
             if part < 2:
                 raise ValueError(f"part {part} is inadmissible (every part must be >= 2)")
             if part <= previous:
@@ -85,9 +84,10 @@ class Partition(_Frozen):
                 raise ValueError(f"multiplicity {mult} for part {part} must be >= 1")
             total += part * mult
             previous = part
+            checked.append((part, mult))
         if total != n:
             raise ValueError(f"parts sum to {total}, expected n = {n}")
-        vars(self).update(n=n, frequencies=frequencies)
+        vars(self).update(n=n, frequencies=tuple(checked))
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":

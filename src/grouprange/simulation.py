@@ -113,22 +113,21 @@ def _fold_calls(
 
     Each call combines the first and the last half of the rows left, so
     the k rows take about log2(k) elementwise calls, each over whole rows
-    of work; work needs (k + 1) // 2 rows.  For odd k the first call
-    takes the middle row into both halves; each later call leaves an odd
-    middle row where it is.
-    Maximum and minimum are exact, so out equals a direct max or min over
-    the axis.
+    of work, and the last, on two rows, writes out; work needs (k + 1) // 2
+    rows.  For odd k the first call takes the middle row into both halves;
+    each later call leaves an odd middle row where it is.  Maximum and
+    minimum are exact, so out equals a direct max or min over the axis.
+    ufunc.reduceat measured 2 to 14.5 times slower than these calls on the
+    narrow parts simulate runs (CHANGES.md).
     """
-    width = len(entries)
-    if width == 2:
-        return [(ufunc, entries[0], entries[1], out)]
-    width = (width + 1) // 2
-    calls = [(ufunc, entries[:width], entries[len(entries) - width :], work[:width])]
-    while width > 2:
+    calls, source, width = [], entries, len(entries)
+    half = (width + 1) // 2
+    while width > 1:
+        calls.append((ufunc, source[:half], source[width - half : width], work[:half]))
+        source, width = work, (width + 1) // 2
         half = width // 2
-        calls.append((ufunc, work[:half], work[width - half : width], work[:half]))
-        width -= half
-    calls.append((ufunc, work[0], work[1], out))
+    _, first, second, _ = calls.pop()  # the last call leaves one row: into out
+    calls.append((ufunc, first[0], second[0], out))
     return calls
 
 

@@ -10,6 +10,7 @@ from grouprange import (
     CoefficientTable,
     envelope_h,
     exponential_table,
+    lemma,
     ratio,
     verify_lemma,
 )
@@ -107,3 +108,27 @@ def test_float_tie_is_decided_exactly(offset, peak_at):
     assert report.max_ratio == max(c8 / 8, PEAK_RATIO)
     assert report.exact_ok and report.envelope_ok
     assert report.holds == (peak_at == 4)
+
+
+def test_envelope_must_dominate_every_ratio():
+    # C_34 / 34 = 0.615 lies above h(34) ~ 0.61268 but below 121/196, so
+    # only the envelope's domination check can fail the run
+    c34 = 34 * Fraction(615, 1000)
+    exponential = exponential_table(40)
+    entries = [CoefficientEntry(34, c34, c34) if j == 34 else exponential.entry(j)
+               for j in range(2, 41)]
+    table = CoefficientTable("above-envelope", tuple(entries))
+    assert envelope_h(34) < table.c_float(34) / 34 < float(PEAK_RATIO)
+    report = verify_lemma(40, table)
+    assert report.max_ratio_at == 4 and report.exact_ok and report.tail_bound_start == 34
+    assert not report.envelope_ok and not report.holds
+
+
+def test_envelope_must_decrease_from_four(monkeypatch):
+    # an envelope flat between 4 and 5 still dominates every ratio and
+    # crosses at 34, so only the decrease check from n = 4 can fail the run
+    h = lemma.envelope_h
+    monkeypatch.setattr(lemma, "envelope_h", lambda n: h(4) if n == 5 else h(n))
+    report = verify_lemma(40, exponential_table(40))
+    assert report.max_ratio_at == 4 and report.exact_ok and report.tail_bound_start == 34
+    assert not report.envelope_ok and not report.holds

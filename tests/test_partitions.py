@@ -128,6 +128,18 @@ def test_partition_takes_numpy_integers():
     partition = Partition.from_parts(np.array([4, 4, 3]))
     assert partition == Partition.from_parts([4, 4, 3]) and str(partition) == "4,4,3"
 
+
+def test_partition_stores_the_checked_ints():
+    np = pytest.importorskip("numpy")
+    plain = Partition.from_parts([4, 4, 3])
+    for partition in (Partition.from_parts(np.array([4, 4, 3])),
+                      Partition(np.int64(11), ((np.int32(3), np.int64(1)), (np.uint8(4), np.int16(2))))):
+        assert type(partition.n) is int
+        assert all(type(x) is int for pair in partition.frequencies for x in pair)
+        assert repr(partition) == repr(plain) == "Partition(n=11, frequencies=((3, 1), (4, 2)))"
+        assert str(partition) == str(plain) and hash(partition) == hash(plain)
+
+
 # The validated records take equality, hash and repr from their fields,
 # in the order __init__ sets them; each repr below is pinned as it was
 # when every record wrote its own, but the exponential table's, which

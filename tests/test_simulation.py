@@ -332,6 +332,22 @@ def test_fold_calls_are_built_once_per_call(table401, monkeypatch):
     assert len(built) == 2 * len(plan.weights)
 
 
+@pytest.mark.parametrize("width", range(2, 34))
+def test_fold_calls_reduce_every_width(width):
+    # the parts' k-th entries as monte_carlo lays them out, (width, rows, parts),
+    # over logs <= 0 that include -0.0; work holds just (width + 1) // 2 rows
+    rows, count = 64, 3
+    logs = np.log1p(-np.random.default_rng(width).random(rows * count * width))
+    logs[:: 7] = -0.0
+    entries = logs.reshape(rows, count, width).transpose(2, 0, 1)
+    work = np.empty(((width + 1) // 2, rows, count))
+    for ufunc in (np.minimum, np.maximum):
+        out = np.empty((rows, count))
+        for fold, first, second, into in simulation._fold_calls(ufunc, entries, work, out):
+            fold(first, second, out=into)
+        assert out.tobytes() == ufunc.reduce(entries, axis=0).tobytes()
+
+
 # every plan within one block, and the cheap plans across a block boundary
 THETA_BOUND_CASES = ([(name, 3 * CHUNK_ROWS + 2) for name in REFERENCE_PLANS]
                      + [(name, BLOCK_REPLICATES + 1) for name in ("pair", "mixed", "fours22")])
