@@ -19,6 +19,8 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
+from .partitions import check_integer
+
 __all__ = ["generalized_harmonic"]
 
 _lock = threading.Lock()
@@ -32,6 +34,7 @@ def generalized_harmonic(n: int, j: int) -> Fraction:
     shared across threads; every call, a memoized read included, runs
     under one lock.
     """
+    n, j = check_integer("n", n), check_integer("j", j)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if j < 1:

@@ -7,27 +7,27 @@ near U = 0; the formula is identical).
 Determinism contract: replicates are processed in fixed-size blocks of
 BLOCK_REPLICATES.  Block b draws from its own counter-based Philox
 substream keyed by (seed, b), so any scheduling of blocks, serial or
-parallel, produces bit-identical draws, and replicate i always maps to
-row i % BLOCK_REPLICATES of block i // BLOCK_REPLICATES.  Per-run mean
-and variance reduce the replicate estimates with numpy's fixed
-pairwise summation over a single array, so a report depends only on
-(plan, theta, replicates, seed).
+parallel, produces bit-identical draws and estimates, and replicate i
+always maps to row i % BLOCK_REPLICATES of block i // BLOCK_REPLICATES.
+Per-run mean and variance reduce the replicate estimates with numpy's
+fixed pairwise summation over a single array, so a report depends only
+on (plan, theta, replicates, seed).
 
 Memory: a call draws each block in equal chunks of at most _CHUNK_BYTES
 of uniforms, which continue one Philox stream, so they draw the rows one
-draw of the block would, and a block's last chunk draws fewer rows than
-there are chunks past its end.  Their sums land in the next block's first
-rows, so blocks fill the estimates in order (a parallel schedule would
-need rows of its own for each block's extra sums).  Within a chunk, each
-run of equal, contiguous parts is reduced at once: the k-th entries of
-its parts are folded in halves with elementwise maximum and minimum,
-about log2(size) calls per run, whose exact extremes equal a per-part
-max and min.  The folds run on the logs l = log1p(-U), and only each
-part's two extremes are scaled by -theta.  The fold calls are built once
-over one draw buffer, and the weighted sum and the variance are reduced
-in place, so a call holds the chunk, a fold workspace of at most 2/3 of
-it, each part's extremes (at most a chunk together) and 8 bytes per
-replicate for the estimates plus a chunk of rows of padding, whatever n is.
+draw of the block would.  A block's last chunk sums only the rows left in
+the block, and a row's sum over its parts does not depend on how many
+rows are summed, so each block writes only its own estimates and blocks
+may be reduced in any order.  Within a chunk, each run of equal,
+contiguous parts is reduced at once: the k-th entries of its parts are
+folded in halves with elementwise maximum and minimum, about log2(size)
+calls per run, whose exact extremes equal a per-part max and min.  The
+folds run on the logs l = log1p(-U), and only each part's two extremes
+are scaled by -theta.  The fold calls are built once over one draw
+buffer, and the weighted sum and the variance are reduced in place, so a
+call holds the chunk, a fold workspace of at most 2/3 of it, each part's
+extremes (at most a chunk together) and 8 bytes per replicate for the
+estimates, whatever n is.
 """
 
 from __future__ import annotations
@@ -151,9 +151,8 @@ def monte_carlo(
     # per part, the least (row 0) and the greatest (row 1) log draw of each row
     extremes = np.empty((2, chunk, len(weights)))
     work = np.empty(chunk * max((size + 1) // 2 * count for size, count, _ in plan.weights))
-    draws = np.empty(chunk * n)
+    logs = np.empty((chunk, n))
     # the folds of every run of equal parts, as views over whole buffers
-    logs = draws.reshape(chunk, n)
     calls = []
     column = offset = 0
     for size, count, _ in plan.weights:
@@ -167,15 +166,12 @@ def monte_carlo(
         column += count
         offset += size * count
 
-    # a block's last chunk runs past the block's end; the next block overwrites
-    # its extra sums, and the last block's land in chunk rows of padding
-    padded = np.empty(replicates + chunk)
-    blocks = (replicates + BLOCK_REPLICATES - 1) // BLOCK_REPLICATES
-    for b in range(blocks):
+    estimates = np.empty(replicates)
+    for b, block_start in enumerate(range(0, replicates, BLOCK_REPLICATES)):
         stream = replicate_stream(seed, b)
-        block_end = min((b + 1) * BLOCK_REPLICATES, replicates)
-        for start in range(b * BLOCK_REPLICATES, block_end, chunk):
-            _log_draws(stream, draws)
+        block_end = min(block_start + BLOCK_REPLICATES, replicates)
+        for start in range(block_start, block_end, chunk):
+            _log_draws(stream, logs)
             for ufunc, first, second, into in calls:
                 ufunc(first, second, out=into)
             # x = -theta * l: rounding a product with a negative constant
@@ -184,9 +180,9 @@ def monte_carlo(
             highs, lows = np.multiply(extremes, -theta, out=extremes)
             ranges = np.subtract(highs, lows, out=highs)
             np.multiply(ranges, weights, out=ranges)
-            ranges.sum(axis=1, out=padded[start : start + chunk])
+            rows = min(chunk, block_end - start)
+            ranges[:rows].sum(axis=1, out=estimates[start : start + rows])
 
-    estimates = padded[:replicates]
     mean = float(estimates.mean())
     # estimates.var(ddof=1) without its temporary: numpy's own steps
     # (x - mean, x * x, a pairwise sum over R - 1) in the estimates

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from grouprange import generalized_harmonic
+from grouprange import exactmath, generalized_harmonic
 
 from partition_reference import harmonic_oracle
 
@@ -129,3 +129,13 @@ def test_rejects_bad_arguments():
         generalized_harmonic(3, 0)
     with pytest.raises(ValueError):
         generalized_harmonic(3, -2)
+
+
+def test_rejects_non_integers_before_the_memo():
+    # a float n or j raises naming it, and no prefix table grows or appears
+    before = {j: len(table) for j, table in exactmath._prefix.items()}
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 3000\.5$"):
+        generalized_harmonic(3000.5, 1)
+    with pytest.raises(TypeError, match=r"^j must be an integer, got 1\.5$"):
+        generalized_harmonic(3, 1.5)
+    assert {j: len(table) for j, table in exactmath._prefix.items()} == before

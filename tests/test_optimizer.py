@@ -344,17 +344,36 @@ def test_sweep_matches_fresh_tables(make):
 
 def test_descending_sweep_reuses_the_scan():
     # on the exponential table the best part 4 and the class minima at
-    # parts 5, 6 and 3 lie at or below every n >= 7: a sweep down from
-    # 400 reads the scan of 2..400 and scans no part again
+    # parts 5, 6 and 3 lie at or below every n >= 6 (at n = 6 part 6, the
+    # minimum of offset 2, equals n): a sweep down from 400 reads the
+    # scan of 2..400 and scans no part again
     swept = exponential_table(400)
     for n in range(2, 401):
         build_residue_graph(swept, n)
     state = _states[id(swept)]
-    for n in range(400, 6, -1):
+    for n in range(400, 5, -1):
         fresh = exponential_table(n)
         expected = build_residue_graph(fresh, n), solve_group_relaxation(n, fresh)
         assert (build_residue_graph(swept, n), solve_group_relaxation(n, swept)) == expected
         assert state.scanned == 400, n
+
+
+def test_exact_reads_on_fresh_exponential_tables(monkeypatch):
+    # the float filters send only near-ties to exact C_j, so these counts
+    # pin the optimizer's exact work, which no answer shows
+    reads = []
+    c = coefficients.CoefficientTable.c
+    monkeypatch.setattr(coefficients.CoefficientTable, "c", lambda t, j: reads.append(j) or c(t, j))
+    swept = exponential_table(400)
+    for n in range(2, 401):
+        build_residue_graph(swept, n)
+    assert len(reads) == 10
+    reads.clear()
+    for n in range(400, 5, -1):
+        build_residue_graph(swept, n)
+    assert reads == []
+    solve_dp(400, exponential_table(400))
+    assert len(reads) == 693
 
 
 def test_smaller_n_rescans_below_a_class_minimum():
