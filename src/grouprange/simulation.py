@@ -14,20 +14,26 @@ fixed pairwise summation over a single array, so a report depends only
 on (plan, theta, replicates, seed).
 
 Memory: a call draws each block in equal chunks of at most _CHUNK_BYTES
-of uniforms, which continue one Philox stream, so they draw the rows one
-draw of the block would.  A block's last chunk sums only the rows left in
-the block, and a row's sum over its parts does not depend on how many
-rows are summed, so each block writes only its own estimates and blocks
-may be reduced in any order.  Within a chunk, each run of equal,
-contiguous parts is reduced at once: the k-th entries of its parts are
-folded in halves with elementwise maximum and minimum, about log2(size)
-calls per run, whose exact extremes equal a per-part max and min.  The
-folds run on the logs l = log1p(-U), and only each part's two extremes
-are scaled by -theta.  The fold calls are built once over one draw
-buffer, and the weighted sum and the variance are reduced in place, so a
-call holds the chunk, a fold workspace of at most 2/3 of it, each part's
-extremes (at most a chunk together) and 8 bytes per replicate for the
-estimates, whatever n is.
+of raw 64-bit Philox words, which continue one stream, so they draw the
+rows one draw of the block would.  Generator.random turns a word w into
+U = (w >> 11) * 2**-53, and a 53-bit integer converts to a double
+exactly, so (w >> 11) * -2**-53 is -U bit for bit.  A block's last chunk
+sums only the rows left in the block, and a row's sum over its parts
+does not depend on how many rows are summed, so each block writes only
+its own estimates and blocks may be reduced in any order.  Each chunk's
+shifted words are copied into one logs buffer laid out entry-major by
+runs of equal, contiguous parts, and scaled there: a run holds entry k
+of every part and row, with the longer of its part count and the chunk's
+rows innermost, then entry k + 1, so the k-th entries of its parts are
+one contiguous block.  Each run is folded in halves with elementwise
+maximum and minimum over those blocks, about log2(size) contiguous calls
+per run, whose exact extremes equal a per-part max and min.  The folds
+run on the logs l = log1p(-U), and only each part's two extremes are
+scaled by -theta.  The fold calls are built once over the logs buffer,
+and the weighted sum and the variance are reduced in place, so a call
+holds the chunk's words, its logs (as many bytes), a fold workspace of
+at most 2/3 of them, each part's extremes (at most as many bytes
+together) and 8 bytes per replicate for the estimates, whatever n is.
 """
 
 from __future__ import annotations
@@ -50,8 +56,8 @@ __all__ = [
 
 BLOCK_REPLICATES = 1 << 16
 
-# The most bytes of uniforms a chunk draws; CHANGES.md records the timings.
-_CHUNK_BYTES = 1 << 18
+# The most bytes of raw words a chunk draws; CHANGES.md records the timings.
+_CHUNK_BYTES = 192 << 10
 
 
 class SimulationReport(NamedTuple):
@@ -86,21 +92,15 @@ def replicate_stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _log_draws(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill out with l = log1p(-U) <= 0 from the stream, without
-    temporaries, so that -theta * l is exponential with scale theta."""
-    stream.random(out=out)
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    return out
-
-
 def sample_exponential(n: int, theta: float, stream: np.random.Generator) -> np.ndarray:
-    """n inverse-CDF draws x = -theta * ln(1 - U) from the stream."""
+    """n inverse-CDF draws x = -theta * ln(1 - U) from the stream, taken
+    in place as -theta * log1p(-U)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     theta = check_theta("theta", theta)
-    x = _log_draws(stream, np.empty(n))
+    x = stream.random(out=np.empty(n))
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
     x *= -theta
     return x
 
@@ -117,8 +117,9 @@ def _fold_calls(
     rows.  For odd k the first call takes the middle row into both halves;
     each later call leaves an odd middle row where it is.  Maximum and
     minimum are exact, so out equals a direct max or min over the axis.
-    ufunc.reduceat measured 2 to 14.5 times slower than these calls on the
-    narrow parts simulate runs (CHANGES.md).
+    Over monte_carlo's entry-major logs, ufunc.reduce over axis 0 measured
+    1.05 to 2.9 times slower than these calls, and ufunc.reduceat over
+    row-major draws 7 to 18 times slower on narrow parts (CHANGES.md).
     """
     calls, source, width = [], entries, len(entries)
     half = (width + 1) // 2
@@ -144,34 +145,52 @@ def monte_carlo(
     n = plan.partition.n
     # one float weight per part, in the plan's order
     weights = np.repeat([float(a) for _, _, a in plan.weights], [m for _, m, _ in plan.weights])
-    # each block in equal chunks of at most _CHUNK_BYTES of uniforms
+    # each block in equal chunks of at most _CHUNK_BYTES of raw words
     per_block = min(BLOCK_REPLICATES, replicates)
     chunks = math.ceil(per_block / max(1, _CHUNK_BYTES // (8 * n)))
     chunk = math.ceil(per_block / chunks)
     # per part, the least (row 0) and the greatest (row 1) log draw of each row
     extremes = np.empty((2, chunk, len(weights)))
     work = np.empty(chunk * max((size + 1) // 2 * count for size, count, _ in plan.weights))
-    logs = np.empty((chunk, n))
-    # the folds of every run of equal parts, as views over whole buffers
-    calls = []
+    # entry-major: each run of equal parts holds entry k of every part and
+    # row, then entry k + 1
+    logs = np.empty(chunk * n)
+    # per run: its columns of the raw words, the axes that take them to its
+    # slice of logs, that slice, and the folds over it
+    runs, calls = [], []
     column = offset = 0
     for size, count, _ in plan.weights:
-        parts = logs[:, offset : offset + size * count].reshape(chunk, count, size)
-        # entries[k] holds entry k of every part of the run, (chunk, count)
-        entries = parts.transpose(2, 0, 1)
-        space = work[: (size + 1) // 2 * chunk * count].reshape(-1, chunk, count)
-        run = slice(column, column + count)
-        calls += _fold_calls(np.minimum, entries, space, extremes[0, :, run])
-        calls += _fold_calls(np.maximum, entries, space, extremes[1, :, run])
+        block = logs[offset * chunk : (offset + size * count) * chunk]
+        ends = extremes[:, :, column : column + count]
+        # the longer of the parts and the rows innermost: the copy into the
+        # logs ran up to 5 times slower over a short innermost axis
+        if count > chunk:
+            entries, axes = block.reshape(size, chunk, count), (2, 0, 1)
+        else:
+            entries, axes = block.reshape(size, count, chunk), (2, 1, 0)
+            ends = ends.transpose(0, 2, 1)
+        runs.append((slice(offset, offset + size * count), axes, entries))
+        space = work[: (size + 1) // 2 * count * chunk].reshape(-1, *entries.shape[1:])
+        calls += _fold_calls(np.minimum, entries, space, ends[0])
+        calls += _fold_calls(np.maximum, entries, space, ends[1])
         column += count
         offset += size * count
 
     estimates = np.empty(replicates)
     for b, block_start in enumerate(range(0, replicates, BLOCK_REPLICATES)):
-        stream = replicate_stream(seed, b)
+        words = replicate_stream(seed, b).bit_generator
         block_end = min(block_start + BLOCK_REPLICATES, replicates)
         for start in range(block_start, block_end, chunk):
-            _log_draws(stream, logs)
+            # -U bit for bit, as the module docstring says; the shifted
+            # words lie below 2**53, and as int64 they cast faster
+            raw = words.random_raw((chunk, n))
+            raw >>= 11
+            raw = raw.view(np.int64)
+            for columns, axes, entries in runs:
+                parts = raw[:, columns].reshape(chunk, -1, len(entries))  # (chunk, count, size)
+                np.copyto(entries, parts.transpose(axes))
+            np.multiply(logs, -(2.0**-53), out=logs)
+            np.log1p(logs, out=logs)
             for ufunc, first, second, into in calls:
                 ufunc(first, second, out=into)
             # x = -theta * l: rounding a product with a negative constant

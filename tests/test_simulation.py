@@ -73,6 +73,22 @@ def test_sample_exponential_continues_one_stream():
 # --------------------------------------------------------------------- streams
 
 
+@pytest.mark.parametrize("seed, block", [(0, 0), (9, 3), (77, 1), (2**64 - 1, 2**64 - 1)])
+def test_raw_words_give_the_generators_uniforms(seed, block):
+    # monte_carlo scales the raw Philox words itself: Generator.random's U
+    # is (word >> 11) * 2**-53 of the same words, bit for bit, and the
+    # shifted words cast as int64 and scaled by -2**-53 give -U; two draws
+    # continue one stream, and 7 words end inside one of Philox's
+    # four-word outputs
+    words = replicate_stream(seed, block).bit_generator
+    stream = replicate_stream(seed, block)
+    for size in (7, 4096):
+        u = stream.random(size)
+        raw = words.random_raw(size) >> 11
+        assert (raw * 2.0**-53).tobytes() == u.tobytes()
+        assert (raw.view(np.int64) * -(2.0**-53)).tobytes() == (-u).tobytes()
+
+
 def test_streams_are_deterministic_and_distinct():
     a = replicate_stream(9, 3).random(8)
     b = replicate_stream(9, 3).random(8)
@@ -315,27 +331,51 @@ def test_monte_carlo_matches_reference(table401, monkeypatch, name, replicates):
     _assert_matches_reference(monkeypatch, plan, 1.0, replicates, CHUNK_ROWS)
 
 
+def _record_fold_calls(monkeypatch):
+    """The list of fold-call lists monte_carlo builds, filled as it builds them."""
+    built = []
+    fold_calls = simulation._fold_calls
+
+    def kept(*args):
+        built.append(fold_calls(*args))
+        return built[-1]
+
+    monkeypatch.setattr(simulation, "_fold_calls", kept)
+    return built
+
+
 def test_fold_calls_are_built_once_per_call(table401, monkeypatch):
     # every chunk of a call has one shape, even a block's last and the
     # call's last, so each run of equal parts builds its minimum and its
     # maximum folds once
-    built = []
-    fold_calls = simulation._fold_calls
-
-    def counted(*args):
-        built.append(args[0])
-        return fold_calls(*args)
-
-    monkeypatch.setattr(simulation, "_fold_calls", counted)
+    built = _record_fold_calls(monkeypatch)
     plan = make_plan(REFERENCE_PLANS["mixed"], table401)
     _assert_matches_reference(monkeypatch, plan, 1.0, 2 * BLOCK_REPLICATES + 3, CHUNK_ROWS)
     assert len(built) == 2 * len(plan.weights)
 
 
+# runs of fewer parts than a chunk has rows, and (fours at n = 22 in
+# 3-row chunks) of more
+@pytest.mark.parametrize("name, rows", [("mixed", CHUNK_ROWS), ("fours22", 3),
+                                        ("wide_and_small", 3)])
+def test_fold_calls_run_over_contiguous_operands(table401, monkeypatch, name, rows):
+    # the logs are entry-major, so each call reads two contiguous halves
+    # and writes contiguous workspace; only a fold's last call writes a
+    # strided view, its run's columns of the extremes
+    built = _record_fold_calls(monkeypatch)
+    plan = make_plan(REFERENCE_PLANS[name], table401)
+    _assert_matches_reference(monkeypatch, plan, 1.0, 3 * rows + 2, rows)
+    assert len(built) == 2 * len(plan.weights)
+    for calls in built:
+        for _, first, second, into in calls:
+            assert first.flags.c_contiguous and second.flags.c_contiguous
+        assert all(into.flags.c_contiguous for *_, into in calls[:-1])
+
+
 @pytest.mark.parametrize("width", range(2, 34))
 def test_fold_calls_reduce_every_width(width):
-    # the parts' k-th entries as monte_carlo lays them out, (width, rows, parts),
-    # over logs <= 0 that include -0.0; work holds just (width + 1) // 2 rows
+    # the parts' k-th entries, (width, rows, parts), as a strided view of
+    # row-major logs <= 0 that include -0.0; work holds just (width + 1) // 2 rows
     rows, count = 64, 3
     logs = np.log1p(-np.random.default_rng(width).random(rows * count * width))
     logs[:: 7] = -0.0
