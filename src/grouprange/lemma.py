@@ -31,6 +31,7 @@ from itertools import pairwise
 from typing import NamedTuple
 
 from .coefficients import FLOAT_TIE, CoefficientTable
+from .partitions import check_integer
 
 __all__ = ["PEAK_RATIO", "LemmaReport", "ratio", "envelope_h", "verify_lemma"]
 
@@ -81,6 +82,7 @@ def verify_lemma(n_max: int, table: CoefficientTable) -> LemmaReport:
     Failures are reported in the result, not raised; only malformed
     inputs raise.
     """
+    n_max = check_integer("n_max", n_max)
     if n_max < 34:
         raise ValueError(f"n_max must be >= 34 to reach the envelope crossing, got {n_max}")
     if table.max_part < n_max:

@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .coefficients import FLOAT_TIE, CoefficientTable
-from .partitions import Partition
+from .partitions import Partition, check_integer
 
 __all__ = [
     "ResidueGraph",
@@ -96,11 +96,13 @@ def partition_objective(partition: Partition, table: CoefficientTable) -> Fracti
     return sum(rest, first)
 
 
-def _require_coverage(table: CoefficientTable, n: int) -> None:
+def _require_coverage(table: CoefficientTable, n: int) -> int:
+    n = check_integer("n", n)
     if n < 2:
         raise ValueError(f"allocation needs n >= 2, got {n}")
     if table.max_part < n:
         raise ValueError(f"table spans parts 2..{table.max_part}, need 2..{n}")
+    return n
 
 
 # Everything the solvers reuse for one table object lives in one
@@ -111,11 +113,12 @@ class _TableState:
     __slots__ = ("opt", "fv", "fc", "parts", "lead", "scanned", "best", "minima", "paths")
 
     def __init__(self) -> None:
-        # DP by capacity: opt[w] = (exact value, key (-part count, pairs by
-        # descending part)), None when infeasible, at most three pairs on the
-        # exponential table; fv[w] the value's float (-inf when infeasible);
-        # fc[j] = table.c_float(j), read by every scan.
-        self.opt: list[tuple[Fraction, tuple] | None] = [(Fraction(0), (0, ())), None]
+        # DP by capacity: opt[w] = (exact value, -part count, last part j,
+        # run m), None when infeasible, where the optimum of w ends in m
+        # parts j and the rest is the optimum of w - j * m; fv[w] the
+        # value's float (-inf when infeasible); fc[j] = table.c_float(j),
+        # read by every scan.
+        self.opt: list[tuple[Fraction, int, int, int] | None] = [(Fraction(0), 0, 0, 0), None]
         self.fv: list[float] = [0.0, -math.inf]
         self.fc: list[float] = [0.0, 0.0]
         # The filled capacities j whose optimum is (j,), ascending: the
@@ -202,7 +205,7 @@ def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
 
 def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
     """Residue graph for allocating n observations under a table."""
-    _require_coverage(table, n)
+    n = _require_coverage(table, n)
     with _lock:
         state = _table_state(table)
         _scan(state, table, n)
@@ -235,20 +238,18 @@ def shortest_paths(graph: ResidueGraph) -> dict[int, tuple[Fraction, tuple[int, 
     return {v: (d, parts) for v, (d, _, parts) in dist.items()}
 
 
-def _with_part(key: tuple[int, tuple[tuple[int, int], ...]], j: int) -> tuple:
-    """The DP key (-part count, pairs by descending part) after one more part j."""
-    count, pairs = key
-    i = sum(part > j for part, _ in pairs)
-    same = i < len(pairs) and pairs[i][0] == j
-    return count - 1, (*pairs[:i], (j, pairs[i][1] + 1 if same else 1), *pairs[i + same :])
-
-
 def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
     """Fill capacities len(state.opt)..n.
 
-    Capacity w keeps its largest (value, key): tied candidates have equal
-    sums, so their pairs order as their descending part tuples and the
-    key breaks ties by fewer parts, then descending lexicographic.
+    Capacity w keeps one step: its largest candidate (value, -part count,
+    j) over the parts j it tries, and the run m of j's that ends the walk
+    back from w.  That is the tie-break by fewer parts, then descending
+    lexicographic.  Among the maximizers with the fewest parts take the
+    lexicographically greatest, with largest part p.  Without p it is an
+    optimum of w - p with the fewest parts, so j = p ties the winner; a
+    tied j > p would give a tied maximizer with a part above p, so p is
+    the largest tied j.  By induction opt[w - p] is that maximizer
+    without p, whose parts are all <= p: the walk yields descending runs.
 
     Dominance: once capacity j is filled with parts other than (j,),
     its value > C_j strictly, since a tie would have kept the one-part
@@ -290,34 +291,39 @@ def _dp_extend(state: _TableState, n: int, table: CoefficientTable) -> None:
             ratio > bound * (1 + FLOAT_TIE) or table.c(w) / w >= table.c(lead) / lead
         ):
             state.lead, lead, bound = w, w, ratio
-            best = (table.c(w), (-1, ((w, 1),)))  # (w,) reaches the LP bound in one part
+            best = (table.c(w), -1, w, 1)  # (w,) reaches the LP bound in one part
         else:
             tried = (*parts, w)  # the undominated parts ascending, then w
             floats = [fv[w - j] + fc[j] for j in tried]
             floor = max(floats) * (1 - FLOAT_TIE)
-            best = max(
-                (opt[w - j][0] + table.c(j), _with_part(opt[w - j][1], j))
+            value, count, j = max(
+                (opt[w - j][0] + table.c(j), opt[w - j][1] - 1, j)
                 for j, f in zip(tried, floats) if f >= floor
             )
+            best = (value, count, j, opt[w - j][3] + 1 if opt[w - j][2] == j else 1)
         opt.append(best)
         fv.append(float(best[0]))
-        if best[1] == (-1, ((w, 1),)):
+        if best[1] == -1:
             parts.append(w)
 
 
 def solve_dp(n: int, table: CoefficientTable) -> SolveResult:
     """Exact optimum by dynamic programming over capacities 0..n."""
-    _require_coverage(table, n)
+    n = _require_coverage(table, n)
     with _lock:
         state = _table_state(table)
         _dp_extend(state, n, table)
         # n >= 2 is always feasible (greedy 2s and one 3 cover any n)
-        value, (_, pairs) = state.opt[n]
+        value, pairs, w = state.opt[n][0], [], n
+        while w:  # the optimum of w ends in a run of m parts j, its largest
+            pairs.append(state.opt[w][2:])  # (j, m)
+            w -= math.prod(pairs[-1])
     return SolveResult(Partition(n, pairs[::-1]), value, "dp")
 
 
 def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
     """Group relaxation: residue-graph shortest path, DP fallback."""
+    n = _require_coverage(table, n)
     graph = build_residue_graph(table, n)
     b = graph.modulus
     r = n % b
@@ -347,6 +353,7 @@ def rule_of_fours(n: int) -> Partition:
     up by r parts of size 5 (r = 1, 2) or one part of size 3 (r = 3);
     (n) itself for 2 <= n <= 5, and (3, 3) for n = 6.
     """
+    n = check_integer("n", n)
     if n < 2:
         raise ValueError(f"allocation needs n >= 2, got {n}")
     if n <= 5:
@@ -365,6 +372,5 @@ def rule_of_fours(n: int) -> Partition:
 
 def solve_closed_form(n: int, table: CoefficientTable) -> SolveResult:
     """The rule of fours and its objective under a table."""
-    _require_coverage(table, n)
-    partition = rule_of_fours(n)
+    partition = rule_of_fours(_require_coverage(table, n))
     return SolveResult(partition, partition_objective(partition, table), "closed_form")

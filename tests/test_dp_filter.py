@@ -19,6 +19,7 @@ penalty within 1e-12 relative of its rival), on the LP bound's tables
 and on a table whose best part changes with n.
 """
 
+import itertools
 import random
 import subprocess
 import sys
@@ -41,7 +42,6 @@ from grouprange import (
     solve_dp,
     solve_group_relaxation,
 )
-from grouprange import optimizer
 from grouprange.optimizer import _states
 
 from conftest import child_env
@@ -222,17 +222,25 @@ def test_convex_tables(c2, steps, order_seed):
     assert _states[id(table)].parts == list(range(2, table.max_part + 1))
 
 
-def test_all_tied_fill_builds_a_key_per_capacity_at_most(monkeypatch):
+def test_all_tied_fill_reads_three_coefficients_per_capacity_at_most(monkeypatch):
     # every part of the all-tied table ties in floats, so each capacity
-    # would send every part to the exact comparison, about n**2 / 2 keys
-    # by n; the LP bound fills each capacity with its one part
-    calls = []
-    with_part = optimizer._with_part
-    monkeypatch.setattr(optimizer, "_with_part", lambda key, j: calls.append(j) or with_part(key, j))
+    # would send every part to the exact comparison, about n**2 / 2 reads
+    # of C_j by n; the LP bound fills each capacity with its one part,
+    # reading C_w and C_lead for the ratio test and C_w for the value
+    reads = []
+    c = CoefficientTable.c
+    monkeypatch.setattr(CoefficientTable, "c", lambda t, j: reads.append(j) or c(t, j))
     n = 1500
     table = table_of([Fraction(j, 2) for j in range(2, n + 1)])
     assert solve_dp(n, table).partition.parts == (n,)
-    assert len(calls) <= n
+    assert len(reads) <= 3 * n
+
+
+def test_every_table_of_small_values_matches_the_reference():
+    # C_j in {1, 2, 3} on parts 2..8: all 3**7 = 2,187 tables, thick with
+    # exact ties, pin the tie-break at every n without random draws
+    for cs in itertools.product(map(Fraction, (1, 2, 3)), repeat=7):
+        assert_matches_reference(table_of(cs))
 
 
 def test_all_tied_table_runs_cold_in_seconds(tmp_path):

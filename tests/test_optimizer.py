@@ -8,6 +8,7 @@ shares no code with the solvers under test.
 import functools
 import os
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -29,6 +30,7 @@ from grouprange import (
     solve_closed_form,
     solve_dp,
     solve_group_relaxation,
+    verify_lemma,
 )
 from grouprange.optimizer import _states
 
@@ -218,6 +220,45 @@ def test_dp_requires_coverage(table40):
         solve_dp(41, table40)
     with pytest.raises(ValueError):
         solve_dp(1, table40)
+
+
+def test_sizes_must_be_integers():
+    # a float n used to answer from a swept table's cache (10.0), fail
+    # there with KeyError: 2.5 (10.5), or fail inside range() on a fresh
+    # table; load_table read every row past a max_part of 3.5
+    import numpy as np
+
+    t = exponential_table(400)
+    for n in range(2, 401):
+        solve_group_relaxation(n, t)
+    state = _states[id(t)]
+    record = (state.scanned, state.best, dict(state.minima), state.paths, list(state.opt))
+    for n in (10.0, 10.5, Fraction(10)):
+        message = rf"^n must be an integer, got {re.escape(repr(n))}$"
+        for solve in (solve_dp, solve_group_relaxation, solve_closed_form):
+            with pytest.raises(TypeError, match=message):
+                solve(n, t)
+        with pytest.raises(TypeError, match=message):
+            build_residue_graph(t, n)
+        with pytest.raises(TypeError, match=message):
+            rule_of_fours(n)
+    assert (state.scanned, state.best, dict(state.minima), state.paths, list(state.opt)) == record
+    text = "j,d,k_sq\n2,1,1\n3,3/2,5/4\n4,11/6,49/36\n5,25/12,205/144\n"
+    for call, name, size in [
+        (exponential_table, "max_part", 7.5),
+        (lambda size: verify_lemma(size, t), "n_max", 100.0),
+        (lambda size: load_table(text, max_part=size), "max_part", 3.5),
+    ]:
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {size!r}$"):
+            call(size)
+    # numpy integers are integers
+    for solve in (solve_dp, solve_group_relaxation, solve_closed_form):
+        assert solve(np.int64(10), t) == solve(10, t)
+    assert build_residue_graph(t, np.int64(10)) == build_residue_graph(t, 10)
+    assert rule_of_fours(np.int64(10)) == rule_of_fours(10)
+    assert exponential_table(np.int64(7)).max_part == 7
+    assert verify_lemma(np.int64(100), t) == verify_lemma(100, t)
+    assert load_table(text, max_part=np.int64(3)).max_part == 3
 
 
 # --------------------------------------------------------------- residue graph
