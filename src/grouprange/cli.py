@@ -32,7 +32,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn, Sequence
 
-from .partitions import Partition, asymptotic_admissible, count_admissible
+from .partitions import Partition, asymptotic_admissible, check_integer, count_admissible
 
 if TYPE_CHECKING:  # for annotations only: each command imports the modules it runs
     from fractions import Fraction
@@ -71,10 +71,8 @@ class VerificationError(Exception):
 
 
 def _check_bounds(name: str, value: int, low: int, high: int | None = None) -> None:
-    if value < low:
-        raise UsageError(f"{name} must be >= {low}, got {value}")
-    if high is not None and value > high:
-        raise UsageError(f"{name} must be <= {high}, got {value}")
+    with _reraise(UsageError):
+        check_integer(name, value, low, high)
 
 
 def _agree(values: list) -> bool:

@@ -194,10 +194,7 @@ class CoefficientTable(_Frozen):
 
 def exponential_table(max_part: int) -> CoefficientTable:
     """Exact table for the exponential distribution, parts 2..max_part, in O(1)."""
-    max_part = check_integer("max_part", max_part)
-    if max_part < 2:
-        raise ValueError(f"max_part must be >= 2, got {max_part}")
-    return CoefficientTable("exponential", _ExponentialEntries(max_part))
+    return CoefficientTable("exponential", _ExponentialEntries(check_integer("max_part", max_part, 2)))
 
 
 def _adjusted_exponent(text: str) -> int:
@@ -240,7 +237,7 @@ def load_table(
     write it.  Error messages name the line a row ends on, the header being row 1.
     """
     if max_part is not None:
-        max_part = check_integer("max_part", max_part)
+        max_part = check_integer("max_part", max_part, 2)
     raw = source if isinstance(source, (bytes, str)) else source.read()
     import csv  # here, so that only a command reading a table loads it
 

@@ -34,11 +34,7 @@ def generalized_harmonic(n: int, j: int) -> Fraction:
     shared across threads; every call, a memoized read included, runs
     under one lock.
     """
-    n, j = check_integer("n", n), check_integer("j", j)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    n, j = check_integer("n", n, 0), check_integer("j", j, 1)
     with _lock:
         table = _prefix.setdefault(j, [Fraction(0)])
         while len(table) <= n:

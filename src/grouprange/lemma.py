@@ -82,9 +82,7 @@ def verify_lemma(n_max: int, table: CoefficientTable) -> LemmaReport:
     Failures are reported in the result, not raised; only malformed
     inputs raise.
     """
-    n_max = check_integer("n_max", n_max)
-    if n_max < 34:
-        raise ValueError(f"n_max must be >= 34 to reach the envelope crossing, got {n_max}")
+    n_max = check_integer("n_max", n_max, 34)
     if table.max_part < n_max:
         raise ValueError(f"table spans parts 2..{table.max_part}, need 2..{n_max}")
 

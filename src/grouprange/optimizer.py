@@ -97,9 +97,7 @@ def partition_objective(partition: Partition, table: CoefficientTable) -> Fracti
 
 
 def _require_coverage(table: CoefficientTable, n: int) -> int:
-    n = check_integer("n", n)
-    if n < 2:
-        raise ValueError(f"allocation needs n >= 2, got {n}")
+    n = check_integer("n", n, 2)
     if table.max_part < n:
         raise ValueError(f"table spans parts 2..{table.max_part}, need 2..{n}")
     return n
@@ -353,9 +351,7 @@ def rule_of_fours(n: int) -> Partition:
     up by r parts of size 5 (r = 1, 2) or one part of size 3 (r = 3);
     (n) itself for 2 <= n <= 5, and (3, 3) for n = 6.
     """
-    n = check_integer("n", n)
-    if n < 2:
-        raise ValueError(f"allocation needs n >= 2, got {n}")
+    n = check_integer("n", n, 2)
     if n <= 5:
         return Partition.from_parts([n])
     if n == 6:

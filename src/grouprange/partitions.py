@@ -28,12 +28,18 @@ from typing import Iterable, Mapping
 __all__ = ["Partition", "count_admissible", "asymptotic_admissible"]
 
 
-def check_integer(name: str, value: int) -> int:
-    """Return operator.index(value); a float raises TypeError, not a truncated int."""
+def check_integer(name: str, value: int, low: int | None = None, high: int | None = None) -> int:
+    """Return operator.index(value); a float raises TypeError, not a truncated int,
+    and a value below low or above high (each optional) raises ValueError."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
 
 
 class _Frozen:
@@ -267,9 +273,7 @@ def count_admissible(n: int) -> int:
     P(n) = p(n) - p(n-1), each from Rademacher's series, with p(-1) = 0:
     P(0) = 1 counts the empty partition and P(1) = 1 - 1 = 0.
     """
-    n = check_integer("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = check_integer("n", n, 0)
     return _unrestricted(n) - _unrestricted(n - 1)
 
 
@@ -279,8 +283,7 @@ _ASYMPTOTIC_MAX = 76_567  # from n = 76,568 the exp below overflows a float
 def asymptotic_admissible(n: int) -> float:
     """First-order growth estimate of the admissible count:
     pi / (12 sqrt(2) n**1.5) * exp(pi sqrt(2n/3))."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     if n > _ASYMPTOTIC_MAX:
         raise ValueError(f"n must be <= {_ASYMPTOTIC_MAX} for a finite float estimate, got {n}")
     return math.pi / (12 * math.sqrt(2) * n**1.5) * math.exp(math.pi * math.sqrt(2 * n / 3))

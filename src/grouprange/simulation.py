@@ -95,8 +95,7 @@ def replicate_stream(seed: int, block: int) -> np.random.Generator:
 def sample_exponential(n: int, theta: float, stream: np.random.Generator) -> np.ndarray:
     """n inverse-CDF draws x = -theta * ln(1 - U) from the stream, taken
     in place as -theta * log1p(-U)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = check_integer("n", n, 1)
     theta = check_theta("theta", theta)
     x = stream.random(out=np.empty(n))
     np.negative(x, out=x)
@@ -137,9 +136,7 @@ def monte_carlo(
 ) -> SimulationReport:
     """Replicated estimates of sigma = theta under a fixed plan."""
     theta = check_theta("theta", theta)
-    check_integer("replicates", replicates)
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    check_integer("replicates", replicates, 1)
     check_seed("seed", seed)
 
     n = plan.partition.n

@@ -261,6 +261,79 @@ def test_sizes_must_be_integers():
     assert load_table(text, max_part=np.int64(3)).max_part == 3
 
 
+def test_sizes_that_escaped_the_range_rule():
+    # a max_part under 2 must not read every row, and a float or str n must
+    # be named, not fail inside numpy or at "<" (or, as 2.5, return a number)
+    import numpy as np
+
+    from grouprange import asymptotic_admissible, replicate_stream, sample_exponential
+
+    text = "j,d,k_sq\n2,1,1\n3,3/2,5/4\n4,11/6,49/36\n"
+    for size in (1, 0, -5):
+        with pytest.raises(ValueError, match=rf"^max_part must be >= 2, got {size}$"):
+            load_table(text, max_part=size)
+    stream = replicate_stream(0, 0)
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 3\.0$"):
+        sample_exponential(3.0, 1.0, stream)
+    for n in ("5", 2.5):
+        with pytest.raises(TypeError, match=rf"^n must be an integer, got {re.escape(repr(n))}$"):
+            asymptotic_admissible(n)
+    # numpy integers are integers
+    assert load_table(text, max_part=np.int64(2)).max_part == 2
+    assert len(sample_exponential(np.int64(3), 1.0, stream)) == 3
+    assert asymptotic_admissible(np.int64(5)) == asymptotic_admissible(5)
+
+
+def _size_calls():
+    """(name, least value, call of one size) for every size argument with a floor."""
+    from grouprange import (
+        count_admissible, asymptotic_admissible, make_plan, monte_carlo, replicate_stream,
+        sample_exponential,
+    )
+
+    t = exponential_table(40)
+    text = "j,d,k_sq\n2,1,1\n3,3/2,5/4\n4,11/6,49/36\n"
+    plan = make_plan(Partition.from_parts([2]), t)
+    return {
+        "count_admissible": ("n", 0, count_admissible),
+        "asymptotic_admissible": ("n", 1, asymptotic_admissible),
+        "generalized_harmonic n": ("n", 0, lambda n: generalized_harmonic(n, 1)),
+        "generalized_harmonic j": ("j", 1, lambda j: generalized_harmonic(3, j)),
+        "exponential_table": ("max_part", 2, exponential_table),
+        "load_table": ("max_part", 2, lambda size: load_table(text, max_part=size)),
+        "solve_dp": ("n", 2, lambda n: solve_dp(n, t)),
+        "solve_group_relaxation": ("n", 2, lambda n: solve_group_relaxation(n, t)),
+        "solve_closed_form": ("n", 2, lambda n: solve_closed_form(n, t)),
+        "rule_of_fours": ("n", 2, rule_of_fours),
+        "verify_lemma": ("n_max", 34, lambda n_max: verify_lemma(n_max, t)),
+        "sample_exponential": ("n", 1, lambda n: sample_exponential(n, 1.0, replicate_stream(0, 0))),
+        "monte_carlo": ("replicates", 1, lambda reps: monte_carlo(plan, 1.0, reps, 0)),
+    }
+
+
+@pytest.mark.parametrize("site", list(_size_calls()))
+def test_each_size_admits_its_least_value(site):
+    # the floor itself is taken and the integer below it refused, in the
+    # one form every bound shares
+    name, low, call = _size_calls()[site]
+    call(low)
+    with pytest.raises(ValueError, match=rf"^{name} must be >= {low}, got {low - 1}$"):
+        call(low - 1)
+
+
+def test_check_integer_bounds_both_ends():
+    from grouprange.partitions import check_integer
+
+    assert check_integer("k", 5, 5, 5) == 5
+    assert check_integer("k", -7) == -7  # no bound, no range check
+    with pytest.raises(ValueError, match=r"^k must be >= 5, got 4$"):
+        check_integer("k", 4, 5, 5)
+    with pytest.raises(ValueError, match=r"^k must be <= 5, got 6$"):
+        check_integer("k", 6, 5, 5)
+    with pytest.raises(ValueError, match=r"^k must be <= 5, got 6$"):
+        check_integer("k", 6, high=5)
+
+
 # --------------------------------------------------------------- residue graph
 
 

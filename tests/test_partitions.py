@@ -8,6 +8,7 @@ part size.  ``reference_pentagonal_prefix`` is the recurrence taken one
 capacity and one term at a time, the check on the block-wise prefix.
 """
 
+import functools
 import math
 import random
 from decimal import Decimal
@@ -238,11 +239,13 @@ def test_pentagonal_prefix_matches_reference():
         assert pentagonal_prefix(n) == reference[: n + 1], n
 
 
-def test_series_matches_the_pentagonal_reference():
+def test_series_matches_the_pentagonal_reference(monkeypatch):
     # every n to 2,000; the benchmark's seed-1 count sizes and the largest
     # it draws, 8,000; the CLI's bound 50,000; 200 seeded n between; and n
     # past 76,568, where a float sinh or exp of the series' largest
-    # argument would overflow
+    # argument would overflow.  count_admissible(n) takes p(n) - p(n - 1):
+    # the cache computes each p once, by the series, for the next n to reuse
+    monkeypatch.setattr(partitions, "_unrestricted", functools.cache(partitions._unrestricted))
     p = pentagonal_prefix(80_000)
     rng = random.Random(24)
     sizes = [*range(2001), 2505, 3963, 6298, 8000, 49_999, 50_000, 76_568, 80_000]

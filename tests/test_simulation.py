@@ -12,6 +12,7 @@ from grouprange import (
     BLOCK_REPLICATES,
     Partition,
     SimulationReport,
+    estimate,
     exponential_table,
     make_plan,
     monte_carlo,
@@ -329,6 +330,31 @@ def _assert_matches_reference(monkeypatch, plan, theta, replicates, rows):
 def test_monte_carlo_matches_reference(table401, monkeypatch, name, replicates):
     plan = make_plan(REFERENCE_PLANS[name], table401)
     _assert_matches_reference(monkeypatch, plan, 1.0, replicates, CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("parts, theta, replicates", [
+    ((2,), 1.7, 3000),
+    ((5, 5, 4, 4, 4), 1.7, 3000),
+    (REFERENCE_PLANS["mixed"].parts, 1.7, 3000),
+    ((60,), 1.7, 500),
+    ((50, 50, 5, 4, 4, 3, 2), 2.5, 2000),
+    ((4, 3), 1e-100, BLOCK_REPLICATES + 3),
+], ids=["pair", "fours22", "mixed", "wide", "wide_and_small", "two_blocks"])
+def test_monte_carlo_scores_each_replicate_as_estimate_does(table401, parts, theta, replicates):
+    # replicate i is estimate() of the sample that successive
+    # sample_exponential calls draw from block i // BLOCK_REPLICATES's
+    # stream; numpy sums a row of 100 parts in another order, so the fours
+    # at n = 401 agree in the mean only
+    plan = make_plan(Partition.from_parts(parts), table401)
+    seed = 7
+    scores = []
+    for block_start in range(0, replicates, BLOCK_REPLICATES):
+        stream = replicate_stream(seed, block_start // BLOCK_REPLICATES)
+        for _ in range(min(BLOCK_REPLICATES, replicates - block_start)):
+            scores.append(estimate(sample_exponential(plan.partition.n, theta, stream), plan))
+    report = monte_carlo(plan, theta, replicates, seed)
+    assert report.mean_estimate == float(np.mean(scores))
+    assert report.variance_estimate == float(np.var(scores, ddof=1))
 
 
 def _record_fold_calls(monkeypatch):
