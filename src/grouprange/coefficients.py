@@ -28,21 +28,23 @@ parse exactly, never through a float.  C is always derived from d
 and k_sq, so a stored fourth column ``c`` or ``C`` is ignored; no other
 column, and no cell past the header's, is accepted.
 
-Where each check lives: ``CoefficientEntry`` requires d, k_sq > 0,
-bounds both to [1e-50, 1e50] and derives c itself; ``CoefficientTable``
-requires parts contiguous from 2; ``load_table`` checks only the CSV
-(encoding, header, columns, values, each row's j), each line decoded as
-the parse reaches it, and prefixes an entry's error with its ``row N:``.
+Where each check lives: ``CoefficientEntry`` requires an integer j >= 2
+and rational d, k_sq > 0, kept as Fractions, bounds both to
+[1e-50, 1e50] and derives c itself; ``CoefficientTable`` requires parts
+contiguous from 2; ``load_table`` checks only the CSV (encoding, header,
+columns, values, each row's j), each line decoded as the parse reaches
+it, and prefixes an entry's error with its ``row N:``.
 """
 
 from __future__ import annotations
 
 import io
+import numbers
 import re
 import threading
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import IO, Optional, Union
+from typing import IO, Optional, Sequence, Union
 
 from .partitions import _Frozen, check_integer
 
@@ -76,6 +78,13 @@ class CoefficientTableError(ValueError):
     table invariants.  Messages include the offending row number."""
 
 
+def _rational(name: str, value: numbers.Rational) -> Fraction:
+    """value as a Fraction of ints (a numpy integer's too); TypeError unless rational."""
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"{name} must be rational, got {value!r}")
+    return value if isinstance(value, Fraction) else Fraction(int(value.numerator), int(value.denominator))
+
+
 class CoefficientEntry(_Frozen):
     """Constants for one part size; ``c`` is derived at construction.
 
@@ -91,6 +100,7 @@ class CoefficientEntry(_Frozen):
     """
 
     def __init__(self, j: int, d: Fraction, k_sq: Fraction) -> None:
+        j, d, k_sq = check_integer("j", j, 2), _rational("d", d), _rational("k_sq", k_sq)
         if d <= 0:
             raise ValueError(f"non-positive expected range d = {d}")
         if k_sq <= 0:
@@ -153,15 +163,16 @@ class CoefficientTable(_Frozen):
     """
 
     def __init__(self, distribution_label: str,
-                 entries: tuple[CoefficientEntry, ...] | _ExponentialEntries) -> None:
-        if not entries:
-            raise ValueError("a coefficient table needs at least the j = 2 entry")
+                 entries: Sequence[CoefficientEntry] | _ExponentialEntries) -> None:
         if not isinstance(entries, _ExponentialEntries):  # contiguous by design
+            entries = tuple(entries)  # a caller's list cannot change the table later
             for expected, entry in enumerate(entries, start=2):
                 if entry.j != expected:
                     raise ValueError(
                         f"part sizes must be contiguous from 2: expected {expected}, got {entry.j}"
                     )
+        if not entries:
+            raise ValueError("a coefficient table needs at least the j = 2 entry")
         vars(self).update(distribution_label=distribution_label, entries=entries)
 
     @property
@@ -289,7 +300,7 @@ def load_table(
 
     if not entries:
         raise CoefficientTableError("row 2: no data rows")
-    return CoefficientTable(label, tuple(entries))
+    return CoefficientTable(label, entries)
 
 
 def export_table(table: CoefficientTable) -> bytes:

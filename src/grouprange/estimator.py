@@ -21,6 +21,7 @@ estimate is invariant under permutations within a block.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -36,8 +37,8 @@ def check_theta(name: str, theta: float) -> float:
     or a numpy float32 (which would overflow casting 1e100) acts as its float.
 
     Raise TypeError for a str or bytes, which float() would parse, and
-    ValueError unless 1e-100 <= theta <= 1e100 (so not NaN): theta**2 scales
-    every variance a plan reports, and on this range it stays a normal float.
+    ValueError unless 1e-100 <= theta <= 1e100 (so not NaN): there theta**2
+    stays a normal float; theoretical_variance checks its product with a plan's.
     """
     if isinstance(theta, (str, bytes, bytearray)):
         raise TypeError(f"{name} must be a number, got {theta!r}")
@@ -103,5 +104,8 @@ def estimate(sample: Sequence[float], plan: EstimatorPlan) -> float:
 
 
 def theoretical_variance(plan: EstimatorPlan, sigma: float) -> float:
-    """Var(sigma_hat) = sigma**2 * variance_factor for true scale sigma."""
-    return float(plan.variance_factor) * check_theta("sigma", sigma) ** 2
+    """Var(sigma_hat) = sigma**2 * variance_factor, which must be a normal float."""
+    value = float(plan.variance_factor) * check_theta("sigma", sigma) ** 2
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise ValueError(f"sigma**2 * variance_factor must be a normal float, got {value}")
+    return value

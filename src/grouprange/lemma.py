@@ -3,53 +3,47 @@
 The closed-form allocation rests on one fact about the exponential
 coefficient table: the efficiency per consumed observation,
 ratio(n) = C_n / n, attains its strict maximum at n = 4 with value
-C_4 / 4 = 121/196.  The check runs in three layers:
+C_4 / 4 = 121/196.  Each of the two layers decides exactly or by the
+proved float margin FLOAT_TIE:
 
 1. Exact layer: the strict maximum of ratio(n) over 2..n_max.  As
    the optimizer's scans do, it ranks c_float(n) / n and compares
    exactly only the n within a relative 1e-9 of the float peak; every
    other n is below it by that proved margin, 4 * 10**4 times the
    floats' error.  On the exponential table only C_4 is built.
-2. Envelope layer: h(n) = (1 + log(n-1))**2 / (n-1) dominates
-   ratio(n), because H(n-1, 1) < 1 + log(n-1) and
-   H(n-1, 2) > 1 - 1/n, and h is strictly decreasing for n >= 4.
-3. Tail layer: the first integer where h drops below 121/196 is 34,
-   so h's monotone decay bounds ratio(n) < 121/196 for every n >= 34,
-   including all n beyond the finite scan.
-
-Layers 2 and 3 run in floating point, on the same float ratios.  A
-verdict counts only when its margin exceeds 1e-9, far above double
-rounding error for these magnitudes, so a float comparison can never
-silently flip an outcome; observed margins are all above 1e-5.
+2. Tail layer: ratio(n) < 27/44 < 121/196 for every n >= 34, since
+   C_n / n < h(n) = (1 + log(n-1))**2 / (n-1) (H(m, 1) <= 1 + log m,
+   H(m, 2) >= 1), h falls from n = 4 (d/dx (1 + log x)**2 / x =
+   (1 + log x)(1 - log x) / x**2), and h(34) < (1 + 7/2)**2 / 33 = 27/44
+   as log 33 < 7/2, that is e**7 > 33**2 = 1089.  The run checks that
+   by fifteen Taylor terms of e**7, 27/44 below the table's own peak,
+   and the ratios on 34..n_max below 27/44; the proof covers all n beyond.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import pairwise
+from math import factorial
 from typing import NamedTuple
 
 from .coefficients import FLOAT_TIE, CoefficientTable
 from .partitions import check_integer
 
-__all__ = ["PEAK_RATIO", "LemmaReport", "ratio", "envelope_h", "verify_lemma"]
+__all__ = ["PEAK_RATIO", "LemmaReport", "ratio", "verify_lemma"]
 
 PEAK_RATIO = Fraction(121, 196)  # C_4 / 4 for the exponential table
 
-_MARGIN = 1e-9
+_E7_BELOW = sum(Fraction(7**k, factorial(k)) for k in range(15))  # < e**7, about 1090.36
+_TAIL_BOUND = Fraction(27, 44)  # (1 + 7/2)**2 / 33, above h(n) for every n >= 34
 
 
 class LemmaReport(NamedTuple):
     """Outcome of one verification run.
 
     exact_ok: every n != max_ratio_at had ratio strictly below the
-    maximum, decided exactly or by a proved float margin.  envelope_ok:
-    h decreasing on 4..checked_upper, h dominating ratio on
-    5..checked_upper, and the tail crossing found, all with margin
-    above 1e-9.
-    tail_bound_start is the first integer with h(n) < 121/196 (0 when
-    no crossing was found, which fails the run).
+    maximum.  envelope_ok: the tail bound holds (e**7 > 33**2, 27/44 <
+    max_ratio, ratio(n) < 27/44 on tail_bound_start = 34..checked_upper).
+    Each is decided exactly or by a proved float margin.
     """
 
     checked_upper: int
@@ -69,15 +63,8 @@ def ratio(n: int, table: CoefficientTable) -> Fraction:
     return table.c(n) / n
 
 
-def envelope_h(n: float) -> float:
-    """Dominating envelope (1 + log(n-1))**2 / (n-1), defined for n > 1."""
-    if n <= 1:
-        raise ValueError(f"envelope needs n > 1, got {n}")
-    return (1 + math.log(n - 1)) ** 2 / (n - 1)
-
-
 def verify_lemma(n_max: int, table: CoefficientTable) -> LemmaReport:
-    """Run all three layers up to n_max (at least 34, the tail crossing).
+    """Run both layers up to n_max (at least 34, where the tail bound starts).
 
     Failures are reported in the result, not raised; only malformed
     inputs raise.
@@ -94,16 +81,12 @@ def verify_lemma(n_max: int, table: CoefficientTable) -> LemmaReport:
     max_ratio = ratios[max_ratio_at]
     exact_ok = all(r < max_ratio for n, r in ratios.items() if n != max_ratio_at)
 
-    # envelope layer, floats with a hard margin: h strictly decreases on
-    # 4..n_max and dominates the ratio on 5..n_max
-    span = range(4, n_max + 1)
-    decreasing = all(a - b > _MARGIN for a, b in pairwise(map(envelope_h, span)))
-    dominating = all(envelope_h(n) - floats[n] > _MARGIN for n in span[1:])
-
-    # tail layer: first integer where the envelope falls below the peak
-    peak = float(PEAK_RATIO)
-    tail_bound_start = next((n for n in span if peak - envelope_h(n) > _MARGIN), 0)
-    envelope_ok = decreasing and dominating and tail_bound_start != 0
+    # tail layer: exact, but for ratios the float margin puts below the bound
+    tail_bound_start = 34
+    below = float(_TAIL_BOUND) * (1 - FLOAT_TIE)
+    envelope_ok = _E7_BELOW > 33**2 and _TAIL_BOUND < max_ratio and all(
+        floats[n] < below or ratio(n, table) < _TAIL_BOUND
+        for n in range(tail_bound_start, n_max + 1))
 
     return LemmaReport(
         checked_upper=n_max,

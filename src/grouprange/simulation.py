@@ -138,6 +138,7 @@ def monte_carlo(
     theta = check_theta("theta", theta)
     check_integer("replicates", replicates, 1)
     check_seed("seed", seed)
+    expected = theoretical_variance(plan, theta)  # raises before any draw
 
     n = plan.partition.n
     # one float weight per part, in the plan's order
@@ -213,6 +214,6 @@ def monte_carlo(
         mean_estimate=mean,
         variance_estimate=variance,
         mean_std_error=math.sqrt(variance / replicates),
-        theoretical_variance=theoretical_variance(plan, theta),
+        theoretical_variance=expected,
         plan_partition=plan.partition,
     )

@@ -7,10 +7,12 @@ recurrence, the exact reference for the package's Rademacher series,
 and ``count_unrestricted`` reads p(n) from it.  ``harmonic_oracle``
 sums a generalized harmonic number term by term, the reference for the
 harmonic memo, the exponential table's entries, the lemma's ratios and
-the solvers' efficiencies.
+the solvers' efficiencies.  ``envelope`` is the float h(n) that the
+lemma's tail bound rests on.
 """
 
 import bisect
+import math
 import operator
 from fractions import Fraction
 from typing import Iterator
@@ -89,3 +91,9 @@ def harmonic_oracle(n: int, j: int) -> Fraction:
     """H(n, j) = sum of 1 / i**j over i = 1..n, summed directly: shares no
     code with the package's memoized ``generalized_harmonic``."""
     return sum((Fraction(1, i**j) for i in range(1, n + 1)), Fraction(0))
+
+
+def envelope(n: float) -> float:
+    """h(n) = (1 + log(n-1))**2 / (n-1), above C_n / n on the exponential
+    table for n > 1 and falling from n = 4 (the lemma's proof)."""
+    return (1 + math.log(n - 1)) ** 2 / (n - 1)

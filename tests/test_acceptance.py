@@ -15,7 +15,6 @@ from grouprange import (
     asymptotic_admissible,
     build_residue_graph,
     count_admissible,
-    envelope_h,
     make_plan,
     monte_carlo,
     partition_objective,
@@ -27,7 +26,7 @@ from grouprange import (
     verify_lemma,
 )
 
-from partition_reference import count_unrestricted, enumerate_admissible
+from partition_reference import count_unrestricted, enumerate_admissible, envelope
 
 SEED = 42
 REPLICATES = 10**6
@@ -108,15 +107,15 @@ def test_criterion_3_peak_ratio_everywhere(table1000):
         n for n in range(2, 1001)
         if n != 4 and not ratio(n, table1000) < Fraction(121, 196)
     ]
-    h_cross = envelope_h(34) < 121 / 196
-    h_monotone = all(envelope_h(n) > envelope_h(n + 1) for n in range(4, 1000))
+    h_cross = envelope(34) < 27 / 44 < 121 / 196
+    h_monotone = all(envelope(n) > envelope(n + 1) for n in range(4, 1000))
     report = verify_lemma(1000, table1000)
     ok = not exceptions and h_cross and h_monotone and report.holds
     _report(
         3,
         ok,
         "C_n/n < 121/196 exactly for all n != 4 in 2..1000; "
-        "h(34) < 121/196 and h decreasing on 4..1000; "
+        "h(34) < 27/44 < 121/196 and h decreasing on 4..1000; "
         f"exceptions {exceptions or 'none'}",
     )
 

@@ -13,10 +13,12 @@ from grouprange import (
     CoefficientEntry,
     CoefficientTable,
     CoefficientTableError,
+    Partition,
     export_table,
     exponential_table,
     generalized_harmonic,
     load_table,
+    solve_dp,
 )
 from grouprange import coefficients
 from grouprange.coefficients import FLOAT_C_ERROR
@@ -427,6 +429,46 @@ def test_entry_c_is_derived():
     ]:
         with pytest.raises(ValueError, match=message):
             CoefficientEntry(2, d, k_sq)
+
+
+def test_entry_takes_an_integer_j_and_rational_values():
+    # a float d or k_sq made the solvers' exact objective a float, which
+    # make_plan's exact identity check then refused with a bare AssertionError
+    import numpy as np
+
+    for args, message in [
+        ((2, 0.1, 1), "d must be rational, got 0.1"),
+        ((2, 1, 0.3), "k_sq must be rational, got 0.3"),
+        ((2, Decimal("0.1"), 1), "d must be rational, got Decimal('0.1')"),
+        ((2.0, 1, 1), "j must be an integer, got 2.0"),
+    ]:
+        with pytest.raises(TypeError) as caught:
+            CoefficientEntry(*args)
+        assert str(caught.value) == message
+    with pytest.raises(ValueError, match="^j must be >= 2, got 1$"):
+        CoefficientEntry(1, 1, 1)
+    # ints, numpy integers included, are kept as Fractions of ints
+    entry = CoefficientEntry(np.int64(3), np.int64(10**10), 1)
+    assert entry == CoefficientEntry(3, Fraction(10**10), Fraction(1))
+    assert type(entry.j) is int and type(entry.d) is type(entry.k_sq) is Fraction
+    assert type(entry.c.numerator) is int and entry.c == 10**20
+
+
+def test_table_keeps_its_own_tuple_of_a_callers_list():
+    exponential = exponential_table(10)
+    entries = [exponential.entry(j) for j in range(2, 11)]
+    table = CoefficientTable("list", entries)
+    assert table == CoefficientTable("list", tuple(entries))
+    assert hash(table) == hash(CoefficientTable("list", tuple(entries)))
+    assert solve_dp(10, table).partition == Partition.from_parts([5, 5])
+    # changing the list afterwards changes neither the table nor its answers
+    entries[3] = CoefficientEntry(5, Fraction(1, 100), 1)
+    entries.append(CoefficientEntry(11, 1, 1))
+    assert table.entry(5) == exponential.entry(5) and not table.covers(11)
+    assert solve_dp(10, table).objective == Fraction(250, 41)
+    changed = solve_dp(10, CoefficientTable("changed", entries))
+    assert changed.partition == Partition.from_parts([4, 3, 3])
+    assert changed.objective == Fraction(1487, 245)
 
 
 def test_table_rejects_empty():

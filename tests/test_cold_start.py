@@ -405,7 +405,7 @@ def test_public_names_are_each_modules_own():
     # the package lists no name of its own: its __all__ is the modules'
     modules = (coefficients, estimator, exactmath, lemma, optimizer, partitions)
     assert set(grouprange.__all__) == set().union(*(m.__all__ for m in modules), LAZY_NAMES)
-    assert len(grouprange.__all__) == len(set(grouprange.__all__)) == 33
+    assert len(grouprange.__all__) == len(set(grouprange.__all__)) == 32
     assert grouprange._SIMULATION_NAMES == set(simulation.__all__) == set(LAZY_NAMES)
     # the tests' brute-force references, not the package's API
     for name in ("enumerate_admissible", "count_unrestricted", "asymptotic_unrestricted"):

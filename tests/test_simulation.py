@@ -10,6 +10,8 @@ import pytest
 
 from grouprange import (
     BLOCK_REPLICATES,
+    CoefficientEntry,
+    CoefficientTable,
     Partition,
     SimulationReport,
     estimate,
@@ -209,6 +211,27 @@ def test_monte_carlo_rejects_theta_before_drawing(table40, monkeypatch):
     for theta in (1e-100, 1e100):
         with pytest.raises(AssertionError, match="drew"):
             monte_carlo(plan, theta, 10, seed=0)
+
+
+def test_variance_outside_the_float_range_raises_before_drawing(monkeypatch):
+    # one part of 2 on a table whose variance factor is 1e150 or 1e-150:
+    # sigma**2 times it overflowed to inf or fell to 0.0, reported after every draw
+    def no_draws(*args):
+        raise AssertionError("drew before checking the variance")
+
+    monkeypatch.setattr(simulation, "replicate_stream", no_draws)
+    low, high = Fraction(1, 10**50), Fraction(10**50)
+    for d, k_sq, sigmas in [(low, high, (1e100, 1e80)), (high, low, (1e-100, 1e-80))]:
+        table = CoefficientTable("far", (CoefficientEntry(2, d, k_sq),))
+        plan = make_plan(Partition.from_parts([2]), table)
+        for sigma in sigmas:  # beyond the range, then subnormal or just past it
+            with pytest.raises(ValueError, match="must be a normal float"):
+                theoretical_variance(plan, sigma)
+            with pytest.raises(ValueError, match="must be a normal float"):
+                monte_carlo(plan, sigma, 10, seed=0)
+        assert theoretical_variance(plan, 1.0) == float(plan.variance_factor)
+        with pytest.raises(AssertionError, match="drew"):
+            monte_carlo(plan, 1.0, 10, seed=0)
 
 
 def test_theta_is_taken_as_its_float(table40):

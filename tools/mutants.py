@@ -49,10 +49,12 @@ ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+")}
 # them: (file name, function, the site's line up to and including the
 # mutated token, reason).
 EQUIVALENT = [
-    ("lemma.py", "verify_lemma", "all(a - b >",
-     "no float difference of the envelope lands exactly on the margin"),
-    ("lemma.py", "verify_lemma", "envelope_h(n) - floats[n] >",
-     "no float gap between the envelope and a ratio lands exactly on the margin"),
+    ("lemma.py", "verify_lemma", "if r >=",
+     "a float tie margin: a ratio whose float lies on it is below the peak exactly too"),
+    ("lemma.py", "verify_lemma", "_E7_BELOW >",
+     "a comparison of two constants: the partial sum of e**7 is not 1089"),
+    ("lemma.py", "verify_lemma", "floats[n] <",
+     "a float tie margin: a ratio whose float lies on it is below 27/44 exactly too"),
     ("optimizer.py", "_scan", "r >=",
      "a float tie margin: no ratio lands exactly on it, and the exact test decides"),
     ("optimizer.py", "_dp_extend", "if ratio >=",
