@@ -210,17 +210,14 @@ def exponential_table(max_part: int) -> CoefficientTable:
 
 def _adjusted_exponent(text: str) -> int:
     """The exponent of a decimal literal's leading digit; raises on a malformed one."""
-    try:
+    # decimal holds exponents up to about 1e18: read any exponent apart
+    # and let decimal check the rest with exponent 0
+    far = re.fullmatch(r"(.*E[-+]?)(\d+(?:_\d+)*)\s*", text, re.IGNORECASE)
+    if far is None:
         return Decimal(text).adjusted()
-    except InvalidOperation:
-        # decimal holds exponents up to about 1e18; past that, read the
-        # exponent apart and let decimal check the rest with exponent 0
-        far = re.fullmatch(r"(.*E[-+]?)(\d+(?:_\d+)*)\s*", text, re.IGNORECASE)
-        if far is None:
-            raise
-        head, digits = far.groups()
-        exponent = -int(digits) if head.endswith("-") else int(digits)
-        return Decimal(head + "0").adjusted() + exponent
+    head, digits = far.groups()
+    exponent = -int(digits) if head.endswith("-") else int(digits)
+    return Decimal(head + "0").adjusted() + exponent
 
 
 def _parse_rational(text: str, row: int, column: str) -> Fraction:

@@ -128,12 +128,12 @@ class _TableState:
         # Residue graph over the parts 2..scanned: best is the argmax b of
         # C_j / j (smallest j on ties, 0 before any scan), minima[offset] =
         # (j, w_j, float(w_j)) the minimum of the class j = offset (mod b),
-        # smallest j on ties; paths: the last graph and its paths from 0, so
-        # that Dijkstra runs once per distinct graph.
+        # smallest j on ties; paths: the graph's paths from 0, kept until
+        # _scan changes the graph (None then), so Dijkstra runs once per graph.
         self.scanned = 1
         self.best = 0
         self.minima: dict[int, tuple[int, Fraction, float]] = {}
-        self.paths: tuple[ResidueGraph, dict] | None = None
+        self.paths: dict[int, tuple[Fraction, tuple[int, ...]]] | None = None
 
 
 _states: dict[int, _TableState] = {}
@@ -171,7 +171,7 @@ def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
     if n < state.scanned:
         if state.best <= n and all(j <= n for j, _, _ in state.minima.values()):
             return
-        state.scanned, state.best, state.minima = 1, 0, {}
+        state.scanned, state.best, state.minima, state.paths = 1, 0, {}, None
     fc, b = _floats(state, table, n), state.best
     ratio = fc[b] / b if b else 0.0
     for j in range(state.scanned + 1, n + 1):
@@ -181,7 +181,7 @@ def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
         ):
             b, ratio = j, r
     if b != state.best:  # a new modulus: its classes are scanned from part 2
-        state.scanned, state.best, state.minima = 1, b, {}
+        state.scanned, state.best, state.minima, state.paths = 1, b, {}, None
     # b maximizes C_j / j over 2..n, so every w_j with j <= n is >= 0.
     # w_j is a difference, so its float error is absolute: below
     # (FLOAT_C_ERROR + 5 * 2**-53) * (j * C_b / b + C_j), the minimum's
@@ -197,7 +197,7 @@ def _scan(state: _TableState, table: CoefficientTable, n: int) -> None:
             continue
         exact = j * table.c(b) / b - table.c(j)
         if not known or w < known[2] - margin or exact < known[1]:  # smallest part on ties
-            minima[offset] = (j, exact, float(exact))
+            minima[offset], state.paths = (j, exact, float(exact)), None
     state.scanned = n
 
 
@@ -207,8 +207,12 @@ def build_residue_graph(table: CoefficientTable, n: int) -> ResidueGraph:
     with _lock:
         state = _table_state(table)
         _scan(state, table, n)
-        steps = tuple((offset, j, w) for offset, (j, w, _) in sorted(state.minima.items()))
-        return ResidueGraph(state.best, steps)
+        return _graph(state)
+
+
+def _graph(state: _TableState) -> ResidueGraph:  # the caller holds _lock
+    steps = tuple((offset, j, w) for offset, (j, w, _) in sorted(state.minima.items()))
+    return ResidueGraph(state.best, steps)
 
 
 def shortest_paths(graph: ResidueGraph) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
@@ -322,17 +326,13 @@ def solve_dp(n: int, table: CoefficientTable) -> SolveResult:
 def solve_group_relaxation(n: int, table: CoefficientTable) -> SolveResult:
     """Group relaxation: residue-graph shortest path, DP fallback."""
     n = _require_coverage(table, n)
-    graph = build_residue_graph(table, n)
-    b = graph.modulus
-    r = n % b
-
-    path_parts: tuple[int, ...] = ()
-    if r != 0:
-        with _lock:
-            state = _table_state(table)
-            if state.paths is None or state.paths[0] != graph:
-                state.paths = (graph, shortest_paths(graph))
-            path_parts = state.paths[1][r][1]
+    with _lock:
+        state = _table_state(table)
+        _scan(state, table, n)
+        b, r = state.best, n % state.best
+        if r != 0 and state.paths is None:
+            state.paths = shortest_paths(_graph(state))
+        path_parts = state.paths[r][1] if r != 0 else ()
 
     f_b, leftover = divmod(n - sum(path_parts), b)
     assert leftover == 0  # path length is congruent to r by construction

@@ -305,6 +305,9 @@ def test_load_far_exponents():
         assert str(info.value) == message
     table = load_table(row.format("1e50", "1e-50"))
     assert (table.d(2), table.k_sq(2)) == (Fraction(10**50), Fraction(1, 10**50))
+    # the literal's digits count with its exponent: both of these are 1
+    table = load_table(row.format("1" + "0" * 1200 + "e-1200", "0." + "0" * 1200 + "1e1201"))
+    assert (table.d(2), table.k_sq(2)) == (1, 1)
 
 
 def test_load_error_malformed_value():

@@ -11,11 +11,12 @@ import random
 import re
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from grouprange import coefficients
+from grouprange import coefficients, lemma, optimizer
 from grouprange import (
     CoefficientEntry,
     Partition,
@@ -501,6 +502,36 @@ def test_smaller_n_rescans_below_a_class_minimum():
     assert (state.scanned, state.minima[2][0]) == (5, 2)
 
 
+def counted_shortest_paths(monkeypatch) -> list:
+    calls, run = [], optimizer.shortest_paths
+    monkeypatch.setattr(optimizer, "shortest_paths", lambda g: calls.append(g) or run(g))
+    return calls
+
+
+def test_ascending_sweep_runs_dijkstra_once_per_graph(monkeypatch):
+    # Dijkstra runs at n = 5, the first nonzero residue mod 4, and at
+    # n = 6, where part 6 takes offset 2; n = 2, 3 and 4 need no path
+    calls = counted_shortest_paths(monkeypatch)
+    swept = exponential_table(400)
+    for n in range(2, 401):
+        solve_group_relaxation(n, swept)
+    assert len(calls) <= 2
+
+
+def test_residue_zero_runs_no_dijkstra(monkeypatch):
+    # b = 30 makes each Dijkstra 870 exact relaxations; a multiple of 30
+    # needs none, and the later n reuse the one run for n = 61
+    calls = counted_shortest_paths(monkeypatch)
+    rows = [f"{j},{j + (j == 30)},{j + (j == 30)}" for j in range(2, 91)]
+    t = load_table("j,d,k_sq\n" + "\n".join(rows) + "\n")
+    for n in (30, 60, 90):
+        assert solve_group_relaxation(n, t).partition.parts == (30,) * (n // 30)
+    assert calls == []
+    for n in (61, 89, 62):
+        assert solve_group_relaxation(n, t).objective == solve_dp(n, t).objective
+    assert len(calls) == 1
+
+
 def test_smallest_n_twice_on_a_fresh_table():
     # n = 2 has the one part 2 and no class minimum: the second call
     # reads a scan whose minima are empty
@@ -583,6 +614,56 @@ def test_rule_of_fours_structure():
             assert dict(p.frequencies) == ({5: r} if q == r else {4: q - r, 5: r})
         else:
             assert dict(p.frequencies) == {3: 1, 4: q}
+
+
+def rule_of_fours_is_optimal(table) -> bool:
+    """LP duality on Z_4 (Gomory, 1965), in exact arithmetic.
+
+    With rho = C_4 / 4 and w_j = j * rho - C_j, a partition of n is worth
+    n * rho - sum_j w_j * f_j.  Potentials pi on Z_4 with pi(0) = 0 and
+    pi((v + j) mod 4) <= pi(v) + w_j for every v and j bound the penalty
+    of any partition of n below by pi(n mod 4): walk its parts from 0.
+    So a partition worth n * rho - pi(n mod 4) is optimal.  Parts from
+    34 on need no scan: C_j / j < 27/44 there (lemma, given e**7 > 33**2),
+    so w_j > 34 * (rho - 27/44), above every potential difference.
+    Reads C_2..C_33 only.
+    """
+    rho = table.c(4) / 4
+    w = {j: j * rho - table.c(j) for j in range(2, 34)}
+    pi = (0, w[5], 2 * w[5], w[3])  # one 5, two 5s, one 3
+    rule = {n: partition_objective(rule_of_fours(n), table) for n in range(2, 11)}
+    return (
+        lemma._E7_BELOW > 33**2  # (0): log 33 < 7/2
+        and all(table.c(j) / j < rho for j in w if j != 4)  # (a): the strict peak is at 4
+        and all(pi[(v + j) % 4] <= pi[v] + w[j] for v in range(4) for j in w)  # (c)
+        and 34 * (rho - lemma._TAIL_BOUND) > max(pi) - min(pi)  # (c) for j >= 34
+        # (d): the rule meets the bound at 7..10 (n + 4 adds one 4, worth
+        # 4 * rho, from there on) and the optimum below 7
+        and all(rule[n] == n * rho - pi[n % 4] for n in range(7, 11))
+        and all(rule[n] == solve_dp(n, table).objective for n in range(2, 7))
+    )
+
+
+def test_rule_of_fours_is_optimal_for_every_n(table40):
+    rho = Fraction(121, 196)
+    assert table40.c(4) / 4 == rho
+    assert 5 * rho - table40.c(5) == Fraction(305, 8036)  # w_5
+    assert 3 * rho - table40.c(3) == Fraction(51, 980)  # w_3
+    assert 34 * (rho - lemma._TAIL_BOUND) == Fraction(68, 539) > Fraction(305, 4018)
+    for n in range(7, 401):
+        assert Counter(rule_of_fours(n + 4).parts) == Counter(rule_of_fours(n).parts + (4,))
+    assert rule_of_fours_is_optimal(table40)
+
+
+@pytest.mark.parametrize("part, c, n", [
+    (6, Fraction(73, 20), 10),  # one 6 undercuts two 5s: (6, 4) beats (5, 5)
+    (5, Fraction(31, 10), 20),  # C_5 / 5 > C_4 / 4: four 5s beat five 4s
+])
+def test_rule_of_fours_certificate_fails_where_the_rule_does(table40, part, c, n):
+    values = {j: table40.c(j) for j in range(2, 41)} | {part: c}
+    t = load_table("j,d,k_sq\n" + "".join(f"{j},{v},{v}\n" for j, v in values.items()))
+    assert solve_dp(n, t).objective > partition_objective(rule_of_fours(n), t)
+    assert not rule_of_fours_is_optimal(t)
 
 
 def test_rule_of_fours_rejects_small_n():

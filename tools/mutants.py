@@ -57,6 +57,8 @@ EQUIVALENT = [
      "a float tie margin: a ratio whose float lies on it is below 27/44 exactly too"),
     ("optimizer.py", "_scan", "r >=",
      "a float tie margin: no ratio lands exactly on it, and the exact test decides"),
+    ("optimizer.py", "_scan", "state.paths = 1, 0",
+     "best = 1 starts at ratio fc[1] / 1 = 0.0, as best = 0 does: part 2 replaces it"),
     ("optimizer.py", "_dp_extend", "if ratio >=",
      "a float tie margin: no ratio lands exactly on it, and the exact test decides"),
     ("partitions.py", "<module>", "_GUARD = 16",
