@@ -39,9 +39,10 @@ it, and prefixes an entry's error with its ``row N:``.
 from __future__ import annotations
 
 import io
+import math
 import numbers
 import re
-import threading
+import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import IO, Optional, Sequence, Union
@@ -59,10 +60,12 @@ __all__ = [
 
 _HEADER = ("j", "d", "k_sq")
 # Relative error bound of ``CoefficientTable.c_float``: a rounded exact C_j
-# is within u = 2**-53; on the exponential table each term is rounded once
-# (u) and a Neumaier sum adds 2u + O(m u**2) (Higham, Accuracy and Stability,
-# sec. 4.3), under 4u per sum for m < 2**40, so h1 * h1 / h2 is within 14u.
-FLOAT_C_ERROR = 1e-14
+# is within u = 2**-53.  On the exponential table a direct sum is within 19u
+# (m rounded terms, m - 1 additions) and a series within about 7u: a few
+# roundings, math.log within 1 ulp, and a remainder below its first omitted
+# term, 1/(132 m**10) or 5/(66 m**11), at most 2.1u at m = 20 (the psi and psi'
+# series envelop at real positive argument: DLMF 5.11(ii), Knuth TAOCP 1.2.11.2).
+FLOAT_C_ERROR = 1e-14  # 90u, above h1 * h1 / h2's 59u
 # The solvers' and the lemma's float comparisons decide unless their sides
 # lie within this relative margin; then the exact one does, so on the
 # exponential table the solvers build only C_2..C_6 and the answer's parts.
@@ -135,24 +138,19 @@ class _ExponentialEntries(_Frozen):
 
 
 _entries: dict[int, CoefficientEntry] = {}  # exact exponential entries by part, for every table
-_float_lock = threading.Lock()
-_float_c = [0.0, 0.0]  # float C_j of the exponential table at index j >= 2
-_sums = [0.0] * 4  # Neumaier sums of 1/i and 1/i**2, and their compensations
+_GAMMA, _ZETA_2 = 0.5772156649015329, 1.6449340668482264  # Euler's gamma and pi**2 / 6
 
 
 def _exponential_c_float(j: int) -> float:
-    with _float_lock:
-        s1, s2, e1, e2 = _sums
-        for i in range(len(_float_c) - 1, j):  # C_{i+1} reads H(i, 1) and H(i, 2)
-            # falling terms from a zero sum keep |sum| >= |term|, so
-            # (sum - new) + term is the new rounding error exactly
-            x, y = 1 / i, 1 / (i * i)  # int division rounds correctly
-            t1, t2 = s1 + x, s2 + y
-            e1, e2 = e1 + ((s1 - t1) + x), e2 + ((s2 - t2) + y)
-            s1, s2 = t1, t2
-            _float_c.append((s1 + e1) * (s1 + e1) / (s2 + e2))
-        _sums[:] = s1, s2, e1, e2
-        return _float_c[j]
+    """H(m, 1)**2 / H(m, 2) with m = j - 1, in O(1) (see FLOAT_C_ERROR)."""
+    m = j - 1
+    if m < 20:  # direct sums, smallest term first; int division rounds correctly
+        h1, h2 = sum(1 / i for i in range(m, 0, -1)), sum(1 / (i * i) for i in range(m, 0, -1))
+    else:  # four Euler-Maclaurin terms of each
+        r, x = 1 / m, 1 / (m * m)
+        h1 = math.log(m) + (_GAMMA + (r / 2 - x * (1 / 12 - x * (1 / 120 - x * (1 / 252 - x / 240)))))
+        h2 = _ZETA_2 - r * (1 - r / 2 + x * (1 / 6 - x * (1 / 30 - x * (1 / 42 - x / 30))))
+    return h1 * h1 / h2
 
 
 class CoefficientTable(_Frozen):
@@ -197,7 +195,7 @@ class CoefficientTable(_Frozen):
         return self.entry(j).c
 
     def c_float(self, j: int) -> float:
-        """C_j within a relative FLOAT_C_ERROR; builds no exponential entry."""
+        """C_j within a relative FLOAT_C_ERROR, in O(1); builds no exponential entry."""
         if isinstance(self.entries, _ExponentialEntries) and self.covers(j):
             return _exponential_c_float(j)
         return float(self.entry(j).c)  # raises when j is not covered
@@ -205,7 +203,8 @@ class CoefficientTable(_Frozen):
 
 def exponential_table(max_part: int) -> CoefficientTable:
     """Exact table for the exponential distribution, parts 2..max_part, in O(1)."""
-    return CoefficientTable("exponential", _ExponentialEntries(check_integer("max_part", max_part, 2)))
+    max_part = check_integer("max_part", max_part, 2, sys.maxsize + 1)  # len(span) must fit a ssize_t
+    return CoefficientTable("exponential", _ExponentialEntries(max_part))
 
 
 def _adjusted_exponent(text: str) -> int:

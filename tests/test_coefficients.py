@@ -60,6 +60,15 @@ def test_exponential_structure():
     assert not t.covers(1) and not t.covers(31)
 
 
+def test_exponential_table_spans_at_most_2_63():
+    # the span's len() must fit a ssize_t: past it the range rule speaks,
+    # not an OverflowError from inside the table
+    t = exponential_table(2**63)
+    assert t.max_part == 2**63 and t.c_float(5) == exponential_table(5).c_float(5)
+    with pytest.raises(ValueError, match=r"^max_part must be <= 9223372036854775808, got 9223372036854775809$"):
+        exponential_table(2**63 + 1)
+
+
 def test_entries_positive_and_increasing():
     t = exponential_table(100)
     for j in range(2, 101):
@@ -121,11 +130,40 @@ def test_float_coefficients_within_bound():
         reference = h1 * h1 / h2
     got = exponential_table(j).c_float(j)
     assert abs(Decimal(got) - reference) <= Decimal(FLOAT_C_ERROR) * reference
+    # ... and against six Euler-Maclaurin terms of each harmonic sum, two
+    # more than c_float takes, at 40 digits and with no float, far out
+    gamma = Decimal("0.57721566490153286060651209008240243104215933593992")
+    zeta_2 = Decimal("1.6449340668482264364724151666460251892189499012068")  # pi**2 / 6
+    bernoulli = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+                 Fraction(5, 66), Fraction(-691, 2730))  # B_2, B_4, ..., B_12
+    for j in (10**6, 10**9, 10**12, 10**15, 2**63):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            m = Decimal(j - 1)
+            h1, h2 = m.ln() + gamma + 1 / (2 * m), zeta_2 - 1 / m + 1 / (2 * m * m)
+            for k, b in enumerate(bernoulli, start=1):
+                b = Decimal(b.numerator) / b.denominator
+                h1, h2 = h1 - b / (2 * k * m ** (2 * k)), h2 - b / m ** (2 * k + 1)
+            reference = h1 * h1 / h2
+            got = exponential_table(j).c_float(j)
+            assert abs(Decimal(got) - reference) <= Decimal(FLOAT_C_ERROR) * reference, j
     # a loaded table serves float(C_j), and both refuse an uncovered part
     assert load_table("j,d,k_sq\n2,1,3\n").c_float(2) == float(Fraction(1, 3))
     for table in (t, load_table("j,d,k_sq\n2,1,3\n")):
         with pytest.raises(ValueError, match="not covered"):
             table.c_float(table.max_part + 1)
+
+
+def test_float_coefficient_costs_o1_at_any_part():
+    # no prefix of the harmonic sums is built or kept
+    t = exponential_table(10**6)
+    tracemalloc.start()
+    try:
+        t.c_float(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_tables_compare_by_value():

@@ -174,17 +174,14 @@ def test_solvers_share_custom_table_state_under_thread_contention():
 
 def test_lazy_table_under_thread_contention():
     # Threads read the exact entries and the floats of one exponential
-    # table, each in its own order, from an empty float memo; every
-    # value must equal a serial build, and each entry is one object.
+    # table, each in its own order; every value must equal a serial
+    # build, and each entry is one object.
     span = range(2, 301)
     eager = {j: CoefficientEntry(j, generalized_harmonic(j - 1, 1), generalized_harmonic(j - 1, 2))
              for j in span}
     floats = {j: exponential_table(300).c_float(j) for j in span}
     workers, rounds = 4, 4
     for _ in range(rounds):
-        with coefficients._float_lock:
-            del coefficients._float_c[2:]
-            coefficients._sums[:] = [0.0] * 4
         table = exponential_table(300)
         seen: list[tuple[int, object, float]] = []
 

@@ -69,6 +69,14 @@ EQUIVALENT = [
      "one more bit of pi and C: every term is as precise or more"),
     ("partitions.py", "_term_count", "math.sinh(a / count) >=",
      "the remainder bound is a float that never equals 1/5 exactly"),
+    ("coefficients.py", "_exponential_c_float", "if m <",
+     "the direct sums take m = 20 too: c_float moves by 1.97u at most, inside FLOAT_C_ERROR"),
+    ("coefficients.py", "_exponential_c_float", "if m < 20",
+     "the seam moves to m = 21: c_float moves by 1.97u at most over j <= 3,000, inside FLOAT_C_ERROR"),
+    ("coefficients.py", "_exponential_c_float", "x / 240",
+     "H(m, 1)'s last series term: c_float moves by 1.97u at most over j <= 3,000, inside FLOAT_C_ERROR"),
+    ("coefficients.py", "_exponential_c_float", "x / 30",
+     "H(m, 2)'s last series term: c_float moves by 11.8u at most over j <= 3,000, inside FLOAT_C_ERROR"),
     ("coefficients.py", "load_table", "expected = 3 if len(row) <",
      "the branch runs only when len(row) != 3, so < 3 and <= 3 agree"),
 ]
