@@ -115,10 +115,11 @@ class CoefficientEntry(_Frozen):
 
 
 class _ExponentialEntries(_Frozen):
-    """The exponential entries of parts 2..max_part, each built when first
-    read into the module memo ``_entries``, which every exponential table
-    shares.  Identity is the span, so len, equality, hash and repr build
-    nothing, and no loaded table's tuple equals it."""
+    """The exponential entries of parts 2..max_part, each built when first read
+    into the module memo ``_entries`` that every exponential table shares: one
+    term past part j - 1's entry if that is built, else by binary splitting.
+    Identity is the span: len, equality, hash and repr build nothing, and no
+    loaded table's tuple equals it."""
 
     def __init__(self, max_part: int) -> None:
         vars(self).update(parts=range(2, max_part + 1))
@@ -133,7 +134,10 @@ class _ExponentialEntries(_Frozen):
         if j not in _entries:  # setdefault keeps one entry when threads race
             from .exactmath import generalized_harmonic as h
 
-            _entries.setdefault(j, CoefficientEntry(j, h(j - 1, 1), h(j - 1, 2)))
+            m, previous = j - 1, _entries.get(j - 1)
+            sums = ((h(m, 1), h(m, 2)) if previous is None  # else one term past part m's sums
+                    else (previous.d + Fraction(1, m), previous.k_sq + Fraction(1, m * m)))
+            _entries.setdefault(j, CoefficientEntry(j, *sums))
         return _entries[j]
 
 
@@ -178,7 +182,7 @@ class CoefficientTable(_Frozen):
         return len(self.entries) + 1
 
     def covers(self, j: int) -> bool:
-        return 2 <= j <= self.max_part
+        return 2 <= check_integer("j", j) <= self.max_part
 
     def entry(self, j: int) -> CoefficientEntry:
         if not self.covers(j):
@@ -197,7 +201,7 @@ class CoefficientTable(_Frozen):
     def c_float(self, j: int) -> float:
         """C_j within a relative FLOAT_C_ERROR, in O(1); builds no exponential entry."""
         if isinstance(self.entries, _ExponentialEntries) and self.covers(j):
-            return _exponential_c_float(j)
+            return _exponential_c_float(int(j))  # a numpy integer's m * m could overflow
         return float(self.entry(j).c)  # raises when j is not covered
 
 
@@ -300,8 +304,9 @@ def load_table(
 
 
 def export_table(table: CoefficientTable) -> bytes:
-    """Canonical CSV bytes: header, then one ``j,p/q,p/q`` row per part,
-    LF line endings, UTF-8.  load_table(export_table(t)) round-trips."""
+    """Canonical CSV bytes: header, then one ``j,p/q,p/q`` row per part, LF line
+    endings, UTF-8; load_table(export_table(t)) round-trips.  Exponential parts past
+    4,967 pass the default 4,300-digit int-to-str limit and raise ValueError."""
     lines = [",".join(_HEADER)]
     for entry in table.entries:
         lines.append(f"{entry.j},{entry.d},{entry.k_sq}")

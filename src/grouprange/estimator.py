@@ -48,11 +48,11 @@ def check_theta(name: str, theta: float) -> float:
     return value
 
 
-def check_seed(name: str, seed: int) -> None:
-    """Raise TypeError unless seed is an integer, ValueError unless 0 <= seed < 2**64 (Philox)."""
-    check_integer(name, seed)
-    if not 0 <= seed < 1 << 64:
+def check_seed(name: str, seed: int) -> int:
+    """seed as an int; TypeError unless an integer, ValueError unless 0 <= seed < 2**64 (Philox)."""
+    if not 0 <= (seed := check_integer(name, seed)) < 1 << 64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 class EstimatorPlan(NamedTuple):

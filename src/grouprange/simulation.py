@@ -136,8 +136,8 @@ def monte_carlo(
 ) -> SimulationReport:
     """Replicated estimates of sigma = theta under a fixed plan."""
     theta = check_theta("theta", theta)
-    check_integer("replicates", replicates, 1)
-    check_seed("seed", seed)
+    replicates = check_integer("replicates", replicates, 1)
+    seed = check_seed("seed", seed)
     expected = theoretical_variance(plan, theta)  # raises before any draw
 
     n = plan.partition.n

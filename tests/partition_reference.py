@@ -5,13 +5,15 @@ the counts, the solvers and the estimator identities are checked
 against over small n.  ``pentagonal_prefix`` lists p(0..n) by Euler's
 recurrence, the exact reference for the package's Rademacher series,
 and ``count_unrestricted`` reads p(n) from it.  ``harmonic_oracle``
-sums a generalized harmonic number term by term, the reference for the
-harmonic memo, the exponential table's entries, the lemma's ratios and
-the solvers' efficiencies.  ``envelope`` is the float h(n) that the
-lemma's tail bound rests on.
+sums a generalized harmonic number term by term, the reference for
+``generalized_harmonic``, the exponential table's entries, the lemma's
+ratios and the solvers' efficiencies, and ``harmonic_prefix`` lists
+H(0..n, j) as running sums for the checks that sweep j.  ``envelope``
+is the float h(n) that the lemma's tail bound rests on.
 """
 
 import bisect
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -89,8 +91,14 @@ def count_unrestricted(n: int) -> int:
 
 def harmonic_oracle(n: int, j: int) -> Fraction:
     """H(n, j) = sum of 1 / i**j over i = 1..n, summed directly: shares no
-    code with the package's memoized ``generalized_harmonic``."""
+    code with the package's ``generalized_harmonic``."""
     return sum((Fraction(1, i**j) for i in range(1, n + 1)), Fraction(0))
+
+
+def harmonic_prefix(n: int, j: int) -> list[Fraction]:
+    """[H(0, j), H(1, j), ..., H(n, j)] as running sums, one term at a time."""
+    return list(itertools.accumulate((Fraction(1, i**j) for i in range(1, n + 1)),
+                                     initial=Fraction(0)))
 
 
 def envelope(n: float) -> float:

@@ -1,11 +1,14 @@
 """Coefficient tables and the CSV interchange format."""
 
+import re
 import time
 import tracemalloc
+import warnings
 import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,14 +19,13 @@ from grouprange import (
     Partition,
     export_table,
     exponential_table,
-    generalized_harmonic,
     load_table,
     solve_dp,
 )
-from grouprange import coefficients
+from grouprange import coefficients, exactmath
 from grouprange.coefficients import FLOAT_C_ERROR
 
-from partition_reference import harmonic_oracle
+from partition_reference import harmonic_oracle, harmonic_prefix
 
 
 # ------------------------------------------------------------- exponential
@@ -80,7 +82,7 @@ def test_entries_positive_and_increasing():
 
 def test_exponential_table_builds_entries_when_read(monkeypatch):
     # the span, its length and coverage build nothing; each read entry
-    # equals the eagerly built CoefficientEntry(j, H(j-1, 1), H(j-1, 2))
+    # equals CoefficientEntry(j, H(j-1, 1), H(j-1, 2)) over running sums
     # and lands in the one memo every exponential table reads
     monkeypatch.setattr(coefficients, "_entries", {})
     t = exponential_table(2000)
@@ -89,9 +91,10 @@ def test_exponential_table_builds_entries_when_read(monkeypatch):
     assert t.c_float(2000) > 0 and coefficients._entries == {}
     assert t.entry(7) is t.entries[5] is t.entries[-1994] is exponential_table(9).entry(7)
     assert list(coefficients._entries) == [7]
-    for j in range(2, 2001):
-        eager = CoefficientEntry(j, generalized_harmonic(j - 1, 1), generalized_harmonic(j - 1, 2))
-        assert t.entry(j) == eager, j
+    h1, h2 = harmonic_prefix(1999, 1), harmonic_prefix(1999, 2)
+    # 1500 and 2 by binary splitting, 3..6 and 8..1499 and 1501.. one term past j - 1
+    for j in (1500, *range(2, 2001)):
+        assert t.entry(j) == CoefficientEntry(j, h1[j - 1], h2[j - 1]), j
     assert tuple(t.entries) == tuple(t.entry(j) for j in range(2, 2001))
     with pytest.raises(IndexError):
         t.entries[1999]
@@ -100,6 +103,36 @@ def test_exponential_table_builds_entries_when_read(monkeypatch):
     loaded = load_table(export_table(small)).entries
     for cut in (slice(1, 3), slice(None, None, -3), slice(-2, None), slice(5, 2), slice(None)):
         assert small.entries[cut] == loaded[cut], cut
+
+
+def test_reading_one_large_part_keeps_no_smaller_one(monkeypatch):
+    # part 4,500 alone is built and kept: about 9 KB, where a prefix of
+    # every smaller part's harmonic sums would keep over 12 MiB
+    monkeypatch.setattr(coefficients, "_entries", {})
+    t = exponential_table(4500)
+    tracemalloc.start()
+    try:
+        t.entry(4500)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2**20 and list(coefficients._entries) == [4500]
+
+
+def test_ascending_sweep_splits_only_part_2(monkeypatch):
+    # every later part is one term past its predecessor's entry
+    calls = []
+
+    def counted(n, j, real=exactmath.generalized_harmonic):
+        calls.append((n, j))
+        return real(n, j)
+
+    monkeypatch.setattr(coefficients, "_entries", {})
+    monkeypatch.setattr(exactmath, "generalized_harmonic", counted)
+    t = exponential_table(2000)
+    for j in range(2, 2001):
+        t.entry(j)
+    assert calls == [(1, 1), (1, 2)] and len(coefficients._entries) == 1999
 
 
 def test_exponential_identity_builds_nothing(monkeypatch):
@@ -118,8 +151,9 @@ def test_exponential_identity_builds_nothing(monkeypatch):
 def test_float_coefficients_within_bound():
     # against the correctly rounded exact C_j for j <= 3000 ...
     t = exponential_table(3000)
+    h1, h2 = harmonic_prefix(2999, 1), harmonic_prefix(2999, 2)
     for j in range(2, 3001):
-        exact = float(t.c(j))
+        exact = float(h1[j - 1] ** 2 / h2[j - 1])
         assert abs(t.c_float(j) - exact) <= FLOAT_C_ERROR * exact, j
     # ... and against a 40-digit decimal sum at j = 10**5
     j = 10**5
@@ -193,6 +227,19 @@ def test_uncovered_part_raises():
     t = exponential_table(5)
     with pytest.raises(ValueError, match="not covered"):
         t.c(6)
+
+
+def test_part_index_obeys_the_integer_rule():
+    # a float part raises naming j on both kinds of table; a numpy integer reads as its int
+    for t in (exponential_table(100), load_table(export_table(exponential_table(30)))):
+        for read, value in ((t.c_float, 25.5), (t.c, 2.5), (t.entry, 3.0), (t.covers, 4.0)):
+            with pytest.raises(TypeError, match=f"^j must be an integer, got {re.escape(repr(value))}$"):
+                read(value)
+        assert t.c_float(np.int64(25)) == t.c_float(25) and t.entry(np.uint64(3)) is t.entry(3)
+    far = exponential_table(2**63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # (j - 1)**2 as an int64 would overflow
+        assert far.c_float(np.int64(4 * 10**9)) == far.c_float(4 * 10**9)
 
 
 # ------------------------------------------------------------------ loading

@@ -284,6 +284,15 @@ def test_simulate_unprintable_result_fails_before_numpy(cli_in_child):
     assert (code, "numpy" in modules) == (3, False)
 
 
+def test_one_large_part_peaks_as_the_default_plan(cli_peak):
+    # the plan of one part of 4,500 builds that part's exact entry alone, not
+    # every smaller part's harmonic sums: its peak is the default plan's
+    code, peak = cli_peak("simulate", "4500", "--reps", "1", "--partition", "4500")
+    default_code, default = cli_peak("simulate", "4500", "--reps", "1")
+    assert (code, default_code) == (0, 0)
+    assert peak < default + 2**20, (peak, default)
+
+
 def test_simulate_loads_numpy(cli_in_child):
     code, modules = cli_in_child(["simulate", "8", "--reps", "10"])
     assert (code, "numpy" in modules) == (0, True)

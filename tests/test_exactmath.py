@@ -1,6 +1,5 @@
 """Generalized harmonic numbers against a direct-summation oracle."""
 
-import itertools
 import math
 import os
 import sys
@@ -10,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from grouprange import exactmath, generalized_harmonic
+from grouprange import generalized_harmonic
 
-from partition_reference import harmonic_oracle
+from partition_reference import harmonic_oracle, harmonic_prefix
 
 
 def test_base_cases():
@@ -78,16 +77,12 @@ def test_log_bounds_with_outward_rounding():
 
 
 def test_memo_under_thread_contention():
-    # More threads than cores grow the shared prefix tables of powers no
-    # other test uses, each thread in its own rotated order of mixed n;
-    # every value must equal a serial running sum.
+    # More threads than cores sum powers no other test uses at once, each
+    # thread in its own rotated order of mixed n; the function keeps no
+    # state, and every value must equal a serial running sum.
     powers = (6, 8, 9)
     n_max = 150
-    expected = {
-        j: list(itertools.accumulate((Fraction(1, i**j) for i in range(1, n_max + 1)),
-                                     initial=Fraction(0)))
-        for j in powers
-    }
+    expected = {j: harmonic_prefix(n_max, j) for j in powers}
     queries = [(n, j) for n in (150, 3, 77, 0, 120, 41, 9, 101, 60, 150) for j in powers]
     workers = 2 * (os.cpu_count() or 1) + 2
     barrier = threading.Barrier(workers)
@@ -132,10 +127,8 @@ def test_rejects_bad_arguments():
 
 
 def test_rejects_non_integers_before_the_memo():
-    # a float n or j raises naming it, and no prefix table grows or appears
-    before = {j: len(table) for j, table in exactmath._prefix.items()}
+    # a float n or j raises naming it, before any sum
     with pytest.raises(TypeError, match=r"^n must be an integer, got 3000\.5$"):
         generalized_harmonic(3000.5, 1)
     with pytest.raises(TypeError, match=r"^j must be an integer, got 1\.5$"):
         generalized_harmonic(3, 1.5)
-    assert {j: len(table) for j, table in exactmath._prefix.items()} == before

@@ -129,6 +129,14 @@ def test_monte_carlo_is_reproducible(table40):
     assert first == monte_carlo(plan, 1.5, np.int64(2000), seed=np.uint64(77))
 
 
+def test_monte_carlo_reports_the_ints_it_checked(table40):
+    # a numpy replicate count and seed come back as the plain ints they equal
+    plan = make_plan(Partition.from_parts([4, 3]), table40)
+    report = monte_carlo(plan, 1.0, np.int64(10), np.uint64(3))
+    assert (type(report.replicates), type(report.seed)) == (int, int)
+    assert report == monte_carlo(plan, 1.0, 10, 3)
+
+
 def test_monte_carlo_report_fields(table40):
     plan = make_plan(Partition.from_parts([5, 4]), table40)
     report = monte_carlo(plan, 2.0, 5000, seed=3)
