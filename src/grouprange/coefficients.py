@@ -66,9 +66,9 @@ _HEADER = ("j", "d", "k_sq")
 # term, 1/(132 m**10) or 5/(66 m**11), at most 2.1u at m = 20 (the psi and psi'
 # series envelop at real positive argument: DLMF 5.11(ii), Knuth TAOCP 1.2.11.2).
 FLOAT_C_ERROR = 1e-14  # 90u, above h1 * h1 / h2's 59u
-# The solvers' and the lemma's float comparisons decide unless their sides
-# lie within this relative margin; then the exact one does, so on the
-# exponential table the solvers build only C_2..C_6 and the answer's parts.
+# The solvers' float comparisons and the lemma's on its tail 34..n_max decide
+# unless their sides lie within this relative margin; then the exact one does,
+# so on the exponential table the solvers build only C_2..C_6 and the answer's parts.
 # c_float(j) / j is within a relative FLOAT_C_ERROR + u of C_j / j, so two
 # ratios FLOAT_TIE apart, 4 * 10**4 times their combined error, order as the
 # exact ones do.

@@ -349,20 +349,15 @@ def rule_of_fours(n: int) -> Partition:
 
     Parts of size 4 everywhere, with the remainder r = n mod 4 taken
     up by r parts of size 5 (r = 1, 2) or one part of size 3 (r = 3);
-    (n) itself for 2 <= n <= 5, and (3, 3) for n = 6.
+    (2) for n = 2, and (3, 3) for n = 6, where q < r.
     """
     n = check_integer("n", n, 2)
-    if n <= 5:
-        return Partition.from_parts([n])
+    if n == 2:
+        return Partition.from_parts([2])
     if n == 6:
         return Partition.from_parts([3, 3])
     q, r = divmod(n, 4)
-    if r == 0:
-        freq = {4: q}
-    elif r in (1, 2):
-        freq = {4: q - r, 5: r}  # q >= r holds for every n >= 7
-    else:
-        freq = {3: 1, 4: q}
+    freq = {3: 1, 4: q} if r == 3 else {4: q - r, 5: r}  # q >= r holds for every other n
     return Partition.from_frequencies(freq)
 
 

@@ -76,7 +76,7 @@ def test_log_bounds_with_outward_rounding():
         assert generalized_harmonic(n, 2) > Fraction(lower)
 
 
-def test_memo_under_thread_contention():
+def test_sums_under_thread_contention():
     # More threads than cores sum powers no other test uses at once, each
     # thread in its own rotated order of mixed n; the function keeps no
     # state, and every value must equal a serial running sum.
@@ -126,7 +126,7 @@ def test_rejects_bad_arguments():
         generalized_harmonic(3, -2)
 
 
-def test_rejects_non_integers_before_the_memo():
+def test_rejects_non_integers_before_any_sum():
     # a float n or j raises naming it, before any sum
     with pytest.raises(TypeError, match=r"^n must be an integer, got 3000\.5$"):
         generalized_harmonic(3000.5, 1)

@@ -8,6 +8,7 @@ from grouprange import (
     PEAK_RATIO,
     CoefficientEntry,
     CoefficientTable,
+    coefficients,
     exponential_table,
     lemma,
     ratio,
@@ -134,7 +135,7 @@ def test_float_tie_is_decided_exactly(offset, peak_at):
     assert report.holds == (peak_at == 4)
 
 
-def test_envelope_must_dominate_every_ratio():
+def test_tail_ratio_between_the_bound_and_the_peak_fails():
     # C_34 / 34 = 0.615 lies above h(34) ~ 0.61268 and 27/44 ~ 0.61364 but
     # below 121/196, so only the tail check can fail the run
     table = with_ratio(40, 34, Fraction(615, 1000))
@@ -171,3 +172,32 @@ def test_tail_bound_must_lie_below_the_peak():
     report = verify_lemma(40, with_ratio(40, 4, TAIL_BOUND))
     assert report.max_ratio_at == 4 and report.max_ratio == TAIL_BOUND and report.exact_ok
     assert not report.envelope_ok and not report.holds
+
+
+@pytest.mark.parametrize("n, r", [
+    (40, Fraction(7, 10)),  # above the head's peak, at n_max
+    (34, Fraction(7, 10)),  # the same at the tail's first n
+    (34, PEAK_RATIO),  # a tie with the head's peak
+])
+def test_tail_ratio_at_or_above_the_peak_leaves_the_peak_to_the_head(n, r):
+    # the tail bound already fails such a table, so the peak fields stay
+    # those of 2..33: 121/196 at 4, strict there
+    report = verify_lemma(40, with_ratio(40, n, r))
+    assert report.max_ratio_at == 4 and report.max_ratio == PEAK_RATIO and report.exact_ok
+    assert not report.envelope_ok and not report.holds
+
+
+def test_scan_builds_exactly_the_head(monkeypatch):
+    # the tail is decided by floats on the exponential table: its exact
+    # entries are the head's, C_2..C_33, at any n_max
+    monkeypatch.setattr(coefficients, "_entries", {})
+    assert verify_lemma(50_000, exponential_table(50_000)).holds
+    assert sorted(coefficients._entries) == list(range(2, 34))
+
+
+def test_scan_memory_does_not_grow_with_its_bound(cli_peak):
+    # the tail keeps no per-n table: the bound's run peaks as the least one does
+    code, peak = cli_peak("verify", "--lemma-max", "50000", "--agree-max", "2")
+    least_code, least = cli_peak("verify", "--lemma-max", "34", "--agree-max", "2")
+    assert (code, least_code) == (0, 0)
+    assert peak < least + 2**20, (peak, least)
