@@ -16,10 +16,11 @@ The source is edited in place at the operator's or constant's position,
 so every other byte (comments, layout, line numbers) stays as written.
 
 ``--list`` prints one line per site.  ``--run`` copies the checkout to a
-temporary directory, checks that the unchanged copy passes ``python -m
-pytest -x -q tests/``, then writes one mutant at a time into the copy and
-runs each test file once there, first those whose names contain the
-mutated module's stem, so a wrong value fails fast where it is checked.
+temporary directory and runs ``python -m pytest -x -q`` there on each
+``tests/test_*.py`` once, first those whose names contain the mutated
+module's stem, so a wrong value fails fast where it is checked.  It checks
+that the unchanged copy passes that run, then writes one mutant at a time
+into the copy and repeats it.
 Each run has a 300 s timeout and a 4 GiB address-space limit that only
 the test process gets.  A mutant is killed when the tests fail,
 survives when they pass, and times out when the run outlasts the limit.
@@ -178,14 +179,12 @@ def _line_filter(spec: str | None):
     return wanted.__contains__
 
 
-def pytest_command(root: Path, module: Path | None = None) -> list[str]:
-    """The test run in the checkout at root: all of tests/, or for a mutant of
-    module each tests/test_*.py once, those naming its stem first."""
-    tests = ["tests/"]
-    if module is not None:
-        files = sorted((root / "tests").glob("test_*.py"),
-                       key=lambda p: (module.stem not in p.name, p.name))
-        tests = [p.relative_to(root).as_posix() for p in files]
+def pytest_command(root: Path, module: Path) -> list[str]:
+    """The test run in the checkout at root: each tests/test_*.py once, those
+    naming module's stem first."""
+    files = sorted((root / "tests").glob("test_*.py"),
+                   key=lambda p: (module.stem not in p.name, p.name))
+    tests = [p.relative_to(root).as_posix() for p in files]
     return [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
 
 
@@ -239,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.pyc"))
         target = copy / relative
         command = pytest_command(copy, relative)
-        if _run_tests(copy, pytest_command(copy)) != "survived":
+        if _run_tests(copy, command) != "survived":
             print("the unchanged copy fails its tests; no mutant run", file=sys.stderr)
             return 1
         tally: dict[str, int] = {}
